@@ -298,10 +298,10 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  if (monitor) {
-    k.nic_control().EnableTopTalkers(64);
-    k.StartMaintenance();
-  }
+  kernel::NicConfig config;
+  config.top_talkers = monitor;
+  config.maintenance = monitor;
+  (void)k.Configure(kernel::kRootUid, config);
   for (int i = 0; i < filter_rules; ++i) {
     // UDP rules on ports the workload never touches: every packet scans the
     // whole chain (protocol bucketing cannot skip same-proto rules) and
@@ -315,7 +315,8 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
     (void)k.AppendFilterRule(kernel::kRootUid, kernel::Chain::kInput, r);
   }
   if (fastpath) {
-    k.nic_control().EnableFlowCache(1024);
+    config.flow_cache = true;
+    (void)k.Configure(kernel::kRootUid, config);
   }
   const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);
   auto s1 = Socket::Connect(&k, pid, peer, 1000, {});

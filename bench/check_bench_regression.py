@@ -42,8 +42,8 @@ prints after the google-benchmark table) against the checked-in baseline:
   7. multicore scaling: bench_multicore emits "multicore_scaling" rows in
      1-queue / N-queue pairs (matched by the "pair" field, the 1-queue
      partner running back-to-back in the same process); the 4-queue
-     events-per-virtual-second ratio over its paired 1-queue run must be
-     at least MULTICORE_MIN_SCALING (default 1.8x) — sharding the
+     delivered-frames-per-virtual-second ratio over its paired 1-queue run
+     must be at least MULTICORE_MIN_SCALING (default 1.8x) — sharding the
      dataplane across lanes has to actually buy parallel virtual time.
      These rows live in a separate report file (bench_multicore's stdout);
      pass it as the report when gating that binary.
@@ -205,13 +205,13 @@ def fastpath_rows(rows, fastpath):
 
 
 def multicore_scaling(rows, queues):
-    """events_per_s ratios of each `queues`-lane run over its 1-queue pair."""
+    """frames_per_s ratios of each `queues`-lane run over its 1-queue pair."""
     by_pair = {}
     for r in rows:
-        if r.get("bench") != "multicore_scaling" or "events_per_s" not in r:
+        if r.get("bench") != "multicore_scaling" or "frames_per_s" not in r:
             continue
         by_pair.setdefault(r.get("pair"), {})[r.get("queues")] = (
-            r["events_per_s"])
+            r["frames_per_s"])
     return [
         p[queues] / p[1]
         for p in by_pair.values()

@@ -145,10 +145,11 @@ class Tracepoints {
  public:
   // Record lanes: the aggregate NIC-side ring, the host-side ring
   // (mirroring the profiler's CoreKind split of the simulated machine),
-  // and one ring per sharded dataplane lane. An unsharded world only ever
-  // emits on the first two; lane rings cost nothing until armed (rings
-  // are carved lazily) and keep a sharded run's per-core decision
-  // sequences separable in the journal.
+  // and one ring per lane of a multi-lane dataplane. A one-lane NIC emits
+  // its lane's events on the aggregate NIC ring, so it only ever uses the
+  // first two; lane rings cost nothing until armed (rings are carved
+  // lazily) and keep a multi-lane run's per-core decision sequences
+  // separable in the journal.
   static constexpr uint32_t kCoreNic = 0;
   static constexpr uint32_t kCoreHost = 1;
   static constexpr uint32_t kCoreLaneBase = 2;

@@ -116,7 +116,7 @@ void Kernel::InstallPipeline() {
 void Kernel::Housekeeping() {
   // Invoked on demand (no self-rescheduling: it would keep the DES alive
   // forever). Benchmarks and tools call this before reading tables; the
-  // periodic path is StartMaintenance().
+  // periodic path is NicConfig::maintenance.
   if (conntrack_->Sweep(sim_->Now()) > 0) {
     // Expired conntrack state frees SRAM and can change what the chain
     // would decide (e.g. NAT admission): stale fast-path verdicts must go.
@@ -130,11 +130,11 @@ void Kernel::InstallDefaultHealthRules() {
   watchdog_->AddQueueStallRule("nic.qdisc", "queue.nic.qdisc.depth",
                                "kernel.tc");
   watchdog_->AddQueueStallRule("app.rx", "queue.nic.rx_ring.depth", "app.rx");
-  // Per-lane stall rules for the sharded dataplane: a single wedged lane
+  // Per-lane stall rules for a multi-lane dataplane: a single wedged lane
   // moves its own ring-depth series while the aggregate may look healthy
   // (7 draining lanes mask the stuck one). The per-queue gauges are
-  // registered eagerly whether or not a run shards, and an absent/zero
-  // series reads healthy, so unsharded worlds see no change.
+  // registered eagerly whatever the lane count, and an absent/zero series
+  // reads healthy, so one-lane worlds (no ring hop) see no change.
   for (uint16_t q = 0; q < nic::SmartNic::kMaxShardQueues; ++q) {
     const std::string qs = std::to_string(q);
     watchdog_->AddQueueStallRule("app.rx.q" + qs,
@@ -726,18 +726,6 @@ Status Kernel::StopCapture(Uid caller) {
   return OkStatus();
 }
 
-Status Kernel::EnableNat(Uid caller, net::Ipv4Address private_prefix,
-                         uint32_t prefix_len, net::Ipv4Address public_ip) {
-  NORMAN_RETURN_IF_ERROR(RequireRoot(caller));
-  if (nat_ != nullptr) {
-    return AlreadyExistsError("NAT already enabled");
-  }
-  nat_ = std::make_unique<dataplane::NatEngine>(
-      &nic_cp_->sram(), private_prefix, prefix_len, public_ip);
-  InstallPipeline();  // re-compose chains with the NAT stage
-  return OkStatus();
-}
-
 // ---- Declarative configuration & tenancy ------------------------------------
 
 Status Kernel::Configure(Uid caller, const NicConfig& config) {
@@ -756,11 +744,11 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
         std::to_string(nic::SmartNic::kMaxShardQueues) + ", got " +
         std::to_string(config.shard_queues));
   }
-  const uint16_t live_queues = nic_cp_->shard_queues();
-  if (live_queues > 0 && config.shard_queues != live_queues) {
+  const uint16_t live_lanes = nic_cp_->shard_queues();
+  if (live_lanes > 1 && config.shard_queues != live_lanes) {
     return FailedPreconditionError(
         "config: sharding is one-shot; the live dataplane has " +
-        std::to_string(live_queues) + " lanes and cannot be re-carved to " +
+        std::to_string(live_lanes) + " lanes and cannot be re-carved to " +
         std::to_string(config.shard_queues));
   }
   if (config.nat &&
@@ -782,7 +770,7 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
 
   // ---- Apply. No step below can fail: every precondition the individual
   // operations check was validated above, so the CHECKs are invariants.
-  if (live_queues == 0 && config.shard_queues > 0) {
+  if (config.shard_queues > live_lanes) {
     NORMAN_CHECK(nic_cp_->EnableSharding(config.shard_queues).ok());
   }
   if (config.flow_cache) {

@@ -134,10 +134,11 @@ class Kernel {
   // ---- Declarative NIC configuration (root-only) --------------------------
   // Applies a whole NicConfig atomically: every field is validated before
   // any of them takes effect, so a rejected config leaves the dataplane
-  // exactly as it was (the error names the offending field). The accreted
-  // per-feature calls (EnableNat, StartMaintenance, and the control plane's
-  // EnableFlowCache/EnableSharding/EnableTopTalkers) remain as thin
-  // deprecated shims over the same state.
+  // exactly as it was (the error names the offending field). The one way
+  // to configure the NIC from above the kernel; it drives the control
+  // plane's EnableFlowCache/EnableSharding/EnableTopTalkers primitives.
+  // Re-applying active_config() changes nothing except restarting a
+  // maintenance tick that parked itself.
   Status Configure(Uid caller, const NicConfig& config);
   const NicConfig& active_config() const { return active_config_; }
 
@@ -213,11 +214,7 @@ class Kernel {
   // conntrack view.
   const dataplane::Conntrack& conntrack() const { return *conntrack_; }
 
-  // Enable source NAT for a private prefix (root only).
-  // Deprecated shim: prefer Configure() with NicConfig::nat, which
-  // validates the whole configuration before applying any of it.
-  Status EnableNat(Uid caller, net::Ipv4Address private_prefix,
-                   uint32_t prefix_len, net::Ipv4Address public_ip);
+  // Source NAT (NicConfig::nat); null until Configure enables it.
   const dataplane::NatEngine* nat() const { return nat_.get(); }
 
   // Helper for rules that match on a process name: interned comm id.
@@ -237,16 +234,15 @@ class Kernel {
   void Housekeeping();
 
   // ---- Continuous monitoring (the time dimension of interposition) -------
-  // Starts the periodic maintenance tick: every housekeeping_period it runs
-  // conntrack expiry, scrapes the registry into the time-series sampler,
-  // and evaluates the health watchdog — all on the virtual clock.
+  // NicConfig::maintenance runs the periodic maintenance tick: every
+  // housekeeping_period it runs conntrack expiry, scrapes the registry into
+  // the time-series sampler, and evaluates the health watchdog — all on the
+  // virtual clock.
   //
   // Opt-in and self-limiting: the tick re-arms only while other events are
   // pending, so an idle world still terminates (a free-running timer would
   // keep the DES alive forever) and default goldens are unaffected.
-  // Deprecated shim: prefer Configure() with NicConfig::maintenance.
-  void StartMaintenance();
-  void StopMaintenance() { maintenance_on_ = false; }
+  // Re-applying active_config() restarts a parked tick.
   bool maintenance_running() const { return maintenance_on_; }
   uint64_t maintenance_ticks() const { return maintenance_ticks_; }
 
@@ -271,6 +267,8 @@ class Kernel {
   Status RequireRoot(Uid caller) const;
   void InstallPipeline();
   void PumpNotifications(Pid pid);
+  void StartMaintenance();
+  void StopMaintenance() { maintenance_on_ = false; }
   void MaintenanceTick();
   void InstallDefaultHealthRules();
   // (Re)installs the per-tenant WFQ TX discipline classifying on owner uid

@@ -42,9 +42,7 @@ struct TenantSpec {
 
 // Whole-NIC configuration, applied atomically by Kernel::Configure: the
 // entire struct is validated before any field takes effect, so a rejected
-// config leaves the dataplane exactly as it was. This replaces the accreted
-// per-feature toggles (EnableNat / EnableFlowCache / EnableSharding /
-// EnableTopTalkers / StartMaintenance), which survive as deprecated shims.
+// config leaves the dataplane exactly as it was.
 struct NicConfig {
   // Megaflow-style verdict cache (fastpath.* metrics).
   bool flow_cache = false;
@@ -52,7 +50,7 @@ struct NicConfig {
   // Per-flow heavy-hitter accounting for norman-top (flow.* metrics).
   bool top_talkers = false;
   size_t top_talker_entries = 64;
-  // Multi-queue dataplane shards (0 or 1 = serial). Sharding is one-shot:
+  // Dataplane lanes (0 or 1 = the NIC's one lane). Sharding is one-shot:
   // once carved, a live dataplane cannot be re-carved or un-carved.
   uint16_t shard_queues = 0;
   // Source NAT for a private prefix.

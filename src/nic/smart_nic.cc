@@ -155,7 +155,6 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
       options_(options),
       sram_(options.sram_bytes),
       flow_table_(&sram_),
-      rss_(options.num_rx_queues),
       tx_ring_gauges_(&sim->metrics(), "nic.tx_ring"),
       rx_ring_gauges_(&sim->metrics(), "nic.rx_ring"),
       notify_gauges_(&sim->metrics(), "nic.notify"),
@@ -173,17 +172,11 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
   // Attribution cores: the profiler reads each resource's busy time at
   // export, and the conservation invariant holds per core. Registration is
   // unconditional (like metric registration) so inventories never depend
-  // on whether a run enabled profiling.
-  using telemetry::Profiler;
-  prof_core_dma_ = prof_->RegisterCore(
-      "nic.dma", Profiler::CoreKind::kNic, [this] { return dma_engine_.busy_ns(); });
-  prof_core_pipe_ = prof_->RegisterCore(
-      "nic.pipeline", Profiler::CoreKind::kNic,
-      [this] { return pipeline_.busy_ns(); });
-  prof_core_stages_ = prof_->RegisterCore(
-      "nic.stages", Profiler::CoreKind::kNic, [this] { return stages_.busy_ns(); });
+  // on whether a run enabled profiling. Each lane registers its own three
+  // cores (AddLane below).
   prof_core_wire_ = prof_->RegisterCore(
-      "nic.wire", Profiler::CoreKind::kNic, [this] { return wire_.busy_ns(); });
+      "nic.wire", telemetry::Profiler::CoreKind::kNic,
+      [this] { return wire_.busy_ns(); });
   stats_.AttachProfiler(prof_);
   stats_.AttachTenants(&tenant_table_);
   // Tenant-attributed SRAM usage flows into tenant.<id>.sram_bytes as it
@@ -208,16 +201,7 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
     lane_rx_gauges_.emplace_back(&sim->metrics(),
                                  "nic.rx_ring.q" + std::to_string(q));
   }
-  // The unsharded resource/core set the shared datapath charges by default.
-  default_refs_ = LaneRefs{&pipeline_,
-                           &stages_,
-                           &dma_engine_,
-                           prof_core_pipe_,
-                           prof_core_stages_,
-                           prof_core_dma_,
-                           telemetry::Tracepoints::kCoreNic,
-                           sim::Simulator::kNoLane,
-                           /*cache_part=*/0};
+  AddLane();
   // NIC-side fault instrumentation, eagerly registered so the metric
   // manifest is shape-stable whether or not a chaos campaign ever runs.
   fault_sram_pressure_gauge_ = sim->metrics().GetGauge(
@@ -413,7 +397,31 @@ void SmartNic::ControlPlane::InvalidateFastPath() {
 }
 
 Status SmartNic::ControlPlane::EnableSharding(uint16_t num_queues) {
-  return nic_->EnableShardingImpl(num_queues);
+  if (num_queues == 0 || num_queues > kMaxShardQueues) {
+    return InvalidArgumentError(
+        "shard queue count must be in [1, " +
+        std::to_string(kMaxShardQueues) + "], got " +
+        std::to_string(num_queues));
+  }
+  if (nic_->lanes_.size() > 1) {
+    return FailedPreconditionError(
+        "dataplane already sharded; re-sharding a live dataplane would "
+        "orphan in-flight lane state");
+  }
+  if (num_queues == 1) {
+    return OkStatus();  // lane 0 exists from construction
+  }
+  nic_->rss_.SetNumQueues(num_queues);
+  nic_->flow_cache_.SetPartitions(num_queues);
+  nic_->sim_->set_num_lanes(num_queues);
+  while (nic_->lanes_.size() < num_queues) {
+    nic_->AddLane();
+  }
+  // Entries minted before sharding sat in the single partition;
+  // SetPartitions flushed them, and the epoch bump below covers any caller
+  // holding a stale pointer across this call.
+  InvalidateFastPath();
+  return OkStatus();
 }
 
 Status SmartNic::ControlPlane::SetRssIndirection(size_t index,
@@ -435,60 +443,41 @@ Status SmartNic::ControlPlane::SetRssIndirection(size_t index,
   return OkStatus();
 }
 
-Status SmartNic::EnableShardingImpl(uint16_t num_queues) {
-  if (num_queues == 0 || num_queues > kMaxShardQueues) {
-    return InvalidArgumentError(
-        "shard queue count must be in [1, " +
-        std::to_string(kMaxShardQueues) + "], got " +
-        std::to_string(num_queues));
-  }
-  if (!lanes_.empty()) {
-    return FailedPreconditionError(
-        "dataplane already sharded; re-sharding a live dataplane would "
-        "orphan in-flight lane state");
-  }
-  rss_.SetNumQueues(num_queues);
-  flow_cache_.SetPartitions(num_queues);
-  sim_->set_num_lanes(num_queues);
+void SmartNic::AddLane() {
+  const auto q = static_cast<uint16_t>(lanes_.size());
+  auto lane = std::make_unique<Lane>(q, options_.lane_ring_entries);
+  lane->rings.AttachGauges(&lane_tx_gauges_[q], &lane_rx_gauges_[q]);
+  Lane* raw = lane.get();
   using telemetry::Profiler;
-  lanes_.reserve(num_queues);
-  for (uint16_t q = 0; q < num_queues; ++q) {
-    auto lane = std::make_unique<Lane>(q, options_.lane_ring_entries);
-    lane->rings.AttachGauges(&lane_tx_gauges_[q], &lane_rx_gauges_[q]);
-    Lane* raw = lane.get();
-    lane->core_pipe =
-        prof_->RegisterCore(raw->pipeline.name(), Profiler::CoreKind::kNic,
-                            [raw] { return raw->pipeline.busy_ns(); });
-    lane->core_stages =
-        prof_->RegisterCore(raw->stages.name(), Profiler::CoreKind::kNic,
-                            [raw] { return raw->stages.busy_ns(); });
-    lane->core_dma =
-        prof_->RegisterCore(raw->dma.name(), Profiler::CoreKind::kNic,
-                            [raw] { return raw->dma.busy_ns(); });
-    lanes_.push_back(std::move(lane));
-  }
-  // Entries minted pre-sharding sit in partition 0 of a different map
-  // shape; SetPartitions flushed them, and the epoch bump below covers any
-  // caller holding a stale pointer across this call.
-  flow_cache_.Invalidate();
-  return OkStatus();
+  lane->core_pipe =
+      prof_->RegisterCore(raw->pipeline.name(), Profiler::CoreKind::kNic,
+                          [raw] { return raw->pipeline.busy_ns(); });
+  lane->core_stages =
+      prof_->RegisterCore(raw->stages.name(), Profiler::CoreKind::kNic,
+                          [raw] { return raw->stages.busy_ns(); });
+  lane->core_dma =
+      prof_->RegisterCore(raw->dma.name(), Profiler::CoreKind::kNic,
+                          [raw] { return raw->dma.busy_ns(); });
+  lanes_.push_back(std::move(lane));
 }
 
-SmartNic::LaneRefs SmartNic::LaneRefsFor(uint16_t queue) {
-  Lane& lane = *lanes_[queue];
-  return LaneRefs{&lane.pipeline,
-                  &lane.stages,
-                  &lane.dma,
-                  lane.core_pipe,
-                  lane.core_stages,
-                  lane.core_dma,
-                  telemetry::Tracepoints::kCoreLaneBase + queue,
-                  queue,
-                  queue};
+uint32_t SmartNic::TpCore(const Lane& lane) const {
+  return lanes_.size() == 1 ? telemetry::Tracepoints::kCoreNic
+                            : telemetry::Tracepoints::kCoreLaneBase +
+                                  lane.index;
+}
+
+double SmartNic::MeanLaneUtilization(sim::Resource Lane::*resource,
+                                     Nanos horizon) const {
+  double sum = 0;
+  for (const auto& lane : lanes_) {
+    sum += ((*lane).*resource).Utilization(horizon);
+  }
+  return sum / static_cast<double>(lanes_.size());
 }
 
 uint16_t SmartNic::TxLaneOf(const FlowEntry* entry) const {
-  if (lanes_.empty() || entry == nullptr) {
+  if (entry == nullptr) {
     return 0;
   }
   return static_cast<uint16_t>(rss_.Hash(entry->tuple) % lanes_.size());
@@ -560,7 +549,7 @@ bool IsDestinationRewrite(const net::FiveTuple& from,
 
 }  // namespace
 
-StageResult SmartNic::RunStages(const LaneRefs& lr,
+StageResult SmartNic::RunStages(Lane& lane,
                                 const std::vector<PipelineStage*>& stages,
                                 net::Packet& packet,
                                 overlay::PacketContext& ctx,
@@ -580,8 +569,8 @@ StageResult SmartNic::RunStages(const LaneRefs& lr,
     aggregate.overlay_instructions += r.overlay_instructions;
     if (r.mutated) {
       // The stage rewrote the frame (NAT): refresh the single-pass parse so
-      // downstream stages, the scheduler, and RSS see the new headers. This
-      // is the only re-parse on the whole datapath.
+      // downstream stages and the scheduler see the new headers. This is
+      // the only re-parse on the whole datapath.
       packet.SetParsed(net::ParseFrame(packet.bytes()));
       ctx.parsed = packet.parsed();
       ctx.frame = packet.bytes();
@@ -637,8 +626,8 @@ StageResult SmartNic::RunStages(const LaneRefs& lr,
         options_.cost.nic_stage_latency_ns +
         static_cast<Nanos>(r.overlay_instructions) *
             options_.cost.overlay_instr_ns;
-    lr.stages->AddBusy(stage_cost);
-    prof_->Charge(stage_sites[i], lr.core_stages, owner_slot, stage_cost);
+    lane.stages.AddBusy(stage_cost);
+    prof_->Charge(stage_sites[i], lane.core_stages, owner_slot, stage_cost);
     if (trace_id != 0) {
       // Spans are laid end to end from `stage_start` so the chain tiles
       // exactly onto the cost model's stage window.
@@ -693,12 +682,10 @@ Status SmartNic::Doorbell(net::ConnectionId conn_id, Nanos now) {
   bool& active = tx_consumer_active_[conn_id];
   if (!active) {
     active = true;
-    // When sharded, the consumer event carries the flow's TX lane so the
-    // interleave schedule orders same-tick wake-ups across lanes.
-    const uint16_t lane =
-        lanes_.empty() ? sim::Simulator::kNoLane
-                       : TxLaneOf(flow_table_.Lookup(conn_id));
-    sim_->ScheduleAtLane(lane, std::max(now, sim_->Now()),
+    // The consumer event carries the flow's TX lane so the interleave
+    // schedule orders same-tick wake-ups across lanes.
+    sim_->ScheduleAtLane(TxLaneOf(flow_table_.Lookup(conn_id)),
+                         std::max(now, sim_->Now()),
                          [this, conn_id] { ConsumeTxRing(conn_id); });
   }
   return OkStatus();
@@ -726,8 +713,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   FlowEntry* entry = flow_table_.Lookup(conn_id);
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
-  const LaneRefs refs =
-      lanes_.empty() ? default_refs_ : LaneRefsFor(TxLaneOf(entry));
+  Lane& lane = *lanes_[TxLaneOf(entry)];
   TxBurst burst(&stats_);
   FastPathMemo memo;
   for (uint32_t fetched = 0;;) {
@@ -738,8 +724,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       tx_consumer_active_[conn_id] = false;
       if (entry != nullptr && entry->notify_tx_drain) {
         PostNotification(*entry, NotificationKind::kTxDrained, now,
-                         refs.lane == sim::Simulator::kNoLane ? 0
-                                                              : refs.lane);
+                         lane.index);
       }
       return;
     }
@@ -749,11 +734,11 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       PrefetchRead(next_pkt->get());
     }
     ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, burst, &memo,
-                        refs);
+                        lane);
     // Next descriptor fetch when the lane's DMA engine frees up.
-    const Nanos next = std::max(refs.dma->next_free(), now + 1);
+    const Nanos next = std::max(lane.dma.next_free(), now + 1);
     if (++fetched >= batch || sim_->HasEventAtOrBefore(next)) {
-      sim_->ScheduleAtLane(refs.lane, next,
+      sim_->ScheduleAtLane(lane.index, next,
                            [this, conn_id] { ConsumeTxRing(conn_id); });
       return;
     }
@@ -764,7 +749,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
 void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                                    net::ConnectionId conn_id, FlowEntry* entry,
                                    Nanos now, TxBurst& burst,
-                                   FastPathMemo* memo, const LaneRefs& lr) {
+                                   FastPathMemo* memo, Lane& lane) {
   burst.seen.Add();
 
   // Attribution context for the whole descriptor: everything below charges
@@ -793,28 +778,28 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       entry != nullptr ? entry->tx_ring_bytes : kHotWorkingSetBytes;
   const bool ddio_hit = ddio_.Access(TxRingId(conn_id), ring_ws);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
-  const Nanos dma_done = lr.dma->Serve(now, dma_cost);
-  prof_->Charge(prof_tx_dma_site_, lr.core_dma, owner_slot, dma_cost);
+  const Nanos dma_done = lane.dma.Serve(now, dma_cost);
+  prof_->Charge(prof_tx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   burst.dma.Add();
   sim_->tracer().Record(trace_id, "tx.dma", now, dma_done);
 
   // 2) Pipeline occupancy (line-rate cap) + per-stage latency. Tenants with
   // a configured cycle share are gated through their own WFQ virtual server
-  // instead of the shared FIFO cursor: a quota'd aggressor queues behind its
-  // *own* stretched horizon, never in front of the victim. The shared
+  // instead of the lane's FIFO cursor: a quota'd aggressor queues behind its
+  // *own* stretched horizon, never in front of the victim. The lane's
   // resource still accrues the busy time so utilization accounting
   // (profiler attributed + unaccounted == busy) is unchanged.
   const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
   Nanos pipe_done;
   if (tenant_table_.Gated(tenant)) {
-    const Nanos start = tenant_table_.Admit(tenant, lr.lane, dma_done,
+    const Nanos start = tenant_table_.Admit(tenant, lane.index, dma_done,
                                             pipe_cost);
-    lr.pipeline->AddBusy(pipe_cost);
+    lane.pipeline.AddBusy(pipe_cost);
     pipe_done = start + pipe_cost;
   } else {
-    pipe_done = lr.pipeline->Serve(dma_done, pipe_cost);
+    pipe_done = lane.pipeline.Serve(dma_done, pipe_cost);
   }
-  prof_->Charge(prof_tx_pipe_site_, lr.core_pipe, owner_slot, pipe_cost);
+  prof_->Charge(prof_tx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
   sim_->tracer().Record(trace_id, "tx.pipeline", dma_done, pipe_done);
 
   // Single-pass parse: stored on the packet, refreshed only if a stage
@@ -859,7 +844,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       e = memo->entry;
       flow_cache_.CountCoalescedHit();
     } else {
-      e = flow_cache_.Lookup(fp_key, lr.cache_part);
+      e = flow_cache_.Lookup(fp_key, lane.index);
       if (memo != nullptr) {
         memo->entry = e;  // null on miss: the memo never outlives a miss
         if (e != nullptr) {
@@ -875,8 +860,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
-      lr.stages->AddBusy(fp_cost);
-      prof_->ChargeCurrent(lr.core_stages, owner_slot, fp_cost);
+      lane.stages.AddBusy(fp_cost);
+      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       stages_done = pipe_done + fp_cost;
       sim_->tracer().Record(trace_id, "fastpath", pipe_done, stages_done);
       verdict = static_cast<Verdict>(e->verdict);
@@ -887,7 +872,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   if (!fp_hit) {
     telemetry::ProfScope stages_scope(prof_, prof_tx_stages_site_);
     FlowCacheMint mint;
-    StageResult result = RunStages(lr, tx_stages_, *packet, ctx, pipe_done,
+    StageResult result = RunStages(lane, tx_stages_, *packet, ctx, pipe_done,
                                    trace_id, fp_eligible ? &mint : nullptr,
                                    tx_stage_sites_, owner_slot);
     // A packet already diverted once (software path) is not diverted again
@@ -911,7 +896,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
         mint.entry.verdict = static_cast<uint8_t>(verdict);
         mint.entry.drop_reason = drop_reason;
         mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lr.cache_part);
+        flow_cache_.Insert(fp_key, mint.entry, lane.index);
       } else {
         flow_cache_.RecordUncacheable();
       }
@@ -926,7 +911,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   switch (verdict) {
     case Verdict::kDrop:
       stats_.RecordDrop(net::Direction::kTx, NormalizeDropReason(drop_reason),
-                        ctx.conn.owner_pid, lr.tp_core,
+                        ctx.conn.owner_pid, TpCore(lane),
                         ctx.conn.owner_tenant);
       return;
     case Verdict::kSoftwareFallback: {
@@ -949,9 +934,9 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   // handoffs across lanes follow the interleave schedule.
   const overlay::ConnMetadata conn_meta = ctx.conn;
   sim_->ScheduleAtLane(
-      lr.lane, stages_done,
+      lane.index, stages_done,
       [this, p = std::move(packet), conn_meta,
-       tp_core = lr.tp_core]() mutable {
+       tp_core = TpCore(lane)]() mutable {
     // Rebuild a minimal context for the scheduler (classification inputs).
     // The packet's cached parse is already fresh — RunStages re-parsed in
     // place if (and only if) a stage rewrote the frame — so classifying
@@ -981,32 +966,35 @@ void SmartNic::InjectHostPacket(net::PacketPtr packet, Nanos now) {
     return;
   }
   const net::ConnectionId conn = packet->meta().connection;
-  if (!lanes_.empty()) {
-    // Sharded: stage the frame in its lane's TX ring and let the lane's
-    // batched drain run it, so host-injected traffic charges the same
-    // per-core resources as doorbell traffic on that lane.
-    const uint16_t q = TxLaneOf(flow_table_.Lookup(conn));
-    const uint32_t owner_pid = packet->meta().owner_pid;
-    const uint32_t owner_tenant = packet->meta().tenant;
-    Lane& lane = *lanes_[q];
-    if (!lane.rings.PushTx(std::move(packet))) {
-      stats_.RecordDrop(net::Direction::kTx, DropReason::kRingFull, owner_pid,
-                        telemetry::Tracepoints::kCoreLaneBase + q,
-                        owner_tenant);
-      return;
-    }
-    if (!lane.tx_drain_scheduled) {
-      lane.tx_drain_scheduled = true;
-      sim_->ScheduleAtLane(q, std::max(now, sim_->Now()),
-                           [this, q] { DrainTxLane(q); });
-    }
+  FlowEntry* entry = flow_table_.Lookup(conn);
+  const uint16_t q = TxLaneOf(entry);
+  Lane& lane = *lanes_[q];
+  if (lanes_.size() == 1) {
+    // One lane has nothing to interleave with: run the frame inside this
+    // event as a single-packet burst (the accumulators flush on return). No
+    // memo — host-injected packets have no burst neighbor to share a flow
+    // with.
+    TxBurst burst(&stats_);
+    ProcessTxDescriptor(std::move(packet), conn, entry, now, burst, nullptr,
+                        lane);
     return;
   }
-  // A single-packet burst: the accumulators flush on return. No memo —
-  // host-injected packets have no burst neighbor to share a flow with.
-  TxBurst burst(&stats_);
-  ProcessTxDescriptor(std::move(packet), conn, flow_table_.Lookup(conn), now,
-                      burst, nullptr, default_refs_);
+  // Several lanes: stage the frame in its lane's TX ring and let the lane's
+  // batched drain run it under the interleave schedule, so host-injected
+  // traffic charges the same per-core resources as doorbell traffic on
+  // that lane.
+  const uint32_t owner_pid = packet->meta().owner_pid;
+  const uint32_t owner_tenant = packet->meta().tenant;
+  if (!lane.rings.PushTx(std::move(packet))) {
+    stats_.RecordDrop(net::Direction::kTx, DropReason::kRingFull, owner_pid,
+                      TpCore(lane), owner_tenant);
+    return;
+  }
+  if (!lane.tx_drain_scheduled) {
+    lane.tx_drain_scheduled = true;
+    sim_->ScheduleAtLane(q, std::max(now, sim_->Now()),
+                         [this, q] { DrainTxLane(q); });
+  }
 }
 
 void SmartNic::DrainTxLane(uint16_t queue) {
@@ -1014,7 +1002,6 @@ void SmartNic::DrainTxLane(uint16_t queue) {
   lane.tx_drain_scheduled = false;
   const Nanos now = sim_->Now();
   const uint32_t n = lane.rings.PopTxN(std::span<net::PacketPtr>(lane.burst));
-  const LaneRefs refs = LaneRefsFor(queue);
   TxBurst burst(&stats_);
   for (uint32_t i = 0; i < n; ++i) {
     net::PacketPtr pkt = std::move(lane.burst[i]);
@@ -1022,7 +1009,7 @@ void SmartNic::DrainTxLane(uint16_t queue) {
     // Per-frame flow lookup (unlike the doorbell consumer's hoist): staged
     // frames on one lane can belong to different connections.
     ProcessTxDescriptor(std::move(pkt), conn, flow_table_.Lookup(conn), now,
-                        burst, nullptr, refs);
+                        burst, nullptr, lane);
   }
   if (!lane.rings.tx().empty() && !lane.tx_drain_scheduled) {
     lane.tx_drain_scheduled = true;
@@ -1150,42 +1137,48 @@ void SmartNic::PostNotification(const FlowEntry& entry, NotificationKind kind,
   it->second->Post(Notification{kind, entry.conn_id, now, queue});
 }
 
+FlowEntry* SmartNic::InboundEntry(const net::Packet& packet) {
+  if (packet.parsed() == nullptr) {
+    return nullptr;
+  }
+  const std::optional<net::FiveTuple> flow = packet.parsed()->flow();
+  return flow ? flow_table_.LookupByInboundTuple(*flow) : nullptr;
+}
+
 void SmartNic::DeliverFromWire(net::PacketPtr packet, Nanos now) {
   // Seen-counting happens at the wire regardless of path, so frames a full
   // lane ingress ring refuses still count as seen.
   telemetry::HotIncrement(stats_.rx_seen_);
-  if (lanes_.empty()) {
-    ProcessRxFrame(default_refs_, std::move(packet), now,
-                   /*parsed_at_ingress=*/false);
-    return;
-  }
-  // Sharded wire ingress: the MAC parses the frame exactly as received and
-  // steers on those pre-rewrite headers into a lane's ingress ring — unlike
-  // the serial path, which picks a queue only after the stage chain may
-  // have rewritten them (see DESIGN.md "Multi-queue sharding").
+  // Wire ingress: the MAC parses the frame exactly as received — the one
+  // parse unless a stage rewrites the frame — and steers on those
+  // pre-rewrite headers, as real multi-queue NICs steer on what arrives at
+  // the port (DESIGN.md §5b). The flow-table match picks up an explicit
+  // queue override and the owner a ring-full drop is charged to.
   packet->SetParsed(net::ParseFrame(packet->bytes()));
+  FlowEntry* entry = InboundEntry(*packet);
   uint16_t queue = 0;
-  uint32_t owner_pid = 0;
-  uint32_t owner_tenant = 0;
-  if (packet->parsed() != nullptr) {
-    if (auto flow = packet->parsed()->flow()) {
-      if (const FlowEntry* e = flow_table_.LookupByInboundTuple(*flow)) {
-        owner_pid = e->owner.owner_pid;
-        owner_tenant = e->owner.owner_tenant;
-        queue = e->rx_queue != 0 ? e->rx_queue : rss_.Steer(*flow);
-      } else {
-        queue = rss_.Steer(*flow);
-      }
-      // Explicit per-flow overrides may name a queue beyond the lane count.
-      queue = static_cast<uint16_t>(queue % lanes_.size());
+  if (entry != nullptr && entry->rx_queue != 0) {
+    queue = entry->rx_queue;
+  } else if (packet->parsed() != nullptr) {
+    if (const std::optional<net::FiveTuple> flow = packet->parsed()->flow()) {
+      queue = rss_.Steer(*flow);
     }
   }
+  // Explicit per-flow overrides may name a queue beyond the lane count.
+  queue = static_cast<uint16_t>(queue % lanes_.size());
   packet->meta().rx_queue = queue;
   Lane& lane = *lanes_[queue];
+  if (lanes_.size() == 1) {
+    // One lane has nothing to interleave with: the frame enters lane 0
+    // inside this event, with no ring hop.
+    ProcessRxFrame(lane, std::move(packet), entry, now);
+    return;
+  }
   if (!lane.rings.PushRx(std::move(packet))) {
-    stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull, owner_pid,
-                      telemetry::Tracepoints::kCoreLaneBase + queue,
-                      owner_tenant);
+    stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull,
+                      entry != nullptr ? entry->owner.owner_pid : 0,
+                      TpCore(lane),
+                      entry != nullptr ? entry->owner.owner_tenant : 0);
     return;
   }
   if (!lane.rx_drain_scheduled) {
@@ -1200,10 +1193,11 @@ void SmartNic::DrainRxLane(uint16_t queue) {
   const Nanos now = sim_->Now();
   const uint32_t n =
       lane.rings.PopRxN(std::span<net::PacketPtr>(lane.burst));
-  const LaneRefs refs = LaneRefsFor(queue);
   for (uint32_t i = 0; i < n; ++i) {
-    ProcessRxFrame(refs, std::move(lane.burst[i]), now,
-                   /*parsed_at_ingress=*/true);
+    net::PacketPtr pkt = std::move(lane.burst[i]);
+    // Re-match: the flow may have been torn down while the frame queued.
+    FlowEntry* entry = InboundEntry(*pkt);
+    ProcessRxFrame(lane, std::move(pkt), entry, now);
   }
   if (!lane.rings.rx().empty() && !lane.rx_drain_scheduled) {
     lane.rx_drain_scheduled = true;
@@ -1211,35 +1205,26 @@ void SmartNic::DrainRxLane(uint16_t queue) {
   }
 }
 
-void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
-                              Nanos now, bool parsed_at_ingress) {
-  // RX frames are processed one event each (the serial path delivers them
-  // straight off the wire; lane drains run a burst inside one event), so
-  // there is no burst scope to accumulate into; the volume counters go
-  // through the hot tier instead. Drop accounting below stays exact at
-  // every stats level.
+void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
+                              FlowEntry* entry, Nanos now) {
+  // RX frames are processed one event each (one-lane ingress runs inside
+  // the wire event; lane drains run a burst inside one event), so there is
+  // no burst scope to accumulate into; the volume counters go through the
+  // hot tier instead. Drop accounting below stays exact at every stats
+  // level.
   telemetry::ProfScope rx_scope(prof_, prof_rx_site_);
   packet->meta().direction = net::Direction::kRx;
   packet->meta().nic_arrival = now;
   const uint32_t trace_id = sim_->tracer().SampleArrival();
   packet->meta().trace_id = trace_id;
 
-  // Single-pass parse, stored on the packet (see ProcessTxDescriptor). The
-  // sharded steering step already parsed the pristine frame at ingress, and
-  // nothing between the ring and here touches the bytes. Parse and flow
-  // match happen before the pipeline serve — both are pure (no virtual
-  // time, no counters), and the match result names the owning tenant whose
-  // cycle share gates the pipeline below.
-  if (!parsed_at_ingress) {
-    packet->SetParsed(net::ParseFrame(packet->bytes()));
-  }
+  // Ingress already parsed the pristine frame and nothing between there
+  // and here touches the bytes. Parse and flow match happen before the
+  // pipeline serve — both are pure (no virtual time), and the match result
+  // names the owning tenant whose cycle share gates the pipeline below.
   std::optional<net::FiveTuple> flow;
   if (packet->parsed() != nullptr) {
     flow = packet->parsed()->flow();
-  }
-  FlowEntry* entry = nullptr;
-  if (flow) {
-    entry = flow_table_.LookupByInboundTuple(*flow);
   }
   const uint32_t tenant = entry != nullptr ? entry->owner.owner_tenant : 0;
 
@@ -1249,11 +1234,12 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
   Nanos pipe_done;
   if (tenant_table_.Gated(tenant)) {
-    const Nanos start = tenant_table_.Admit(tenant, lr.lane, now, pipe_cost);
-    lr.pipeline->AddBusy(pipe_cost);
+    const Nanos start =
+        tenant_table_.Admit(tenant, lane.index, now, pipe_cost);
+    lane.pipeline.AddBusy(pipe_cost);
     pipe_done = start + pipe_cost;
   } else {
-    pipe_done = lr.pipeline->Serve(now, pipe_cost);
+    pipe_done = lane.pipeline.Serve(now, pipe_cost);
   }
   sim_->tracer().Record(trace_id, "rx.pipeline", now, pipe_done);
 
@@ -1268,7 +1254,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
     owner_slot = prof_->OwnerSlot(owner_pid);
     prof_->CountPacket(owner_slot, packet->size());
   }
-  prof_->Charge(prof_rx_pipe_site_, lr.core_pipe, owner_slot, pipe_cost);
+  prof_->Charge(prof_rx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
 
   // Graceful degradation under wire faults: frames whose IPv4 or L4
   // checksum no longer verifies were damaged in flight and are dropped here,
@@ -1278,7 +1264,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
       !net::FrameChecksumsValid(packet->bytes(), *packet->parsed())) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
                       entry != nullptr ? entry->owner.owner_pid : 0,
-                      lr.tp_core, tenant);
+                      TpCore(lane), tenant);
     return;
   }
 
@@ -1291,7 +1277,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   }
 
   // Flow fast path (RX). Keyed on the wire tuple as seen *before* any
-  // stage rewrite, matching the flow-table lookup above; unmatched frames
+  // stage rewrite, matching the ingress flow-table match; unmatched frames
   // head to the host slow path and are never cached.
   const bool fp_eligible = flow_cache_.enabled() && flow.has_value() &&
                            entry != nullptr &&
@@ -1303,7 +1289,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   bool fp_hit = false;
   if (fp_eligible) {
     fp_key = FlowCacheKey{net::Direction::kRx, *flow, entry->conn_id};
-    if (const FlowCacheEntry* e = flow_cache_.Lookup(fp_key, lr.cache_part)) {
+    if (const FlowCacheEntry* e = flow_cache_.Lookup(fp_key, lane.index)) {
       telemetry::ProfScope fp_scope(prof_, prof_rx_fastpath_site_);
       const uint32_t observer_instructions =
           ReplayFastPath(*e, rx_stages_, *packet, ctx);
@@ -1312,8 +1298,8 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
-      lr.stages->AddBusy(fp_cost);
-      prof_->ChargeCurrent(lr.core_stages, owner_slot, fp_cost);
+      lane.stages.AddBusy(fp_cost);
+      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       ready = pipe_done + fp_cost;
       sim_->tracer().Record(trace_id, "fastpath", pipe_done, ready);
       verdict = static_cast<Verdict>(e->verdict);
@@ -1324,7 +1310,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
   if (!fp_hit) {
     telemetry::ProfScope stages_scope(prof_, prof_rx_stages_site_);
     FlowCacheMint mint;
-    StageResult result = RunStages(lr, rx_stages_, *packet, ctx, pipe_done,
+    StageResult result = RunStages(lane, rx_stages_, *packet, ctx, pipe_done,
                                    trace_id, fp_eligible ? &mint : nullptr,
                                    rx_stage_sites_, owner_slot);
     telemetry::HotIncrement(stats_.overlay_instructions_,
@@ -1341,7 +1327,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
         mint.entry.verdict = static_cast<uint8_t>(verdict);
         mint.entry.drop_reason = drop_reason;
         mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lr.cache_part);
+        flow_cache_.Insert(fp_key, mint.entry, lane.index);
       } else {
         flow_cache_.RecordUncacheable();
       }
@@ -1350,7 +1336,7 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
 
   if (verdict == Verdict::kDrop) {
     stats_.RecordDrop(net::Direction::kRx, NormalizeDropReason(drop_reason),
-                      ctx.conn.owner_pid, lr.tp_core, ctx.conn.owner_tenant);
+                      ctx.conn.owner_pid, TpCore(lane), ctx.conn.owner_tenant);
     return;
   }
 
@@ -1370,26 +1356,10 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
     return;
   }
 
-  // Steer. Sharded: the lane was chosen at wire ingress (pre-rewrite
-  // headers) and IS the queue. Serial: explicit flow-table queue wins,
-  // otherwise RSS over the cached parse — post-rewrite here, so steering
-  // keys on the headers actually delivered to the host (a NAT'd frame
-  // hashes as rewritten).
-  uint16_t queue;
-  if (lr.lane != sim::Simulator::kNoLane) {
-    queue = lr.lane;
-  } else {
-    queue = entry->rx_queue;
-    if (packet->parsed() != nullptr) {
-      if (auto q_flow = packet->parsed()->flow(); q_flow && queue == 0) {
-        queue = rss_.Steer(*q_flow);
-      }
-    }
-  }
+  // The lane ingress steered to (on the pre-rewrite headers) IS the queue.
   // Steering is combinational (zero cost-model time); the zero-width span
   // still marks the RSS decision point on a traced packet's track.
   sim_->tracer().Record(trace_id, "rx.rss", ready, ready);
-  packet->meta().rx_queue = queue;
   packet->meta().connection = entry->conn_id;
   ++entry->rx_packets;
   entry->rx_bytes += packet->size();
@@ -1400,16 +1370,16 @@ void SmartNic::ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet,
                                          ? entry->rx_ring_bytes
                                          : kHotWorkingSetBytes);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
-  const Nanos dma_done = lr.dma->Serve(ready, dma_cost);
-  prof_->Charge(prof_rx_dma_site_, lr.core_dma, owner_slot, dma_cost);
+  const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
+  prof_->Charge(prof_rx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   telemetry::HotIncrement(stats_.dma_transfers_);
   sim_->tracer().Record(trace_id, "rx.dma", ready, dma_done);
 
   const net::ConnectionId conn_id = entry->conn_id;
   sim_->ScheduleAtLane(
-      lr.lane, dma_done,
-      [this, p = std::move(packet), conn_id, queue,
-       tp_core = lr.tp_core]() mutable {
+      lane.index, dma_done,
+      [this, p = std::move(packet), conn_id, queue = lane.index,
+       tp_core = TpCore(lane)]() mutable {
     const auto it = rings_.find(conn_id);
     FlowEntry* e = flow_table_.Lookup(conn_id);
     if (it == rings_.end() || e == nullptr) {

@@ -5,8 +5,9 @@
 // flow through the installed pipeline stages (filter, sniffer, NAT — see
 // src/dataplane) at the pipeline's line rate, are ordered by the installed
 // queueing discipline, and serialized onto the wire. RX reverses the path:
-// wire -> pipeline -> flow-table match -> RSS -> DMA into the connection's
-// RX ring -> notification.
+// wire -> parse, flow-table match and RSS steering to a lane -> pipeline ->
+// DMA into the connection's RX ring -> notification. Every packet is served
+// by exactly one of the NIC's lanes (one until EnableSharding adds more).
 //
 // Privilege separation follows the paper: the *kernel* obtains the single
 // ControlPlane capability (TakeControlPlane) and is the only agent that can
@@ -119,8 +120,9 @@ class NicStats {
   // The single accounting point: bumps the per-reason counter and the
   // owner ledger. `reason` must not be kNone. When a profiler is attached
   // the drop also lands in the owner's attr.* resource ledger. `tp_core`
-  // selects the tracepoint ring the drop probe lands in — sharded lanes
-  // pass their own core so per-lane decision sequences stay separable.
+  // selects the tracepoint ring the drop probe lands in — the lanes of a
+  // multi-lane NIC pass their own core so per-lane decision sequences stay
+  // separable.
   // `tenant` attributes the drop to a tenant's tenant.<id>.drops counter
   // (0 = untenanted; the ledger and tracepoint carry the pid either way).
   void RecordDrop(net::Direction dir, DropReason reason, uint32_t owner_pid,
@@ -172,7 +174,6 @@ class SmartNic {
   struct Options {
     sim::CostModel cost;
     uint64_t sram_bytes = 8 * kMiB;
-    uint16_t num_rx_queues = 8;
     uint32_t ring_entries = kDefaultRingEntries;
     // Max TX descriptors fetched per consumer wake-up. Batching elides the
     // per-descriptor re-arm event when (and only when) no other event could
@@ -183,13 +184,13 @@ class SmartNic {
     // DropReason::kCorrupt (graceful degradation under wire faults). Costs
     // zero virtual time — real NICs verify in the MAC at line rate.
     bool verify_rx_checksums = true;
-    // Entries per sharded lane's ingress/staging ring pair (power of two).
-    // Only used once EnableSharding carves lanes.
+    // Entries per lane's ingress/staging ring pair (power of two). The
+    // rings only carry frames once EnableSharding adds a second lane.
     uint32_t lane_ring_entries = 1024;
   };
 
-  // Upper bound on sharded dataplane lanes (matches the default RX queue
-  // count and the tracepoint layer's per-lane ring allowance).
+  // Upper bound on dataplane lanes (matches the tracepoint layer's per-lane
+  // ring allowance).
   static constexpr uint16_t kMaxShardQueues = 8;
   // Frames a lane drain pops per event through the span APIs.
   static constexpr uint32_t kLaneDrainBatch = 16;
@@ -238,22 +239,21 @@ class SmartNic {
     // RSS configuration (the "partition the NIC" debugging scenario).
     RssEngine& rss() { return nic_->rss_; }
 
-    // Shards the dataplane into `num_queues` per-core lanes (§ DESIGN.md
-    // "Multi-queue sharding"): per-queue RX/TX ring pairs, per-lane
-    // pipeline/stage/DMA resources, a partitioned flow cache, and the
-    // simulator's deterministic lane-interleave schedule. Off by default —
-    // pinned golden trajectories predate it. One-shot: re-sharding a live
-    // dataplane would orphan in-flight lane state.
+    // Grows the dataplane from its one lane to `num_queues` per-core lanes
+    // (DESIGN.md §5b): lanes 1..n-1 with their own ring pairs and
+    // pipeline/stage/DMA resources, one RSS queue and flow-cache partition
+    // per lane, and the simulator's deterministic lane-interleave schedule.
+    // `num_queues == 1` keeps the single lane. One-shot: re-sharding a
+    // multi-lane dataplane would orphan in-flight lane state.
     Status EnableSharding(uint16_t num_queues);
-    bool sharded() const { return !nic_->lanes_.empty(); }
     uint16_t shard_queues() const {
       return static_cast<uint16_t>(nic_->lanes_.size());
     }
 
     // Validated indirection-table rewrite: rejects out-of-range slots and
-    // queues (see RssEngine::SetIndirection) and, when the dataplane is
-    // sharded, invalidates the flow-cache partitions on both sides of the
-    // migration so re-steered flows re-walk the chain on their new lane.
+    // queues (see RssEngine::SetIndirection) and, on a multi-lane NIC,
+    // invalidates the flow-cache partitions on both sides of the migration
+    // so re-steered flows re-walk the chain on their new lane.
     Status SetRssIndirection(size_t index, uint16_t queue);
 
     // Per-flow accounting for norman-top (§3's continuous interposition).
@@ -354,21 +354,20 @@ class SmartNic {
   // ---- Introspection ------------------------------------------------------
   const NicStats& stats() const { return stats_; }
   const sim::Resource& wire() const { return wire_; }
-  const sim::Resource& pipeline_resource() const { return pipeline_; }
-  const sim::Resource& dma_engine() const { return dma_engine_; }
-  // Aggregate stage-execution time (per-stage latency + overlay
-  // instructions, or the flow-cache hit cost on fast-path replays).
-  // Accounting-only: the completion-time model is unchanged; this resource
-  // exists so stage time is invariant-bound in the profiler like every
-  // other core.
-  const sim::Resource& stage_engine() const { return stages_; }
+  // Busy fraction of [0, horizon], averaged over the lanes' pipeline (resp.
+  // DMA) resources.
+  double PipelineUtilization(Nanos horizon) const {
+    return MeanLaneUtilization(&Lane::pipeline, horizon);
+  }
+  double DmaUtilization(Nanos horizon) const {
+    return MeanLaneUtilization(&Lane::dma, horizon);
+  }
   const DdioModel& ddio() const { return ddio_; }
   const TenantTable& tenants() const { return tenant_table_; }
   const sim::CostModel& cost() const { return options_.cost; }
   uint64_t mmio_writes() const { return regs_.write_count(); }
   sim::Simulator* simulator() { return sim_; }
-  // Sharding introspection (0 lanes = the historical serial dataplane).
-  bool sharded() const { return !lanes_.empty(); }
+  // Dataplane lanes (1 until EnableSharding adds more).
   uint16_t shard_queues() const {
     return static_cast<uint16_t>(lanes_.size());
   }
@@ -377,11 +376,6 @@ class SmartNic {
 
  private:
   friend class ControlPlane;
-
-  struct TxWork {
-    net::PacketPtr packet;
-    net::ConnectionId conn_id;
-  };
 
   // DDIO ring ids: even = TX ring of conn, odd = RX ring of conn.
   static uint64_t TxRingId(net::ConnectionId c) { return uint64_t{c} * 2; }
@@ -401,20 +395,11 @@ class SmartNic {
     bool cacheable = true;
   };
 
-  // Runs the chain, aggregating overlay instruction counts and stopping at
-  // the first non-Accept verdict. Stages that report `mutated` trigger an
-  // in-place re-parse, so `ctx.parsed` (and the packet's cached parse) is
-  // always fresh for downstream stages, schedulers, and RSS — the frame is
-  // parsed exactly once unless something rewrote it. When `mint` is
-  // non-null the walk is summarized into a prospective flow-cache entry.
-  // For traced packets (trace_id != 0) emits one span per executed stage
-  // starting at `stage_start`, each charged stage latency + its overlay
-  // instructions, so the spans tile exactly onto the pipeline's cost-model
-  // time.
-  // One dataplane shard (EnableSharding): per-core virtual-time resources
-  // that serve in parallel across lanes, the per-queue ingress/staging
-  // ring pair, profiler core ids and drain state. Resources own their
-  // per-queue names ("nic.pipeline.q<N>", ...).
+  // One dataplane lane, the NIC's unit of service: per-core virtual-time
+  // resources that serve in parallel across lanes, the per-queue
+  // ingress/staging ring pair, profiler core ids and drain state. Every
+  // packet charges exactly one lane. Resources own their per-queue names
+  // ("nic.pipeline.q<N>", ...).
   struct Lane {
     Lane(uint16_t idx, uint32_t ring_entries)
         : index(idx),
@@ -428,7 +413,8 @@ class SmartNic {
     sim::Resource dma;
     // RX side: wire-ingress frames awaiting this lane's batched drain.
     // TX side: host-injected frames staged for this lane's TX path.
-    // Depth flows into the per-queue gauges (queue.nic.*_ring.q<N>).
+    // Depth flows into the per-queue gauges (queue.nic.*_ring.q<N>). Only
+    // a multi-lane NIC uses them; one lane is entered directly.
     RingPair rings;
     bool rx_drain_scheduled = false;
     bool tx_drain_scheduled = false;
@@ -440,27 +426,28 @@ class SmartNic {
     std::array<net::PacketPtr, kLaneDrainBatch> burst;
   };
 
-  // Which resources/cores a packet charges: the shared (unsharded) set or
-  // one lane's. Threading this through the datapath keeps the sharded and
-  // historical paths one body of code.
-  struct LaneRefs {
-    sim::Resource* pipeline;
-    sim::Resource* stages;
-    sim::Resource* dma;
-    uint32_t core_pipe;
-    uint32_t core_stages;
-    uint32_t core_dma;
-    uint32_t tp_core;     // tracepoint ring for this context
-    uint16_t lane;        // sim::Simulator::kNoLane when unsharded
-    uint16_t cache_part;  // flow-cache partition (0 unsharded)
-  };
+  // Appends lane lanes_.size(): resources, ring gauges, profiler cores.
+  void AddLane();
+  // Tracepoint ring for `lane`'s events: the aggregate NIC ring while the
+  // NIC has one lane (as FlowCache::TpCore does), the lane's own otherwise.
+  uint32_t TpCore(const Lane& lane) const;
+  double MeanLaneUtilization(sim::Resource Lane::*resource,
+                             Nanos horizon) const;
 
-  // `stage_sites` is the per-stage attribution-site vector parallel to
-  // `stages` (tx_stage_sites_/rx_stage_sites_); each executed stage's cost
-  // is charged to `lr`'s stage engine and, when profiling, to the stage's
-  // own node under the enclosing scope for `owner_slot`.
-  StageResult RunStages(const LaneRefs& lr,
-                        const std::vector<PipelineStage*>& stages,
+  // Runs the chain, aggregating overlay instruction counts and stopping at
+  // the first non-Accept verdict. Stages that report `mutated` trigger an
+  // in-place re-parse, so `ctx.parsed` (and the packet's cached parse) is
+  // always fresh for downstream stages and schedulers — the frame is
+  // parsed exactly once unless something rewrote it. When `mint` is
+  // non-null the walk is summarized into a prospective flow-cache entry.
+  // For traced packets (trace_id != 0) emits one span per executed stage
+  // starting at `stage_start`, each charged stage latency + its overlay
+  // instructions, so the spans tile exactly onto the pipeline's cost-model
+  // time. `stage_sites` is the per-stage attribution-site vector parallel
+  // to `stages` (tx_stage_sites_/rx_stage_sites_); each executed stage's
+  // cost is charged to `lane`'s stage engine and, when profiling, to the
+  // stage's own node under the enclosing scope for `owner_slot`.
+  StageResult RunStages(Lane& lane, const std::vector<PipelineStage*>& stages,
                         net::Packet& packet, overlay::PacketContext& ctx,
                         Nanos stage_start, uint32_t trace_id,
                         FlowCacheMint* mint,
@@ -511,21 +498,20 @@ class SmartNic {
   // `memo` may be null (host-injected packets bypass burst memoization).
   void ProcessTxDescriptor(net::PacketPtr packet, net::ConnectionId conn_id,
                            FlowEntry* entry, Nanos now, TxBurst& burst,
-                           FastPathMemo* memo, const LaneRefs& lr);
+                           FastPathMemo* memo, Lane& lane);
   void ConsumeTxRing(net::ConnectionId conn_id);
-  // The RX datapath body (pipeline → stages/fast path → flow match → DMA →
-  // ring push → notify) for one frame, charging `lr`'s resources. When
-  // `parsed_at_ingress` the sharded steering step already parsed the frame
-  // at wire arrival, so the single-pass parse is not repeated.
-  void ProcessRxFrame(const LaneRefs& lr, net::PacketPtr packet, Nanos now,
-                      bool parsed_at_ingress);
+  // The RX datapath body (pipeline → stages/fast path → DMA → ring push →
+  // notify) for one frame that ingress already parsed and steered to
+  // `lane`. `entry` is the frame's flow-table match (nullable).
+  void ProcessRxFrame(Lane& lane, net::PacketPtr packet, FlowEntry* entry,
+                      Nanos now);
+  // Flow-table match for a parsed inbound frame (null when unmatched).
+  FlowEntry* InboundEntry(const net::Packet& packet);
   // Batched lane drains: pop up to kLaneDrainBatch frames through the span
   // APIs and run them through the lane's resources; re-arm via the
   // simulator's lane-interleave schedule while frames remain.
   void DrainRxLane(uint16_t queue);
   void DrainTxLane(uint16_t queue);
-  Status EnableShardingImpl(uint16_t num_queues);
-  LaneRefs LaneRefsFor(uint16_t queue);
   // TX lane for a flow: the seeded RSS hash of its TX tuple, so a flow's
   // two directions land on deterministic (generally matching) lanes.
   uint16_t TxLaneOf(const FlowEntry* entry) const;
@@ -590,22 +576,15 @@ class SmartNic {
   };
   std::array<SlotState, kNumOverlaySlots> overlay_slots_;
 
-  sim::Resource dma_engine_{"nic.dma"};
-  sim::Resource pipeline_{"nic.pipeline"};
   sim::Resource wire_{"nic.wire"};
-  sim::Resource stages_{"nic.stages"};
 
-  // Sharded lanes (empty until EnableSharding). unique_ptr: Lane owns
-  // resources whose registered busy-callbacks capture their address.
+  // Lane 0 from construction; EnableSharding appends the rest. unique_ptr:
+  // Lane owns resources whose registered busy-callbacks capture their
+  // address.
   std::vector<std::unique_ptr<Lane>> lanes_;
-  // The unsharded resource/core set, threaded through the shared datapath.
-  LaneRefs default_refs_{};
 
   // ---- Cycle attribution (telemetry::Profiler, owned by the simulator) --
   telemetry::Profiler* prof_;
-  uint32_t prof_core_dma_ = 0;
-  uint32_t prof_core_pipe_ = 0;
-  uint32_t prof_core_stages_ = 0;
   uint32_t prof_core_wire_ = 0;
   // Scope/charge sites. TX and RX keep separate sites for the shared frame
   // names (dma/pipeline/...) so each memo sees a constant parent and the

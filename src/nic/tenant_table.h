@@ -37,8 +37,7 @@ namespace norman::nic {
 
 class TenantTable {
  public:
-  // Matches SmartNic::kMaxShardQueues (static_asserted in smart_nic.cc);
-  // lane 0 doubles as the unsharded pipeline.
+  // Matches SmartNic::kMaxShardQueues (static_asserted in smart_nic.cc).
   static constexpr uint16_t kMaxLanes = 8;
 
   explicit TenantTable(telemetry::MetricsRegistry* registry)
@@ -65,7 +64,8 @@ class TenantTable {
     return enabled_ && tenant != 0 && shares_.count(tenant) != 0;
   }
 
-  // Admits `cost` ns of pipeline work by `tenant` on `lane`: returns the
+  // Admits `cost` ns of pipeline work by `tenant` on `lane` (the NIC lane
+  // serving the packet; out-of-range lanes clamp to lane 0): returns the
   // time the work may start (>= now; the gap is recorded as throttled
   // time) and advances the tenant's virtual horizon by cost stretched by
   // active_weight_sum / weight.

@@ -159,11 +159,10 @@ class Simulator {
   // is serviced first, then (t+1 mod N), and so on. The rotation makes the
   // schedule fair across lanes while staying a pure function of (t, lane),
   // so runs are bit-reproducible at any core count and at any dispatch
-  // batch size. Untagged events (kNoLane) keep rank 0 and therefore fire
-  // before any lane service at the same horizon, exactly as they always
-  // have; with num_lanes() <= 1 every event has rank 0 and the schedule is
-  // bit-identical to the historical (when, seq) order.
-  static constexpr uint16_t kNoLane = 0xffff;
+  // batch size. Untagged events (ScheduleAt) keep rank 0 and therefore
+  // fire before any lane service at the same horizon, exactly as they
+  // always have; with num_lanes() <= 1 every event has rank 0 and the
+  // schedule is bit-identical to the historical (when, seq) order.
   static constexpr uint16_t kMaxLanes = 64;
 
   // Number of lanes the interleave schedule rotates over. Setting it does
@@ -281,7 +280,7 @@ class Simulator {
   // 1 + (lane - when) mod N, so lane (when mod N) ranks first. Strictly
   // positive so untagged (rank 0) work always precedes lane service.
   uint16_t LaneRank(uint16_t lane, Nanos when) const {
-    if (num_lanes_ <= 1 || lane == kNoLane) {
+    if (num_lanes_ <= 1) {
       return 0;
     }
     const uint16_t n = num_lanes_;

@@ -33,12 +33,14 @@ constexpr auto kPeerIp = net::Ipv4Address::FromOctets(10, 0, 0, 2);
 
 void RunScenario(workload::TestBed& bed) {
   auto& k = bed.kernel();
-  k.nic_control().EnableFlowCache(1024);
   k.processes().AddUser(1001, "alice");
   k.processes().AddUser(1002, "bob");
   const auto web_pid = *k.processes().Spawn(1001, "webapp");
   const auto batch_pid = *k.processes().Spawn(1002, "batch");
-  k.StartMaintenance();
+  kernel::NicConfig cfg;
+  cfg.flow_cache = true;
+  cfg.maintenance = true;
+  (void)k.Configure(kernel::kRootUid, cfg);
 
   // Root policy: batch may not reach port 9999 — those packets drop on the
   // OUTPUT chain and land in batch's attr ledger.
@@ -78,7 +80,8 @@ void RunScenario(workload::TestBed& bed) {
     if (fallback.ok()) {
       (void)fallback->Send(small);  // host slow path
     }
-    k.StartMaintenance();  // re-arm (parks itself when the heap drains)
+    // Re-arm the maintenance tick (it parks itself when the heap drains).
+    (void)k.Configure(kernel::kRootUid, k.active_config());
     bed.sim().Run();
     while (web->RecvInto(scratch).ok()) {
     }

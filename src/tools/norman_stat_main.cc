@@ -35,12 +35,6 @@ constexpr auto kPeerIp = net::Ipv4Address::FromOctets(10, 0, 0, 2);
 // deterministic sampling, so back-to-back runs produce identical metrics.
 void RunScenario(workload::TestBed& bed, bool fastpath) {
   auto& k = bed.kernel();
-  if (fastpath) {
-    // Opt into the flow verdict cache so the --fastpath view has live
-    // hit/miss numbers. Virtual completion times shift (hits are cheaper);
-    // every counter the other views print is unaffected.
-    k.nic_control().EnableFlowCache(1024);
-  }
   k.processes().AddUser(1001, "alice");
   k.processes().AddUser(1002, "bob");
   const auto web_pid = *k.processes().Spawn(1001, "webapp");
@@ -48,9 +42,18 @@ void RunScenario(workload::TestBed& bed, bool fastpath) {
 
   // Flow accounting on the NIC plus the maintenance tick that feeds the
   // sampler and watchdog: their metric families (flow.*, plus per-sample
-  // updates to health.*) must appear in the manifest CI diffs.
-  k.nic_control().EnableTopTalkers(8);
-  k.StartMaintenance();
+  // updates to health.*) must appear in the manifest CI diffs. --fastpath
+  // opts into the flow verdict cache so its view has live hit/miss
+  // numbers. Virtual completion times shift (hits are cheaper); every
+  // counter the other views print is unaffected.
+  kernel::NicConfig cfg;
+  cfg.flow_cache = fastpath;
+  cfg.top_talkers = true;
+  cfg.top_talker_entries = 8;
+  cfg.maintenance = true;
+  if (const Status s = k.Configure(kernel::kRootUid, cfg); !s.ok()) {
+    std::fprintf(stderr, "configure: %s\n", std::string(s.message()).c_str());
+  }
 
   // Root policy: no UDP to port 9999 leaves this host.
   auto rule = tools::IptablesAppend(

@@ -40,6 +40,25 @@ namespace {
 
 constexpr auto kPeerIp = net::Ipv4Address::FromOctets(10, 0, 0, 2);
 
+// Adds flow accounting and the maintenance tick to whatever the NIC
+// already runs (the lanes of --by-core).
+void EnableMonitoring(kernel::Kernel& k) {
+  kernel::NicConfig cfg = k.active_config();
+  cfg.top_talkers = true;
+  cfg.top_talker_entries = 8;
+  cfg.maintenance = true;
+  if (const Status s = k.Configure(kernel::kRootUid, cfg); !s.ok()) {
+    std::fprintf(stderr, "configure: %s\n", std::string(s.message()).c_str());
+  }
+}
+
+// The maintenance tick parks itself when the event heap drains (so it
+// can't keep an idle simulation alive); re-applying the active config
+// re-arms it for the next burst.
+void RestartMaintenance(kernel::Kernel& k) {
+  (void)k.Configure(kernel::kRootUid, k.active_config());
+}
+
 void RunScenario(workload::TestBed& bed) {
   auto& k = bed.kernel();
   k.processes().AddUser(1001, "alice");
@@ -49,8 +68,7 @@ void RunScenario(workload::TestBed& bed) {
 
   // Flow accounting on the NIC + the periodic maintenance tick that feeds
   // the sampler and the watchdog.
-  k.nic_control().EnableTopTalkers(8);
-  k.StartMaintenance();
+  EnableMonitoring(k);
 
   // A rate-limited root qdisc: the heavy sender outruns it, so the backlog
   // builds and the watchdog has something to flag.
@@ -77,9 +95,7 @@ void RunScenario(workload::TestBed& bed) {
     for (int i = 0; i < 2; ++i) {
       (void)light->Send(small);
     }
-    // The maintenance timer parks itself when the event heap drains (so it
-    // can't keep an idle simulation alive); re-arm it for each burst.
-    k.StartMaintenance();
+    RestartMaintenance(k);
     bed.sim().Run();  // drains everything; maintenance ticks throughout
     uint8_t scratch[2048];
     while (heavy->RecvInto(scratch).ok()) {
@@ -94,8 +110,7 @@ void RunChaosScenario(workload::TestBed& bed) {
   auto& k = bed.kernel();
   k.processes().AddUser(1001, "alice");
   const auto pid = *k.processes().Spawn(1001, "webapp");
-  k.nic_control().EnableTopTalkers(8);
-  k.StartMaintenance();
+  EnableMonitoring(k);
 
   auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
   if (!sock.ok()) {
@@ -120,7 +135,7 @@ void RunChaosScenario(workload::TestBed& bed) {
     for (int i = 0; i < 16; ++i) {
       (void)sock->Send(big);
     }
-    k.StartMaintenance();
+    RestartMaintenance(k);
     bed.sim().Run();
     while (sock->RecvInto(scratch).ok()) {
     }
@@ -184,7 +199,7 @@ void RunTenantScenario(workload::TestBed& bed,
     for (int i = 0; i < 8; ++i) {
       (void)light->Send(small);
     }
-    k.StartMaintenance();
+    RestartMaintenance(k);
     bed.sim().Run();
     while (heavy->RecvInto(scratch).ok()) {
     }
@@ -246,7 +261,9 @@ int Main(int argc, char** argv) {
   if (by_core) {
     // Shard before any traffic flows so every lane resource exists from the
     // first packet and the per-core table covers the whole run.
-    const Status s = bed.kernel().nic_control().EnableSharding(4);
+    kernel::NicConfig cfg;
+    cfg.shard_queues = 4;
+    const Status s = bed.kernel().Configure(kernel::kRootUid, cfg);
     if (!s.ok()) {
       std::fprintf(stderr, "sharding: %s\n", std::string(s.message()).c_str());
       return 1;

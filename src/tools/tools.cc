@@ -543,8 +543,8 @@ std::string NicStat(const kernel::Kernel& k, const nic::SmartNic& nic) {
                   "  utilization: wire %.1f%%, pipeline %.1f%%, dma %.1f%%, "
                   "kernel-core %.1f%%\n",
                   nic.wire().Utilization(now) * 100,
-                  nic.pipeline_resource().Utilization(now) * 100,
-                  nic.dma_engine().Utilization(now) * 100,
+                  nic.PipelineUtilization(now) * 100,
+                  nic.DmaUtilization(now) * 100,
                   k.kernel_core().Utilization(now) * 100);
     out << util;
   }
@@ -998,7 +998,7 @@ std::string TopByCore(const kernel::Kernel& k, const nic::SmartNic& nic) {
                 "high-water");
   out << line;
   for (const auto& row : QueueRows(sim->metrics())) {
-    // Only the sharded lanes' ring pairs ("nic.{tx,rx}_ring.q<N>").
+    // Only the lanes' ring pairs ("nic.{tx,rx}_ring.q<N>").
     if (row.name.find("_ring.q") == std::string::npos) {
       continue;
     }

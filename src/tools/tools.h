@@ -63,7 +63,8 @@ Status TcRateLimit(kernel::Kernel* k, kernel::Uid caller,
 
 // ---- norman-stat (ethtool -S equivalent) -----------------------------------
 // NIC datapath counters, SRAM occupancy by category, DDIO behavior, drop
-// accounting, and resource utilizations over the elapsed virtual time.
+// accounting, and resource utilizations over the elapsed virtual time
+// (pipeline and DMA as the mean over the NIC's lanes).
 std::string NicStat(const kernel::Kernel& k, const nic::SmartNic& nic);
 
 // The `norman-stat --drops` view: per-reason TX/RX drop table, the
@@ -103,7 +104,7 @@ std::string ProfByOwner(const kernel::Kernel& k);
 // process dashboard.
 std::string TopByPid(const kernel::Kernel& k);
 
-// The `norman-top --by-core` view for the sharded dataplane: one row per
+// The `norman-top --by-core` view of the NIC's lanes: one row per
 // profiler core (busy / attributed / unaccounted — the conservation triple)
 // followed by every per-queue lane ring's depth and high watermark, so a
 // stuck or hot lane stands out against its siblings. Byte-stable for a

@@ -155,7 +155,9 @@ std::string RunWorldAndBundle() {
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  k.StartMaintenance();
+  kernel::NicConfig cfg;
+  cfg.maintenance = true;
+  EXPECT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
   auto sock = Socket::Connect(&k, pid, net::Ipv4Address::FromOctets(10, 0, 0, 2),
                               4242, {});
   EXPECT_TRUE(sock.ok());
@@ -171,7 +173,6 @@ std::string RunWorldAndBundle() {
   for (int i = 0; i < 8; ++i) {
     (void)sock->Send(payload);
   }
-  k.StartMaintenance();
   bed.sim().Run();
   return bed.sim().flight_recorder().Bundle(
       bed.sim().metrics(), &bed.kernel().watchdog(), &bed.sim().profiler());

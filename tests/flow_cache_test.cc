@@ -34,12 +34,19 @@ class FlowCacheTest : public ::testing::Test {
 
   nic::FlowCache& cache() { return bed_.kernel().nic_control().flow_cache(); }
 
+  void EnableFlowCache() {
+    kernel::NicConfig cfg;
+    cfg.flow_cache = true;
+    cfg.flow_cache_entries = 64;
+    ASSERT_TRUE(bed_.kernel().Configure(kRootUid, cfg).ok());
+  }
+
   workload::TestBed bed_;
   kernel::Pid pid_ = 0;
 };
 
 TEST_F(FlowCacheTest, TxFlowHitsAfterFirstPacket) {
-  bed_.kernel().nic_control().EnableFlowCache(64);
+  EnableFlowCache();
   auto s = Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 4000, {});
   ASSERT_TRUE(s.ok()) << s.status();
   for (int i = 0; i < 4; ++i) {
@@ -55,7 +62,7 @@ TEST_F(FlowCacheTest, TxFlowHitsAfterFirstPacket) {
 }
 
 TEST_F(FlowCacheTest, EpochInvalidationMidFlow) {
-  bed_.kernel().nic_control().EnableFlowCache(64);
+  EnableFlowCache();
   auto s = Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 4000, {});
   ASSERT_TRUE(s.ok()) << s.status();
   ASSERT_TRUE(s->Send(std::string(64, 'x')).ok());
@@ -120,7 +127,10 @@ ObserverView RunObserverScenario(bool fastpath) {
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  k.nic_control().EnableTopTalkers(16);
+  kernel::NicConfig cfg;
+  cfg.top_talkers = true;
+  cfg.top_talker_entries = 16;
+  EXPECT_TRUE(k.Configure(kRootUid, cfg).ok());
   EXPECT_TRUE(k.StartCapture(kRootUid).ok());
 
   auto ok_sock = Socket::Connect(&k, pid, kPeerIp, 5000, {});
@@ -133,7 +143,9 @@ ObserverView RunObserverScenario(bool fastpath) {
   EXPECT_TRUE(k.AppendFilterRule(kRootUid, Chain::kInput, rule).ok());
 
   if (fastpath) {
-    k.nic_control().EnableFlowCache(64);
+    cfg.flow_cache = true;
+    cfg.flow_cache_entries = 64;
+    EXPECT_TRUE(k.Configure(kRootUid, cfg).ok());
   }
 
   for (int i = 0; i < 12; ++i) {

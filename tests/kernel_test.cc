@@ -139,10 +139,12 @@ TEST_F(KernelTest, FilterRulesRequireRoot) {
             StatusCode::kPermissionDenied);
   EXPECT_EQ(bed_.kernel().StartCapture(1001).code(),
             StatusCode::kPermissionDenied);
-  EXPECT_EQ(bed_.kernel()
-                .EnableNat(1001, Ipv4Address::FromOctets(10, 0, 0, 0), 8,
-                           Ipv4Address::FromOctets(1, 1, 1, 1))
-                .code(),
+  NicConfig nat;
+  nat.nat = true;
+  nat.nat_private_prefix = Ipv4Address::FromOctets(10, 0, 0, 0).addr;
+  nat.nat_prefix_len = 8;
+  nat.nat_public_ip = Ipv4Address::FromOctets(1, 1, 1, 1).addr;
+  EXPECT_EQ(bed_.kernel().Configure(1001, nat).code(),
             StatusCode::kPermissionDenied);
 }
 
@@ -267,14 +269,17 @@ TEST_F(KernelTest, BlockOnRxRequiresNotifyOption) {
 }
 
 TEST_F(KernelTest, NatIntegratesIntoTxPipeline) {
-  ASSERT_TRUE(bed_.kernel()
-                  .EnableNat(kRootUid, Ipv4Address::FromOctets(10, 0, 0, 0),
-                             8, Ipv4Address::FromOctets(203, 0, 113, 9))
-                  .ok());
-  EXPECT_FALSE(bed_.kernel()
-                   .EnableNat(kRootUid, Ipv4Address::FromOctets(10, 0, 0, 0),
-                              8, Ipv4Address::FromOctets(203, 0, 113, 9))
-                   .ok());  // double enable
+  NicConfig nat;
+  nat.nat = true;
+  nat.nat_private_prefix = Ipv4Address::FromOctets(10, 0, 0, 0).addr;
+  nat.nat_prefix_len = 8;
+  nat.nat_public_ip = Ipv4Address::FromOctets(203, 0, 113, 9).addr;
+  ASSERT_TRUE(bed_.kernel().Configure(kRootUid, nat).ok());
+  // Re-applying the same config keeps the live engine (and its
+  // translations) rather than building a second one.
+  const dataplane::NatEngine* engine = bed_.kernel().nat();
+  ASSERT_TRUE(bed_.kernel().Configure(kRootUid, nat).ok());
+  EXPECT_EQ(bed_.kernel().nat(), engine);
   auto sock = norman::Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 80, {});
   ASSERT_TRUE(sock.ok());
   ASSERT_TRUE(sock->Send("hello").ok());
@@ -283,6 +288,24 @@ TEST_F(KernelTest, NatIntegratesIntoTxPipeline) {
   auto parsed = net::ParseFrame(bed_.egress()[0]->bytes());
   EXPECT_EQ(parsed->ipv4->src, Ipv4Address::FromOctets(203, 0, 113, 9));
   EXPECT_EQ(bed_.kernel().nat()->tx_translated(), 1u);
+}
+
+TEST_F(KernelTest, ConfigureShardsOnce) {
+  // Every NIC starts with its one lane; Configure grows it once.
+  EXPECT_EQ(bed_.nic().shard_queues(), 1u);
+  NicConfig sharded;
+  sharded.shard_queues = 4;
+  ASSERT_TRUE(bed_.kernel().Configure(kRootUid, sharded).ok());
+  EXPECT_EQ(bed_.nic().shard_queues(), 4u);
+  // Re-applying the live lane count is a no-op, not a re-carve.
+  ASSERT_TRUE(bed_.kernel().Configure(kRootUid, sharded).ok());
+  EXPECT_EQ(bed_.nic().shard_queues(), 4u);
+  // Shrinking back to one lane would orphan in-flight lane state.
+  NicConfig one_lane;
+  EXPECT_EQ(bed_.kernel().Configure(kRootUid, one_lane).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(bed_.nic().shard_queues(), 4u);
+  EXPECT_EQ(bed_.kernel().active_config().shard_queues, 4u);
 }
 
 TEST_F(KernelTest, SnifferSeesDroppedTraffic) {

@@ -405,8 +405,11 @@ std::pair<std::string, std::string> RunTopScenario() {
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  k.nic_control().EnableTopTalkers(8);
-  k.StartMaintenance();
+  kernel::NicConfig cfg;
+  cfg.top_talkers = true;
+  cfg.top_talker_entries = 8;
+  cfg.maintenance = true;
+  EXPECT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
 
   const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);
   auto s = Socket::Connect(&k, pid, peer, 4242, {});
@@ -447,7 +450,9 @@ TEST(MaintenanceTest, TickDrivesSamplerAndParksWhenIdle) {
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  k.StartMaintenance();
+  kernel::NicConfig cfg;
+  cfg.maintenance = true;
+  ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
   EXPECT_TRUE(k.maintenance_running());
 
   const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);

@@ -21,6 +21,13 @@ using net::FiveTuple;
 using net::IpProto;
 using net::Ipv4Address;
 
+// Grows the kernel's NIC to `lanes` lanes through the declarative config.
+Status Shard(kernel::Kernel& k, uint16_t lanes) {
+  kernel::NicConfig cfg = k.active_config();
+  cfg.shard_queues = lanes;
+  return k.Configure(kernel::kRootUid, cfg);
+}
+
 // --- RSS spread -------------------------------------------------------------
 
 // Toeplitz-over-indirection must actually spread: across a few hundred
@@ -69,7 +76,7 @@ TEST(MulticoreShardingTest, ShardedEchoSpreadsAndDeliversEverything) {
   opts.echo = true;
   workload::TestBed bed(opts);
   auto& k = bed.kernel();
-  ASSERT_TRUE(k.nic_control().EnableSharding(4).ok());
+  ASSERT_TRUE(Shard(k, 4).ok());
 
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
@@ -112,16 +119,16 @@ TEST(MulticoreShardingTest, ShardedEchoSpreadsAndDeliversEverything) {
     }
     EXPECT_EQ(steered, 64);  // 16 flows x 4 echoes
     EXPECT_GE(lanes_hit, 2) << "16 flows all hashed to one lane";
+    // The lane ingress rings saw real occupancy on the lanes that got
+    // flows (ring depth is hot-tier telemetry too).
+    int64_t rx_high_water = 0;
+    for (int q = 0; q < 4; ++q) {
+      const auto it = snap.values.find("queue.nic.rx_ring.q" +
+                                       std::to_string(q) + ".high_water");
+      if (it != snap.values.end()) rx_high_water += it->second;
+    }
+    EXPECT_GT(rx_high_water, 0);
   }
-  // The lane ingress rings saw real occupancy on the lanes that got flows.
-  const auto snap = bed.sim().metrics().Snapshot();
-  int64_t rx_high_water = 0;
-  for (int q = 0; q < 4; ++q) {
-    const auto it = snap.values.find("queue.nic.rx_ring.q" +
-                                     std::to_string(q) + ".high_water");
-    if (it != snap.values.end()) rx_high_water += it->second;
-  }
-  EXPECT_GT(rx_high_water, 0);
 }
 
 // The per-queue notification counters key on Notification::queue, so a
@@ -135,7 +142,7 @@ TEST(MulticoreShardingTest, NotificationsCarryTheirLane) {
   opts.echo = true;
   workload::TestBed bed(opts);
   auto& k = bed.kernel();
-  ASSERT_TRUE(k.nic_control().EnableSharding(4).ok());
+  ASSERT_TRUE(Shard(k, 4).ok());
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
   const auto peer = Ipv4Address::FromOctets(10, 0, 0, 2);
@@ -198,8 +205,10 @@ TEST(MulticoreShardingTest, MidFlowResteerInvalidatesPartitions) {
   opts.echo = true;
   workload::TestBed bed(opts);
   auto& k = bed.kernel();
-  k.nic_control().EnableFlowCache(1024);
-  ASSERT_TRUE(k.nic_control().EnableSharding(4).ok());
+  kernel::NicConfig cfg;
+  cfg.flow_cache = true;
+  cfg.shard_queues = 4;
+  ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
   const auto peer = Ipv4Address::FromOctets(10, 0, 0, 2);
@@ -251,7 +260,7 @@ TEST(MulticoreShardingTest, MidFlowResteerInvalidatesPartitions) {
 TEST(MulticoreShardingTest, SingleStalledLaneTripsOnlyItsRule) {
   workload::TestBed bed;
   auto& k = bed.kernel();
-  ASSERT_TRUE(k.nic_control().EnableSharding(4).ok());
+  ASSERT_TRUE(Shard(k, 4).ok());
 
   auto* depth = bed.sim().metrics().GetGauge("queue.nic.rx_ring.q2.depth");
   for (int window = 1; window <= 3; ++window) {
@@ -308,7 +317,7 @@ TEST(MulticoreShardingTest, TopByCoreIsByteStable) {
     workload::TestBed bed(opts);
     auto& k = bed.kernel();
     bed.sim().profiler().set_enabled(true);
-    EXPECT_TRUE(k.nic_control().EnableSharding(4).ok());
+    EXPECT_TRUE(Shard(k, 4).ok());
     k.processes().AddUser(1, "u");
     const auto pid = *k.processes().Spawn(1, "app");
     const auto peer = Ipv4Address::FromOctets(10, 0, 0, 2);

@@ -111,7 +111,9 @@ TEST(ProfilerConservationTest, FlowCacheHitDominatedRun) {
     bed.sim().set_dispatch_batch(batch);
     bed.sim().profiler().set_enabled(true);
     auto& k = bed.kernel();
-    k.nic_control().EnableFlowCache(1024);
+    kernel::NicConfig cfg;
+    cfg.flow_cache = true;
+    ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
     k.processes().AddUser(1, "u");
     const auto pid = *k.processes().Spawn(1, "app");
     auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
@@ -259,7 +261,9 @@ TEST(ProfilerExportTest, MaintenanceTickVisibleByEntries) {
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
-  k.StartMaintenance();
+  kernel::NicConfig cfg;
+  cfg.maintenance = true;
+  ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
   auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
   ASSERT_TRUE(sock.ok());
   // A 1 ms traffic horizon guarantees the 50 us tick fires many times

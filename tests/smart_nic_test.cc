@@ -322,8 +322,10 @@ TEST_F(SmartNicTest, RemoveFlowInvalidatesDdio) {
 }
 
 TEST_F(SmartNicTest, RxQueueOverrideBeatsRss) {
-  // Flow-table rx_queue pins a connection to a queue ("virtual interface"
-  // partitioning); flows without a pin spread via RSS.
+  // Flow-table rx_queue pins a connection to a lane ("virtual interface"
+  // partitioning); flows without a pin spread via RSS. Ingress steers the
+  // frame to that lane, and the lane is the queue the frame reports.
+  ASSERT_TRUE(cp_->EnableSharding(8).ok());
   FlowEntry pinned = MakeFlow(1, 5555);
   pinned.rx_queue = 5;
   ASSERT_TRUE(cp_->InstallFlow(pinned).ok());
@@ -332,6 +334,14 @@ TEST_F(SmartNicTest, RxQueueOverrideBeatsRss) {
   auto pkt = cp_->GetRings(1)->rx().TryPop();
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ((*pkt)->meta().rx_queue, 5);
+  // The frame crossed lane 5's ingress ring, not another lane's (ring
+  // occupancy is hot-tier telemetry, compiled out at stats level 0).
+  for (int q = 0; telemetry::kHotStatsEnabled && q < 8; ++q) {
+    const std::string gauge =
+        "queue.nic.rx_ring.q" + std::to_string(q) + ".high_water";
+    EXPECT_EQ(sim_.metrics().GetGauge(gauge)->value(), q == 5 ? 1 : 0)
+        << gauge;
+  }
 
   FlowEntry spread = MakeFlow(2, 6666);
   spread.rx_queue = 0;  // RSS decides

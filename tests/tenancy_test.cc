@@ -91,8 +91,7 @@ TEST(TenantTableTest, LanesAreIndependent) {
   }
   // Lane 1 has its own horizon: no carry-over throttle.
   EXPECT_EQ(table.Admit(1, 1, 0, 100), 0);
-  // Out-of-range lanes clamp to lane 0 (the unsharded pipeline), which
-  // is now backlogged.
+  // Out-of-range lanes clamp to lane 0, which is now backlogged.
   EXPECT_GT(table.Admit(1, nic::TenantTable::kMaxLanes, 0, 100), 0);
 }
 
@@ -137,7 +136,7 @@ TEST(TenancyTest, RingBudgetAdmission) {
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
   // Close refunds the working sets; the retry is admitted.
-  first->Close();
+  ASSERT_TRUE(first->Close().ok());
   auto retry = Socket::Connect(&k, pid, peer, 3000, {});
   EXPECT_TRUE(retry.ok());
 }
@@ -280,28 +279,17 @@ TEST(TenancyTest, ConfigureIsAtomic) {
   shards.shard_queues = nic::SmartNic::kMaxShardQueues + 1;
   EXPECT_EQ(k.Configure(kRootUid, shards).code(),
             StatusCode::kInvalidArgument);
-}
 
-TEST(TenancyTest, DeprecatedShimsStillWork) {
-  workload::TestBed bed;
-  auto& k = bed.kernel();
-  // The accreted per-feature toggles survive as shims over the same state
-  // Configure manages; old callers keep working unchanged.
-  EXPECT_NE(k.nic_control().EnableFlowCache(512), nullptr);
-  EXPECT_NE(k.nic_control().EnableTopTalkers(8), nullptr);
-  k.StartMaintenance();
-  EXPECT_TRUE(k.maintenance_running());
-  EXPECT_TRUE(k.EnableNat(kRootUid, net::Ipv4Address::FromOctets(10, 0, 0, 0),
-                          8, net::Ipv4Address::FromOctets(203, 0, 113, 1))
-                  .ok());
-  // And Configure composes with shim-established state: NAT removal is the
-  // documented one-shot precondition failure.
-  NicConfig cfg;
-  EXPECT_EQ(k.Configure(kRootUid, cfg).code(),
+  // NAT is one-shot: once enabled, a config that turns it off is refused
+  // (live translations would strand) and the NAT stays.
+  NicConfig nat = good;
+  nat.nat = true;
+  nat.nat_prefix_len = 8;
+  ASSERT_TRUE(k.Configure(kRootUid, nat).ok());
+  EXPECT_EQ(k.Configure(kRootUid, good).code(),
             StatusCode::kFailedPrecondition);
-  cfg.nat = true;
-  cfg.nat_prefix_len = 8;
-  EXPECT_TRUE(k.Configure(kRootUid, cfg).ok());
+  EXPECT_TRUE(k.active_config().nat);
+  EXPECT_NE(k.nat(), nullptr);
 }
 
 // ---- Determinism: tenancy disabled == tenancy absent ----------------------

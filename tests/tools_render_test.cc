@@ -110,5 +110,48 @@ TEST_F(RenderFixture, IptablesListGolden) {
   EXPECT_EQ(got, want) << "---- actual ----\n" << got;
 }
 
+// On a multi-lane NIC every packet is served by some lane's pipeline and
+// DMA engine, so the utilization line (the mean over lanes) must show the
+// work rather than an idle resource no packet ever charges.
+TEST(NicStatLanesTest, UtilizationAveragesOverLanes) {
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
+  auto& k = bed.kernel();
+  kernel::NicConfig cfg;
+  cfg.shard_queues = 4;
+  ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
+  k.processes().AddUser(1001, "alice");
+  const auto pid = *k.processes().Spawn(1001, "webapp");
+  std::vector<Socket> socks;
+  for (uint16_t port = 7000; port < 7008; ++port) {
+    auto s = Socket::Connect(&k, pid, kPeerIp, port, {});
+    ASSERT_TRUE(s.ok());
+    socks.push_back(std::move(*s));
+  }
+  const std::vector<uint8_t> payload(1000, 0xab);
+  for (auto& s : socks) {
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(s.Send(payload).ok());
+    }
+  }
+  bed.sim().Run();
+
+  const std::string got = tools::NicStat(k, bed.nic());
+  const size_t at = got.find("utilization: ");
+  ASSERT_NE(at, std::string::npos) << got;
+  double wire = 0;
+  double pipeline = 0;
+  double dma = 0;
+  ASSERT_EQ(std::sscanf(got.c_str() + at,
+                        "utilization: wire %lf%%, pipeline %lf%%, dma %lf%%",
+                        &wire, &pipeline, &dma),
+            3)
+      << got;
+  EXPECT_GT(wire, 0.0) << got;
+  EXPECT_GT(pipeline, 0.0) << got;
+  EXPECT_GT(dma, 0.0) << got;
+}
+
 }  // namespace
 }  // namespace norman
