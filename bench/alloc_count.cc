@@ -1,0 +1,28 @@
+#include "bench/alloc_count.h"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+namespace norman::bench {
+uint64_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
+}  // namespace norman::bench
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

@@ -7,13 +7,11 @@
 // the bench_* experiment binaries.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
-#include <new>
 
+#include "bench/alloc_count.h"
 #include "src/dataplane/filter_engine.h"
 #include "src/dataplane/qdisc.h"
 #include "src/net/checksum.h"
@@ -29,28 +27,6 @@
 #include "src/sim/simulator.h"
 #include "src/workload/generators.h"
 #include "src/workload/testbed.h"
-
-// Process-wide heap-allocation counter, used to report allocs/packet for
-// the end-to-end forwarding loop (the number the pooled hot path drives to
-// ~0). Counting covers every operator-new path the simulator can take.
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -119,7 +95,9 @@ void BM_FilterChain(benchmark::State& state) {
   dataplane::FilterEngine engine;
   for (int i = 0; i < state.range(0); ++i) {
     dataplane::FilterRule r;
-    r.proto = net::IpProto::kTcp;  // never matches the UDP test packet
+    // UDP rules on ports 1..N: same protocol bucket as the test packet, so
+    // its port 443 walks (and misses) every rule in the chain.
+    r.proto = net::IpProto::kUdp;
     r.dst_port = dataplane::PortRange{static_cast<uint16_t>(i + 1),
                                       static_cast<uint16_t>(i + 1)};
     r.action = dataplane::FilterAction::kDrop;
@@ -326,14 +304,13 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
   c1.Start(0, 200 * kMillisecond);
   c2.Start(0, 200 * kMillisecond);
 
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = norman::bench::AllocCount();
   const std::clock_t cpu0 = std::clock();
   const auto t0 = std::chrono::steady_clock::now();
   bed.sim().Run();
   const auto t1 = std::chrono::steady_clock::now();
   const std::clock_t cpu1 = std::clock();
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) -
-                          allocs_before;
+  const uint64_t allocs = norman::bench::AllocCount() - allocs_before;
 
   const double wall_s = std::chrono::duration<double>(t1 - t0).count();
   // CPU seconds alongside wall seconds: the regression gate compares the

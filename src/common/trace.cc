@@ -12,11 +12,8 @@ PacketTracer::PacketTracer(MetricsRegistry* registry, size_t capacity)
   dropped_counter_ = registry_->GetCounter("trace.dropped");
 }
 
-void PacketTracer::Record(uint32_t trace_id, std::string_view stage,
-                          Nanos start, Nanos end) {
-  if (trace_id == 0) {
-    return;
-  }
+void PacketTracer::RecordSampled(uint32_t trace_id, std::string_view stage,
+                                 Nanos start, Nanos end) {
   if (total_ >= ring_.size()) {
     dropped_counter_->Increment();  // overwrite: the oldest span is lost
   }

@@ -65,9 +65,14 @@ class PacketTracer {
   }
 
   // Record a span for a sampled packet. No-op when trace_id == 0, so call
-  // sites need no branches of their own.
+  // sites need no branches of their own; the check is inline and only
+  // sampled packets make the out-of-line call.
   void Record(uint32_t trace_id, std::string_view stage, Nanos start,
-              Nanos end);
+              Nanos end) {
+    if (trace_id != 0) {
+      RecordSampled(trace_id, stage, start, end);
+    }
+  }
 
   // Spans currently held, oldest first (the ring keeps the newest
   // `capacity` spans; earlier ones are overwritten).
@@ -95,6 +100,9 @@ class PacketTracer {
   void Clear();
 
  private:
+  void RecordSampled(uint32_t trace_id, std::string_view stage, Nanos start,
+                     Nanos end);
+
   MetricsRegistry* registry_;
   std::vector<TraceSpan> ring_;
   Counter* dropped_counter_ = nullptr;  // trace.dropped

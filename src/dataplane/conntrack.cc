@@ -97,7 +97,7 @@ nic::StageResult Conntrack::Process(net::Packet& packet,
   Advance(entry, tcp_flags, from_initiator);
   if (tp_ != nullptr && entry.state != prev) {
     // Canonical (first-packet) orientation, like the table key.
-    const telemetry::TraceFlow flow{
+    const telemetry::TraceFlow trace_flow{
         entry.tuple.src_ip.addr,
         entry.tuple.dst_ip.addr,
         entry.tuple.src_port,
@@ -108,7 +108,7 @@ nic::StageResult Conntrack::Process(net::Packet& packet,
     tp_->Emit(telemetry::Probe::kConntrackTransition,
               telemetry::Tracepoints::kCoreNic, ctx.conn.owner_pid,
               static_cast<uint64_t>(entry.state), static_cast<uint64_t>(prev),
-              0, &flow);
+              0, &trace_flow);
   }
   return result;
 }

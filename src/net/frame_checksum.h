@@ -2,12 +2,13 @@
 //
 // The graceful-degradation half of the fault model: the wire can damage
 // bytes (sim::FaultInjector), so RX ingest verifies the IPv4 header
-// checksum and the L4 checksum before a frame is allowed past the NIC
-// (DropReason::kCorrupt). The TX side models checksum offload: frames the
-// library publishes get their checksums recomputed at SendFrame time, which
-// is what makes the zero-copy AllocFrame/Payload path legal — the builder
-// checksummed a zero payload, the application overwrote it, the "hardware"
-// fixes it up on the way out.
+// checksum and the L4 checksum of every frame before it is allowed past the
+// NIC (DropReason::kCorrupt). The TX side models checksum offload: at
+// SendFrame time the library fixes up only frames written after their
+// builder ran (Packet::checksums_valid() clear). That is what makes the
+// zero-copy AllocFrame/Payload path legal — AllocFrame writes headers and
+// a zeroed payload without checksums, the application fills the payload,
+// and the "hardware" checksums the frame once on the way out.
 #ifndef NORMAN_NET_FRAME_CHECKSUM_H_
 #define NORMAN_NET_FRAME_CHECKSUM_H_
 

@@ -63,10 +63,19 @@ class Packet {
   explicit Packet(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
 
   std::span<const uint8_t> bytes() const { return bytes_; }
-  std::span<uint8_t> mutable_bytes() { return bytes_; }
+  // Writable view. Clears checksums_valid(): the caller may change bytes
+  // the checksums cover.
+  std::span<uint8_t> mutable_bytes() {
+    checksums_valid_ = false;
+    return bytes_;
+  }
   size_t size() const { return bytes_.size(); }
 
-  void Resize(size_t n) { bytes_.resize(n); }
+  // True when a packet builder wrote every checksum and nothing has been
+  // written since (TX checksum offload skips such frames). A sender-side
+  // hint only: the NIC never reads it, and RX verifies every wire frame.
+  bool checksums_valid() const { return checksums_valid_; }
+  void MarkChecksumsValid() { checksums_valid_ = true; }
 
   PacketMeta& meta() { return meta_; }
   const PacketMeta& meta() const { return meta_; }
@@ -91,6 +100,7 @@ class Packet {
   std::vector<uint8_t> bytes_;
   PacketMeta meta_;
   std::optional<ParsedPacket> parsed_;
+  bool checksums_valid_ = false;
   // Owning pool, or nullptr for plain heap/stack packets. Set by PacketPool
   // on acquisition; PacketDeleter routes the buffer back through it.
   PacketPool* pool_ = nullptr;

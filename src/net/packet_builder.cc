@@ -21,11 +21,13 @@ uint16_t NextIpId() { return ++IpIdCounter(); }
 // Writers fill a caller-provided frame of exactly the right size, so both
 // the std::vector builders and the pooled-packet builders share one
 // serialization path (the pooled path reuses recycled buffer capacity and
-// never allocates on a steady-state hot path).
+// never allocates on a steady-state hot path). The *Headers writers leave
+// the transport checksum field zero, and the IPv4 one too unless
+// `ip_checksum`; the *Frame writers copy the payload and fill both.
 
 void WriteIpv4Header(std::span<uint8_t> frame, const FrameEndpoints& ep,
-                     IpProto proto, size_t l4_size, uint8_t dscp,
-                     uint8_t ttl) {
+                     IpProto proto, size_t l4_size, uint8_t dscp, uint8_t ttl,
+                     bool ip_checksum) {
   EthernetHeader eth;
   eth.dst = ep.dst_mac;
   eth.src = ep.src_mac;
@@ -40,20 +42,22 @@ void WriteIpv4Header(std::span<uint8_t> frame, const FrameEndpoints& ep,
   ip.protocol = proto;
   ip.src = ep.src_ip;
   ip.dst = ep.dst_ip;
-  ip.Serialize(frame.subspan(kEthernetHeaderSize));
+  ip.Serialize(frame.subspan(kEthernetHeaderSize), ip_checksum);
 }
 
-size_t UdpFrameSize(std::span<const uint8_t> payload) {
+size_t UdpFrameSize(size_t payload_size) {
   return kEthernetHeaderSize + kIpv4MinHeaderSize + kUdpHeaderSize +
-         payload.size();
+         payload_size;
 }
 
-void WriteUdpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
-                   uint16_t src_port, uint16_t dst_port,
-                   std::span<const uint8_t> payload, uint8_t dscp,
-                   uint8_t ttl) {
-  const size_t l4_size = kUdpHeaderSize + payload.size();
-  WriteIpv4Header(frame, ep, IpProto::kUdp, l4_size, dscp, ttl);
+// Returns the UDP segment (header + payload space).
+std::span<uint8_t> WriteUdpHeaders(std::span<uint8_t> frame,
+                                   const FrameEndpoints& ep,
+                                   uint16_t src_port, uint16_t dst_port,
+                                   size_t payload_size, uint8_t dscp,
+                                   uint8_t ttl, bool ip_checksum) {
+  const size_t l4_size = kUdpHeaderSize + payload_size;
+  WriteIpv4Header(frame, ep, IpProto::kUdp, l4_size, dscp, ttl, ip_checksum);
   auto l4 = frame.subspan(kEthernetHeaderSize + kIpv4MinHeaderSize);
   UdpHeader udp;
   udp.src_port = src_port;
@@ -61,24 +65,37 @@ void WriteUdpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
   udp.length = static_cast<uint16_t>(l4_size);
   udp.checksum = 0;
   udp.Serialize(l4);
+  return l4;
+}
+
+void WriteUdpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
+                   uint16_t src_port, uint16_t dst_port,
+                   std::span<const uint8_t> payload, uint8_t dscp,
+                   uint8_t ttl) {
+  auto l4 = WriteUdpHeaders(frame, ep, src_port, dst_port, payload.size(),
+                            dscp, ttl, /*ip_checksum=*/true);
   if (!payload.empty()) {
     std::memcpy(l4.data() + kUdpHeaderSize, payload.data(), payload.size());
   }
-  udp.checksum = TransportChecksum(ep.src_ip, ep.dst_ip, IpProto::kUdp, l4);
-  StoreBe16(l4.data() + 6, udp.checksum);
+  StoreBe16(l4.data() + 6,
+            TransportChecksum(ep.src_ip, ep.dst_ip, IpProto::kUdp, l4));
 }
 
-size_t TcpFrameSize(std::span<const uint8_t> payload) {
+size_t TcpFrameSize(size_t payload_size) {
   return kEthernetHeaderSize + kIpv4MinHeaderSize + kTcpMinHeaderSize +
-         payload.size();
+         payload_size;
 }
 
-void WriteTcpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
-                   uint16_t src_port, uint16_t dst_port, uint32_t seq,
-                   uint32_t ack, uint8_t flags,
-                   std::span<const uint8_t> payload, uint16_t window) {
-  const size_t l4_size = kTcpMinHeaderSize + payload.size();
-  WriteIpv4Header(frame, ep, IpProto::kTcp, l4_size, /*dscp=*/0, /*ttl=*/64);
+// Returns the TCP segment (header + payload space).
+std::span<uint8_t> WriteTcpHeaders(std::span<uint8_t> frame,
+                                   const FrameEndpoints& ep,
+                                   uint16_t src_port, uint16_t dst_port,
+                                   uint32_t seq, uint32_t ack, uint8_t flags,
+                                   size_t payload_size, uint16_t window,
+                                   bool ip_checksum) {
+  const size_t l4_size = kTcpMinHeaderSize + payload_size;
+  WriteIpv4Header(frame, ep, IpProto::kTcp, l4_size, /*dscp=*/0, /*ttl=*/64,
+                  ip_checksum);
   auto l4 = frame.subspan(kEthernetHeaderSize + kIpv4MinHeaderSize);
   TcpHeader tcp;
   tcp.src_port = src_port;
@@ -89,11 +106,20 @@ void WriteTcpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
   tcp.window = window;
   tcp.checksum = 0;
   tcp.Serialize(l4);
+  return l4;
+}
+
+void WriteTcpFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
+                   uint16_t src_port, uint16_t dst_port, uint32_t seq,
+                   uint32_t ack, uint8_t flags,
+                   std::span<const uint8_t> payload, uint16_t window) {
+  auto l4 = WriteTcpHeaders(frame, ep, src_port, dst_port, seq, ack, flags,
+                            payload.size(), window, /*ip_checksum=*/true);
   if (!payload.empty()) {
     std::memcpy(l4.data() + kTcpMinHeaderSize, payload.data(), payload.size());
   }
-  tcp.checksum = TransportChecksum(ep.src_ip, ep.dst_ip, IpProto::kTcp, l4);
-  StoreBe16(l4.data() + 16, tcp.checksum);
+  StoreBe16(l4.data() + 16,
+            TransportChecksum(ep.src_ip, ep.dst_ip, IpProto::kTcp, l4));
 }
 
 size_t IcmpFrameSize(std::span<const uint8_t> payload) {
@@ -106,7 +132,7 @@ void WriteIcmpEchoFrame(std::span<uint8_t> frame, const FrameEndpoints& ep,
                         std::span<const uint8_t> payload) {
   const size_t l4_size = kIcmpHeaderSize + payload.size();
   WriteIpv4Header(frame, ep, IpProto::kIcmp, l4_size, /*dscp=*/0,
-                  /*ttl=*/64);
+                  /*ttl=*/64, /*ip_checksum=*/true);
   auto l4 = frame.subspan(kEthernetHeaderSize + kIpv4MinHeaderSize);
   IcmpHeader icmp;
   icmp.type = type;
@@ -164,7 +190,7 @@ std::vector<uint8_t> BuildUdpFrame(const FrameEndpoints& ep, uint16_t src_port,
                                    uint16_t dst_port,
                                    std::span<const uint8_t> payload,
                                    uint8_t dscp, uint8_t ttl) {
-  std::vector<uint8_t> frame(UdpFrameSize(payload));
+  std::vector<uint8_t> frame(UdpFrameSize(payload.size()));
   WriteUdpFrame(frame, ep, src_port, dst_port, payload, dscp, ttl);
   return frame;
 }
@@ -172,9 +198,19 @@ std::vector<uint8_t> BuildUdpFrame(const FrameEndpoints& ep, uint16_t src_port,
 PacketPtr BuildUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, std::span<const uint8_t> payload,
                          uint8_t dscp, uint8_t ttl) {
-  PacketPtr p = PacketPool::Default().AcquireUninitialized(UdpFrameSize(payload));
+  PacketPtr p =
+      PacketPool::Default().AcquireUninitialized(UdpFrameSize(payload.size()));
   WriteUdpFrame(p->mutable_bytes(), ep, src_port, dst_port, payload, dscp,
                 ttl);
+  p->MarkChecksumsValid();
+  return p;
+}
+
+PacketPtr AllocUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, size_t payload_size) {
+  PacketPtr p = PacketPool::Default().Acquire(UdpFrameSize(payload_size));
+  WriteUdpHeaders(p->mutable_bytes(), ep, src_port, dst_port, payload_size,
+                  /*dscp=*/0, /*ttl=*/64, /*ip_checksum=*/false);
   return p;
 }
 
@@ -183,7 +219,7 @@ std::vector<uint8_t> BuildTcpFrame(const FrameEndpoints& ep, uint16_t src_port,
                                    uint32_t ack, uint8_t flags,
                                    std::span<const uint8_t> payload,
                                    uint16_t window) {
-  std::vector<uint8_t> frame(TcpFrameSize(payload));
+  std::vector<uint8_t> frame(TcpFrameSize(payload.size()));
   WriteTcpFrame(frame, ep, src_port, dst_port, seq, ack, flags, payload,
                 window);
   return frame;
@@ -193,9 +229,20 @@ PacketPtr BuildTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, uint32_t seq, uint32_t ack,
                          uint8_t flags, std::span<const uint8_t> payload,
                          uint16_t window) {
-  PacketPtr p = PacketPool::Default().AcquireUninitialized(TcpFrameSize(payload));
+  PacketPtr p =
+      PacketPool::Default().AcquireUninitialized(TcpFrameSize(payload.size()));
   WriteTcpFrame(p->mutable_bytes(), ep, src_port, dst_port, seq, ack, flags,
                 payload, window);
+  p->MarkChecksumsValid();
+  return p;
+}
+
+PacketPtr AllocTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, uint32_t seq, uint32_t ack,
+                         uint8_t flags, size_t payload_size) {
+  PacketPtr p = PacketPool::Default().Acquire(TcpFrameSize(payload_size));
+  WriteTcpHeaders(p->mutable_bytes(), ep, src_port, dst_port, seq, ack, flags,
+                  payload_size, /*window=*/65535, /*ip_checksum=*/false);
   return p;
 }
 
@@ -214,6 +261,7 @@ PacketPtr BuildIcmpEchoPacket(const FrameEndpoints& ep, IcmpType type,
   PacketPtr p = PacketPool::Default().AcquireUninitialized(IcmpFrameSize(payload));
   WriteIcmpEchoFrame(p->mutable_bytes(), ep, type, identifier, sequence,
                      payload);
+  p->MarkChecksumsValid();
   return p;
 }
 

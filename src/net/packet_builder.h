@@ -1,6 +1,7 @@
 // Frame construction helpers used by workloads, tests and the dataplane
 // (ARP replies, NAT rewrites). All builders produce complete wire frames
-// with valid IPv4 and transport checksums.
+// with valid IPv4 and transport checksums, except the Alloc*Packet
+// zero-copy frames, whose checksums TX checksum offload writes.
 #ifndef NORMAN_NET_PACKET_BUILDER_H_
 #define NORMAN_NET_PACKET_BUILDER_H_
 
@@ -59,7 +60,8 @@ std::vector<uint8_t> BuildArpReply(MacAddress sender_mac,
 // Pooled-packet builders: identical wire frames, but the buffer comes from
 // PacketPool::Default() so steady-state construction performs no heap
 // allocation. These are the hot-path entry points; the std::vector builders
-// above remain for callers that want raw bytes.
+// above remain for callers that want raw bytes. The UDP, TCP and ICMP ones
+// return packets with checksums_valid() set.
 PacketPtr BuildUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, std::span<const uint8_t> payload,
                          uint8_t dscp = 0, uint8_t ttl = 64);
@@ -75,6 +77,17 @@ PacketPtr BuildArpRequestPacket(MacAddress sender_mac, Ipv4Address sender_ip,
 PacketPtr BuildArpReplyPacket(MacAddress sender_mac, Ipv4Address sender_ip,
                               MacAddress requester_mac,
                               Ipv4Address requester_ip);
+
+// Zero-copy TX frames (Socket::AllocFrame): headers plus `payload_size`
+// zero bytes for the caller to fill in place. Every checksum field is left
+// zero and checksums_valid() is clear, so TX checksum offload
+// (FixupFrameChecksums at Socket::SendFrame) is the frame's only checksum
+// pass.
+PacketPtr AllocUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, size_t payload_size);
+PacketPtr AllocTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
+                         uint16_t dst_port, uint32_t seq, uint32_t ack,
+                         uint8_t flags, size_t payload_size);
 
 // In-place rewrites used by the NAT stage: update addresses/ports and fix
 // IPv4 + transport checksums incrementally. Frame must be valid IPv4+UDP/TCP.

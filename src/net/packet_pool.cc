@@ -95,6 +95,7 @@ PacketPtr PacketPool::AcquireImpl(size_t size, bool zeroed) {
   }
   p->meta_ = PacketMeta{};
   p->parsed_.reset();
+  p->checksums_valid_ = false;
   p->pool_ = this;
   counters_.RecordAcquire(hit);
   return PacketPtr(p);
@@ -112,6 +113,7 @@ PacketPtr PacketPool::Adopt(std::vector<uint8_t> bytes) {
   p->bytes_ = std::move(bytes);
   p->meta_ = PacketMeta{};
   p->parsed_.reset();
+  p->checksums_valid_ = false;
   p->pool_ = this;
   counters_.RecordAcquire(hit);
   return PacketPtr(p);

@@ -7,7 +7,7 @@
 // OSMOSIS eliminate with pooled descriptors). PacketPool keeps released
 // Packets on capacity-bucketed free lists so a steady-state run reuses the
 // same handful of buffers: Acquire(size) returns a packet whose vector
-// already has at least `size` capacity, so Resize() never reallocates.
+// already has at least `size` capacity, so sizing it never reallocates.
 //
 // The pool is strictly single-threaded, like the simulator it serves.
 #ifndef NORMAN_NET_PACKET_POOL_H_

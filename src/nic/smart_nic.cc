@@ -1258,9 +1258,11 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
 
   // Graceful degradation under wire faults: frames whose IPv4 or L4
   // checksum no longer verifies were damaged in flight and are dropped here,
-  // before any stage or application can act on corrupt bytes. Zero virtual
-  // time — the MAC verifies at line rate.
-  if (options_.verify_rx_checksums && packet->parsed() != nullptr &&
+  // before any stage or application can act on corrupt bytes. Every frame is
+  // verified — the wire is outside the host, and this is where the fault
+  // plane's corruption is caught. Zero virtual time — the MAC verifies at
+  // line rate.
+  if (packet->parsed() != nullptr &&
       !net::FrameChecksumsValid(packet->bytes(), *packet->parsed())) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
                       entry != nullptr ? entry->owner.owner_pid : 0,

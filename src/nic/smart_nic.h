@@ -180,10 +180,6 @@ class SmartNic {
     // run in between, so virtual-time behavior is bit-identical to
     // unbatched runs while host-time event dispatch amortizes per batch.
     uint32_t tx_fetch_batch = 16;
-    // RX ingest verifies IPv4/L4 checksums and drops damaged frames with
-    // DropReason::kCorrupt (graceful degradation under wire faults). Costs
-    // zero virtual time — real NICs verify in the MAC at line rate.
-    bool verify_rx_checksums = true;
     // Entries per lane's ingress/staging ring pair (power of two). The
     // rings only carry frames once EnableSharding adds a second lane.
     uint32_t lane_ring_entries = 1024;

@@ -6,19 +6,6 @@
 #include "src/net/parsed_packet.h"
 
 namespace norman {
-namespace {
-
-// Reusable all-zero payload for AllocFrame (the app writes the real payload
-// afterwards through Payload()); grows monotonically, simulator-threaded.
-std::span<const uint8_t> ZeroPayload(size_t n) {
-  static std::vector<uint8_t> zeros;
-  if (zeros.size() < n) {
-    zeros.resize(n, 0);
-  }
-  return std::span<const uint8_t>(zeros).first(n);
-}
-
-}  // namespace
 
 StatusOr<Socket> Socket::Connect(kernel::Kernel* kernel, kernel::Pid pid,
                                  net::Ipv4Address remote_ip,
@@ -36,14 +23,15 @@ net::FrameEndpoints Socket::Endpoints() const {
 
 net::PacketPtr Socket::AllocFrame(size_t payload_size) {
   const auto& t = port_.tuple();
-  const auto zero = ZeroPayload(payload_size);
   if (t.proto == net::IpProto::kTcp) {
-    auto p = net::BuildTcpPacket(Endpoints(), t.src_port, t.dst_port,
-                                 next_tcp_seq_, 0, net::TcpFlags::kAck, zero);
+    auto p = net::AllocTcpPacket(Endpoints(), t.src_port, t.dst_port,
+                                 next_tcp_seq_, 0, net::TcpFlags::kAck,
+                                 payload_size);
     next_tcp_seq_ += static_cast<uint32_t>(payload_size);
     return p;
   }
-  return net::BuildUdpPacket(Endpoints(), t.src_port, t.dst_port, zero);
+  return net::AllocUdpPacket(Endpoints(), t.src_port, t.dst_port,
+                             payload_size);
 }
 
 std::span<uint8_t> Socket::Payload(net::Packet& frame) {
@@ -72,10 +60,10 @@ Status Socket::SendFrame(net::PacketPtr frame) {
   if (!valid()) {
     return FailedPreconditionError("socket not connected");
   }
-  // TX checksum offload: the application may have rewritten the payload of
-  // an AllocFrame() frame after the builder checksummed it; the "hardware"
-  // recomputes IPv4/L4 checksums on the way out.
-  net::FixupFrameChecksums(frame->mutable_bytes());
+  // TX checksum offload, skipped for untouched builder output.
+  if (!frame->checksums_valid()) {
+    net::FixupFrameChecksums(frame->mutable_bytes());
+  }
   const size_t size = frame->size();
   frame->meta().created_at = kernel_->simulator()->Now();
   frame->meta().connection = port_.conn_id();

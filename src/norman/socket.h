@@ -103,8 +103,10 @@ class Socket {
 
   // ---- Zero-copy interface -------------------------------------------------
   // Allocates a frame with headers prebuilt for this connection and
-  // `payload_size` bytes of payload space; the caller fills Payload() and
-  // passes it to SendFrame. No further copies happen on the TX path.
+  // `payload_size` zeroed bytes of payload space; the caller fills Payload()
+  // and passes it to SendFrame. No further copies happen on the TX path.
+  // Nothing is checksummed here: SendFrame's offload pass is the frame's
+  // only one.
   net::PacketPtr AllocFrame(size_t payload_size);
   // Payload view of a frame produced by AllocFrame / received by RecvFrame.
   static std::span<uint8_t> Payload(net::Packet& frame);
@@ -113,10 +115,12 @@ class Socket {
   // re-parse.
   static std::span<const uint8_t> Payload(const net::Packet& frame);
 
-  // Publishes a frame. Models TX checksum offload: IPv4/L4 checksums are
-  // recomputed on the way out, which is what makes the AllocFrame/Payload
-  // zero-copy path legal (the builder checksummed a zero payload; the app
-  // overwrote it).
+  // Publishes a frame. Models TX checksum offload: a frame without
+  // checksums_valid() (AllocFrame frames, anything written through
+  // mutable_bytes()) gets its IPv4/L4 checksums written on the way out,
+  // which is what makes the AllocFrame/Payload zero-copy path legal.
+  // Frames fresh from a packet builder already carry valid checksums and
+  // skip the pass.
   Status SendFrame(net::PacketPtr frame);
   // Whole received frame (headers included), or nullptr when empty.
   net::PacketPtr RecvFrame();

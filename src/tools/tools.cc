@@ -610,7 +610,9 @@ std::string NicStatFastPath(const kernel::Kernel& k,
   out << line;
   std::snprintf(line, sizeof(line), "  hits         %8llu (%.1f%%)\n",
                 static_cast<unsigned long long>(fc.hits()),
-                lookups == 0 ? 0.0 : 100.0 * fc.hits() / lookups);
+                lookups == 0 ? 0.0
+                             : 100.0 * static_cast<double>(fc.hits()) /
+                                   static_cast<double>(lookups));
   out << line;
   std::snprintf(line, sizeof(line), "  misses       %8llu\n",
                 static_cast<unsigned long long>(fc.misses()));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -70,30 +71,38 @@ TEST(ChecksumTest, PartialComposition) {
 }
 
 TEST(ChecksumTest, ChunkedSumMatchesBytewiseReference) {
-  // The production ChecksumPartial sums 64-bit chunks natively and defers
-  // the byte swap (RFC 1071 §2B byte-order independence). Check it against
-  // the obvious big-endian 16-bit reference over every length 0..130 so all
-  // tail paths (8/4/2/1-byte remainders) and carry patterns are exercised.
+  // The production ChecksumPartial sums 32-byte blocks in two vector
+  // accumulators, then an 8/4/2/1-byte tail, natively with the byte swap
+  // deferred (RFC 1071 §2B). Check it against the obvious big-endian 16-bit
+  // reference over every length 0..1600 at start offsets 0..3, so the block
+  // loop, every tail path, unaligned loads and carry patterns are all
+  // exercised.
   Rng rng(24);
-  for (size_t len = 0; len <= 130; ++len) {
-    std::vector<uint8_t> data(len);
-    for (auto& b : data) {
-      b = static_cast<uint8_t>(rng.NextU64());
+  std::vector<uint8_t> buf(1600 + 3);
+  for (size_t offset = 0; offset < 4; ++offset) {
+    for (size_t len = 0; len <= 1600; ++len) {
+      for (auto& b : buf) {
+        b = static_cast<uint8_t>(rng.NextU64());
+      }
+      const std::span<const uint8_t> data(buf.data() + offset, len);
+      uint32_t ref = 17;  // arbitrary incoming partial
+      size_t i = 0;
+      for (; i + 1 < data.size(); i += 2) {
+        ref += LoadBe16(&data[i]);
+      }
+      if (i < data.size()) {
+        ref += static_cast<uint32_t>(data[i]) << 8;
+      }
+      ASSERT_EQ(ChecksumFinish(ChecksumPartial(data, 17)), ChecksumFinish(ref))
+          << "offset " << offset << " len " << len;
     }
-    uint32_t ref = 17;  // arbitrary incoming partial
-    size_t i = 0;
-    for (; i + 1 < data.size(); i += 2) {
-      ref += LoadBe16(&data[i]);
-    }
-    if (i < data.size()) {
-      ref += static_cast<uint32_t>(data[i]) << 8;
-    }
-    EXPECT_EQ(ChecksumFinish(ChecksumPartial(data, 17)), ChecksumFinish(ref))
-        << "len " << len;
   }
-  // All-0xff buffers drive the maximum carry cascade.
-  const std::vector<uint8_t> ones(96, 0xff);
-  EXPECT_EQ(InternetChecksum(ones), 0);
+  // All-0xff buffers drive the maximum carry cascade, through the vector
+  // lanes too.
+  for (const size_t len : {size_t{96}, size_t{1480}, size_t{4000}}) {
+    const std::vector<uint8_t> ones(len, 0xff);
+    EXPECT_EQ(InternetChecksum(ones), 0) << "len " << len;
+  }
 }
 
 TEST(TransportChecksumTest, UdpNeverZero) {

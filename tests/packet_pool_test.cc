@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/net/packet_builder.h"
+
 namespace norman::net {
 namespace {
 
@@ -145,6 +147,62 @@ TEST(PacketPoolTest, ReleaseRoundTripsThroughRawPointer) {
   rewrapped.reset();
   EXPECT_EQ(pool.free_packets(), 1u);
   EXPECT_EQ(pool.counters().outstanding, 0u);
+}
+
+// The checksums_valid() bit lets TX checksum offload skip builder output.
+// Only the checksumming builders may set it; any writable view or pool
+// recycle must clear it, or stale checksums would reach the wire.
+TEST(PacketPoolTest, BuildersMarkChecksumsValid) {
+  const FrameEndpoints ep{MacAddress::ForHost(1), MacAddress::ForHost(2),
+                          Ipv4Address::FromOctets(10, 0, 0, 1),
+                          Ipv4Address::FromOctets(10, 0, 0, 2)};
+  const std::vector<uint8_t> payload(40, 0x5a);
+  EXPECT_TRUE(BuildUdpPacket(ep, 1, 2, payload)->checksums_valid());
+  EXPECT_TRUE(BuildTcpPacket(ep, 1, 2, 100, 0, TcpFlags::kAck, payload)
+                  ->checksums_valid());
+  EXPECT_TRUE(BuildIcmpEchoPacket(ep, IcmpType::kEchoRequest, 1, 1, payload)
+                  ->checksums_valid());
+  // Zero-copy frames carry no checksums until TX offload writes them.
+  EXPECT_FALSE(AllocUdpPacket(ep, 1, 2, 40)->checksums_valid());
+  EXPECT_FALSE(
+      AllocTcpPacket(ep, 1, 2, 100, 0, TcpFlags::kAck, 40)->checksums_valid());
+  EXPECT_FALSE(MakePacket(64)->checksums_valid());
+  EXPECT_FALSE(Packet(std::vector<uint8_t>(64)).checksums_valid());
+}
+
+TEST(PacketPoolTest, MutableBytesClearsChecksumsValid) {
+  const FrameEndpoints ep{MacAddress::ForHost(1), MacAddress::ForHost(2),
+                          Ipv4Address::FromOctets(10, 0, 0, 1),
+                          Ipv4Address::FromOctets(10, 0, 0, 2)};
+  auto p = BuildUdpPacket(ep, 1, 2, std::vector<uint8_t>(40, 0x5a));
+  ASSERT_TRUE(p->checksums_valid());
+  p->mutable_bytes().back() ^= 0xff;
+  EXPECT_FALSE(p->checksums_valid());
+}
+
+TEST(PacketPoolTest, ReacquireClearsChecksumsValid) {
+  PacketPool pool;
+  auto p = pool.Acquire(100);
+  Packet* raw = p.get();
+  p->MarkChecksumsValid();
+  p.reset();
+  auto q = pool.AcquireUninitialized(100);
+  ASSERT_EQ(q.get(), raw);
+  EXPECT_FALSE(q->checksums_valid());
+  q->MarkChecksumsValid();
+  q.reset();
+  auto r = pool.Acquire(100);
+  ASSERT_EQ(r.get(), raw);
+  EXPECT_FALSE(r->checksums_valid());
+
+  // Adopt recycles a shell from the smallest bucket.
+  auto small = pool.Acquire(32);
+  Packet* small_raw = small.get();
+  small->MarkChecksumsValid();
+  small.reset();
+  auto adopted = pool.Adopt(std::vector<uint8_t>(32));
+  ASSERT_EQ(adopted.get(), small_raw);
+  EXPECT_FALSE(adopted->checksums_valid());
 }
 
 TEST(PacketPoolTest, DefaultPoolBacksMakePacket) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/net/frame_checksum.h"
+#include "src/net/parsed_packet.h"
 #include "src/workload/generators.h"
 #include "src/workload/testbed.h"
 
@@ -156,6 +161,55 @@ TEST_F(SocketTest, FlowTableCountersUpdate) {
   EXPECT_EQ(conns[0].tx_packets, 1u);
   EXPECT_EQ(conns[0].rx_packets, 1u);  // echo came back
   EXPECT_GT(conns[0].tx_bytes, 0u);
+}
+
+// TX checksum offload skips frames whose checksums_valid() bit is set.
+// Whatever path a frame takes out of the library, the wire must carry
+// valid checksums that a fresh fix-up would not change by a single byte.
+TEST_F(SocketTest, EveryTxPathPutsValidChecksumsOnTheWire) {
+  const std::vector<uint8_t> payload(100, 0x5a);
+  const kernel::Kernel::Options& kopts = bed_.kernel().options();
+  uint16_t port = 9800;
+  for (const net::IpProto proto : {net::IpProto::kUdp, net::IpProto::kTcp}) {
+    ConnectOptions opts;
+    opts.proto = proto;
+    auto sock = Socket::Connect(&bed_.kernel(), pid_, kPeerIp, port++, opts);
+    ASSERT_TRUE(sock.ok()) << sock.status();
+
+    // Send: builder output, checksummed once by the builder.
+    ASSERT_TRUE(sock->Send(payload).ok());
+
+    // Zero-copy: AllocFrame leaves every checksum to SendFrame's offload.
+    net::PacketPtr frame = sock->AllocFrame(payload.size());
+    EXPECT_FALSE(frame->checksums_valid());
+    std::ranges::copy(payload, Socket::Payload(*frame).begin());
+    ASSERT_TRUE(sock->SendFrame(std::move(frame)).ok());
+
+    // Builder output rewritten through mutable_bytes(): the write must
+    // clear the bit, or the builder's stale checksum goes out.
+    const net::FiveTuple& t = sock->tuple();
+    const net::FrameEndpoints ep{kopts.host_mac, kopts.gateway_mac, t.src_ip,
+                                 t.dst_ip};
+    net::PacketPtr built =
+        proto == net::IpProto::kTcp
+            ? net::BuildTcpPacket(ep, t.src_port, t.dst_port, 1, 0,
+                                  net::TcpFlags::kAck, payload)
+            : net::BuildUdpPacket(ep, t.src_port, t.dst_port, payload);
+    built->mutable_bytes().back() ^= 0xff;
+    ASSERT_TRUE(sock->SendFrame(std::move(built)).ok());
+  }
+  bed_.sim().Run();
+
+  ASSERT_EQ(bed_.egress().size(), 6u);
+  for (size_t i = 0; i < bed_.egress().size(); ++i) {
+    const auto wire = bed_.egress()[i]->bytes();
+    const auto parsed = net::ParseFrame(wire);
+    ASSERT_TRUE(parsed.has_value()) << "frame " << i;
+    EXPECT_TRUE(net::FrameChecksumsValid(wire, *parsed)) << "frame " << i;
+    std::vector<uint8_t> copy(wire.begin(), wire.end());
+    ASSERT_TRUE(net::FixupFrameChecksums(copy)) << "frame " << i;
+    EXPECT_TRUE(std::ranges::equal(copy, wire)) << "frame " << i;
+  }
 }
 
 }  // namespace
