@@ -236,7 +236,7 @@ BENCHMARK(BM_BuildUdpFrame);
 // End-to-end packet-forwarding loop (the tentpole acceptance metric): one
 // host with two CBR senders against an echoing peer, identical to the
 // pre-pooling baseline workload. Prints one machine-readable JSON line.
-// `trace_sample` sets the lifecycle tracer's 1-in-N sampling (0 = off), so
+// `trace_sample` sets the lifecycle spans' 1-in-N sampling (0 = off), so
 // the report quantifies tracing overhead at off / 1-in-64 / 1-in-1.
 // `monitor` turns on the continuous-monitoring stack (top-talkers table,
 // maintenance tick driving the sampler + watchdog) so its overhead is
@@ -265,7 +265,7 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
   opts.echo = true;
   workload::TestBed bed(opts);
   bed.sim().set_dispatch_batch(dispatch_batch);
-  bed.sim().tracer().set_sample_interval(trace_sample);
+  bed.sim().tracepoints().set_span_sample_interval(trace_sample);
   if (profiler) {
     bed.sim().profiler().set_enabled(true);
   }
@@ -352,7 +352,8 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
       packets != 0 ? static_cast<double>(allocs) / static_cast<double>(packets)
                    : 0.0,
       ppool.HitRate(), epool.HitRate(), all.HitRate(),
-      static_cast<unsigned long long>(bed.sim().tracer().total_recorded()),
+      static_cast<unsigned long long>(
+          bed.sim().tracepoints().spans_recorded()),
       static_cast<unsigned long long>(k.sampler().samples_taken()),
       static_cast<unsigned long long>(k.maintenance_ticks()));
 }

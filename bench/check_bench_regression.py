@@ -7,37 +7,28 @@ prints after the google-benchmark table) against the checked-in baseline:
   1. wall-clock regression: the tracing-off, monitor-off forwarding loop
      must stay within REGRESSION_TOLERANCE (default 15%) of the baseline,
      comparing medians across however many lines each side has.
-  2. monitoring overhead: bench_micro emits alternating monitor-off /
-     monitor-on runs; each on-run is divided by the off-run that ran
-     back-to-back with it (pairing cancels machine drift) and the median
-     pairwise ratio must stay within MONITOR_TOLERANCE (default 5%).
-     This check uses cpu_s, not wall_s: scheduler preemption on shared
-     runners inflates wall clocks by far more than 5%, while process CPU
-     time isolates the work the monitoring stack actually adds.
-  3. fast-path speedup: bench_micro emits alternating cache-off / cache-on
-     runs under a 12-rule firewall; the median pairwise wall-clock speedup
-     (off / on) must be at least FASTPATH_MIN_SPEEDUP (default 1.3x) —
-     the flow verdict cache has to actually pay for itself.
-  4. dispatch-batch sweep: bench_micro emits alternating batch=1 /
-     batch=N runs (N in {8, 32, 64}); the median pairwise cpu_s speedup
-     (batch=1 / batch=N) must stay at or above BATCH_MIN_SPEEDUP
-     (default 0.90) — batched dispatch may never cost more than 10% over
-     per-event stepping. Rows carry a "batch" field; rows with batch != 64
-     (the default) are excluded from checks 1-2 so the sweep does not
-     pollute those pools.
-  5. profiler overhead: bench_micro emits alternating profiler-off /
-     profiler-on runs; each on-run is divided by the off-run that ran
-     back-to-back with it and the median pairwise cpu_s ratio must stay
-     within PROFILER_TOLERANCE (default 5%) — full cycle attribution has
-     to stay cheap enough to leave on. Rows carry a "profiler" field;
-     profiler-on rows are excluded from checks 1-4.
-  6. tracepoint overhead: bench_micro emits alternating probes-disarmed /
-     probes-armed runs (every probe armed, no predicates); each armed run
-     is divided by the disarmed run that ran back-to-back with it and the
-     median pairwise cpu_s ratio must stay within PROBES_TOLERANCE
-     (default 5%) — always-on tracing only earns its keep if arming the
-     full probe set is nearly free. Rows carry a "probes" field;
-     probes-armed rows are excluded from checks 1-5.
+  2-6. paired gates: bench_micro emits alternating off / on runs of one
+     knob, each on-run right after its off-run with every other knob the
+     same; pairing cancels machine drift. PAIRED_GATES holds one row per
+     knob, and each gate's median pairwise ratio must stay within its
+     bound:
+       2. monitoring (top talkers + maintenance tick): on / off cpu_s
+          within MONITOR_TOLERANCE (5%). cpu_s, not wall_s: scheduler
+          preemption on shared runners inflates wall clocks by far more
+          than 5%, while process CPU time isolates the added work.
+       3. fast path under a 12-rule firewall: off / on wall_s at least
+          FASTPATH_MIN_SPEEDUP (1.3x) — the flow verdict cache has to pay
+          for itself.
+       4. dispatch batch (batch=1 vs 8, 32, 64): off / on cpu_s at least
+          BATCH_MIN_SPEEDUP (0.90) — batched dispatch may never cost more
+          than 10% over per-event stepping.
+       5. full cycle attribution: on / off cpu_s within
+          PROFILER_TOLERANCE (5%).
+       6. every tracepoint armed, no predicates: on / off cpu_s within
+          PROBES_TOLERANCE (5%) — always-on tracing only earns its keep if
+          arming the full probe set is nearly free.
+     Check 1 pools only rows with every knob at its default, so no sweep
+     pollutes it.
 
   7. multicore scaling: bench_multicore emits "multicore_scaling" rows in
      1-queue / N-queue pairs (matched by the "pair" field, the 1-queue
@@ -96,112 +87,87 @@ def load_lines(path):
     return rows
 
 
-def times(rows, trace_sample, monitor, field="wall_s", fastpath=0,
-          filter_rules=0, batch=DEFAULT_BATCH):
-    return [
-        r[field]
-        for r in rows
-        if r.get("bench") == "forwarding_loop"
-        and r.get("trace_sample") == trace_sample
-        and r.get("monitor", 0) == monitor
-        and r.get("fastpath", 0) == fastpath
-        and r.get("filter_rules", 0) == filter_rules
-        and r.get("batch", DEFAULT_BATCH) == batch
-        and r.get("profiler", 0) == 0
-        and r.get("probes", 0) == 0
-        and field in r
-    ]
+# Every forwarding_loop knob and its default; rows predating a knob carry
+# the default.
+KNOB_DEFAULTS = {"trace_sample": 0, "monitor": 0, "fastpath": 0,
+                 "filter_rules": 0, "batch": DEFAULT_BATCH, "profiler": 0,
+                 "probes": 0}
+ANY_OTHER = object()  # an on-value: anything but the off-value
+OVERHEAD = "overhead"  # on / off, printed as a percentage over 1
+SPEEDUP = "speedup"    # off / on, printed as a factor
+
+# (label, knob, off, on, field, ratio kind, bound, rows named when missing,
+#  failure message formatted with the median and the bound)
+PAIRED_GATES = (
+    ("monitoring overhead", "monitor", 0, 1, "cpu_s", OVERHEAD,
+     MONITOR_TOLERANCE, "monitor-on/off",
+     "continuous monitoring costs {:.1f}% (> {:.0f}% tolerance)"),
+    ("fast-path speedup", "fastpath", 0, 1, "wall_s", SPEEDUP,
+     FASTPATH_MIN_SPEEDUP, "fast-path on/off",
+     "flow cache speedup {:.2f}x (< {:.1f}x floor)"),
+    ("dispatch-batch speedup", "batch", 1, ANY_OTHER, "cpu_s", SPEEDUP,
+     BATCH_MIN_SPEEDUP, "dispatch-batch sweep",
+     "batched dispatch speedup {:.2f}x (< {:.2f}x floor)"),
+    ("profiler overhead", "profiler", 0, 1, "cpu_s", OVERHEAD,
+     PROFILER_TOLERANCE, "profiler on/off",
+     "cycle attribution costs {:.1f}% (> {:.0f}% tolerance)"),
+    ("tracepoint overhead", "probes", 0, 1, "cpu_s", OVERHEAD,
+     PROBES_TOLERANCE, "probes armed/disarmed",
+     "armed tracepoints cost {:.1f}% (> {:.0f}% tolerance)"),
+)
 
 
-def batch_pairs(rows):
-    """(batch=1 cpu_s, batch=N cpu_s) pairs in report order.
-
-    The sweep emits each batch=1 run immediately before its batched
-    partner, so adjacency in the plain-config row stream recovers the
-    pairing regardless of how many other plain rows precede the sweep.
-    """
-    plain = [
-        r
-        for r in rows
-        if r.get("bench") == "forwarding_loop"
-        and r.get("trace_sample") == 0
-        and r.get("monitor", 0) == 0
-        and r.get("fastpath", 0) == 0
-        and r.get("filter_rules", 0) == 0
-        and r.get("profiler", 0) == 0
-        and r.get("probes", 0) == 0
-        and "cpu_s" in r
-    ]
-    return [
-        (a["cpu_s"], b["cpu_s"])
-        for a, b in zip(plain, plain[1:])
-        if a.get("batch", DEFAULT_BATCH) == 1
-        and b.get("batch", DEFAULT_BATCH) != 1
-    ]
+def knobs(row):
+    return {k: row.get(k, d) for k, d in KNOB_DEFAULTS.items()}
 
 
-def profiler_pairs(rows):
-    """(profiler-off cpu_s, profiler-on cpu_s) pairs in report order.
-
-    The profiler sweep emits each off-run immediately before its on-run
-    at the default config, so adjacency in that row stream recovers the
-    pairing the same way batch_pairs does.
-    """
-    plain = [
-        r
-        for r in rows
-        if r.get("bench") == "forwarding_loop"
-        and r.get("trace_sample") == 0
-        and r.get("monitor", 0) == 0
-        and r.get("fastpath", 0) == 0
-        and r.get("filter_rules", 0) == 0
-        and r.get("batch", DEFAULT_BATCH) == DEFAULT_BATCH
-        and r.get("probes", 0) == 0
-        and "cpu_s" in r
-    ]
-    return [
-        (a["cpu_s"], b["cpu_s"])
-        for a, b in zip(plain, plain[1:])
-        if a.get("profiler", 0) == 0 and b.get("profiler", 0) == 1
-    ]
+def forwarding(rows, field):
+    return [r for r in rows
+            if r.get("bench") == "forwarding_loop" and field in r]
 
 
-def probes_pairs(rows):
-    """(probes-disarmed cpu_s, probes-armed cpu_s) pairs in report order.
-
-    The tracepoint sweep emits each disarmed run immediately before its
-    armed partner at the default config, so adjacency in that row stream
-    recovers the pairing the same way profiler_pairs does.
-    """
-    plain = [
-        r
-        for r in rows
-        if r.get("bench") == "forwarding_loop"
-        and r.get("trace_sample") == 0
-        and r.get("monitor", 0) == 0
-        and r.get("fastpath", 0) == 0
-        and r.get("filter_rules", 0) == 0
-        and r.get("batch", DEFAULT_BATCH) == DEFAULT_BATCH
-        and r.get("profiler", 0) == 0
-        and "cpu_s" in r
-    ]
-    return [
-        (a["cpu_s"], b["cpu_s"])
-        for a, b in zip(plain, plain[1:])
-        if a.get("probes", 0) == 0 and b.get("probes", 0) == 1
-    ]
+def default_config(rows, field):
+    """`field` of every forwarding_loop row with all knobs at default."""
+    return [r[field] for r in forwarding(rows, field)
+            if knobs(r) == KNOB_DEFAULTS]
 
 
-def fastpath_rows(rows, fastpath):
-    return [
-        r["wall_s"]
-        for r in rows
-        if r.get("bench") == "forwarding_loop"
-        and r.get("fastpath", 0) == fastpath
-        and r.get("filter_rules", 0) > 0
-        and r.get("probes", 0) == 0
-        and "wall_s" in r
-    ]
+def pairs(rows, knob, off, on, field):
+    """(off, on) values of `field` for each off-run and the run right after
+    it, when that run sets `knob` to `on` and every other knob alike."""
+    stream = forwarding(rows, field)
+    out = []
+    for a, b in zip(stream, stream[1:]):
+        ka, kb = knobs(a), knobs(b)
+        a_val, b_val = ka.pop(knob), kb.pop(knob)
+        b_on = b_val != off if on is ANY_OTHER else b_val == on
+        if a_val == off and b_on and ka == kb:
+            out.append((a[field], b[field]))
+    return out
+
+
+def check_paired(report, gate, failures):
+    label, knob, off, on, field, kind, bound, rows_name, message = gate
+    found = pairs(report, knob, off, on, field)
+    if not found:
+        failures.append(f"missing {rows_name} forwarding_loop lines")
+        return
+    if kind == OVERHEAD:
+        ratios = [on_ / off_ for off_, on_ in found]
+        ratio = statistics.median(ratios)
+        print(f"{label} per pair: "
+              + ", ".join(f"{(r - 1) * 100:+.1f}%" for r in ratios)
+              + f"; median {(ratio - 1) * 100:+.1f}%")
+        if ratio > 1 + bound:
+            failures.append(message.format((ratio - 1) * 100, bound * 100))
+    else:
+        speedups = [off_ / on_ for off_, on_ in found]
+        speedup = statistics.median(speedups)
+        print(f"{label} per pair: "
+              + ", ".join(f"{s_:.2f}x" for s_ in speedups)
+              + f"; median {speedup:.2f}x")
+        if speedup < bound:
+            failures.append(message.format(speedup, bound))
 
 
 def multicore_scaling(rows, queues):
@@ -298,8 +264,8 @@ def main():
     allow = os.environ.get("ALLOW_BENCH_REGRESSION") == "1"
     failures = []
 
-    base = times(baseline, 0, 0)
-    now = times(report, 0, 0)
+    base = default_config(baseline, "wall_s")
+    now = default_config(report, "wall_s")
     if not base or not now:
         failures.append("missing forwarding_loop trace=0 monitor=0 lines")
     else:
@@ -311,79 +277,8 @@ def main():
                 f"forwarding loop regressed {(ratio - 1) * 100:.1f}% "
                 f"(> {REGRESSION_TOLERANCE * 100:.0f}% tolerance)")
 
-    off = times(report, 0, 0, "cpu_s")
-    on = times(report, 0, 1, "cpu_s")
-    if not off or not on:
-        failures.append("missing monitor-on/off forwarding_loop lines")
-    else:
-        pairs = list(zip(off, on))  # report order: off[i] ran just before on[i]
-        ratios = [o / f for f, o in pairs]
-        ratio = statistics.median(ratios)
-        print("monitoring overhead per pair: "
-              + ", ".join(f"{(r - 1) * 100:+.1f}%" for r in ratios)
-              + f"; median {(ratio - 1) * 100:+.1f}%")
-        if ratio > 1 + MONITOR_TOLERANCE:
-            failures.append(
-                f"continuous monitoring costs {(ratio - 1) * 100:.1f}% "
-                f"(> {MONITOR_TOLERANCE * 100:.0f}% tolerance)")
-
-    fp_off = fastpath_rows(report, 0)
-    fp_on = fastpath_rows(report, 1)
-    if not fp_off or not fp_on:
-        failures.append("missing fast-path on/off forwarding_loop lines")
-    else:
-        pairs = list(zip(fp_off, fp_on))  # off[i] ran just before on[i]
-        speedups = [off / on for off, on in pairs]
-        speedup = statistics.median(speedups)
-        print("fast-path speedup per pair: "
-              + ", ".join(f"{s_:.2f}x" for s_ in speedups)
-              + f"; median {speedup:.2f}x")
-        if speedup < FASTPATH_MIN_SPEEDUP:
-            failures.append(
-                f"flow cache speedup {speedup:.2f}x "
-                f"(< {FASTPATH_MIN_SPEEDUP:.1f}x floor)")
-
-    bp = batch_pairs(report)
-    if not bp:
-        failures.append("missing dispatch-batch sweep forwarding_loop lines")
-    else:
-        speedups = [one / batched for one, batched in bp]
-        speedup = statistics.median(speedups)
-        print("dispatch-batch speedup per pair: "
-              + ", ".join(f"{s_:.2f}x" for s_ in speedups)
-              + f"; median {speedup:.2f}x")
-        if speedup < BATCH_MIN_SPEEDUP:
-            failures.append(
-                f"batched dispatch speedup {speedup:.2f}x "
-                f"(< {BATCH_MIN_SPEEDUP:.2f}x floor)")
-
-    pp = profiler_pairs(report)
-    if not pp:
-        failures.append("missing profiler on/off forwarding_loop lines")
-    else:
-        ratios = [on_ / off_ for off_, on_ in pp]
-        ratio = statistics.median(ratios)
-        print("profiler overhead per pair: "
-              + ", ".join(f"{(r - 1) * 100:+.1f}%" for r in ratios)
-              + f"; median {(ratio - 1) * 100:+.1f}%")
-        if ratio > 1 + PROFILER_TOLERANCE:
-            failures.append(
-                f"cycle attribution costs {(ratio - 1) * 100:.1f}% "
-                f"(> {PROFILER_TOLERANCE * 100:.0f}% tolerance)")
-
-    tp = probes_pairs(report)
-    if not tp:
-        failures.append("missing probes armed/disarmed forwarding_loop lines")
-    else:
-        ratios = [on_ / off_ for off_, on_ in tp]
-        ratio = statistics.median(ratios)
-        print("tracepoint overhead per pair: "
-              + ", ".join(f"{(r - 1) * 100:+.1f}%" for r in ratios)
-              + f"; median {(ratio - 1) * 100:+.1f}%")
-        if ratio > 1 + PROBES_TOLERANCE:
-            failures.append(
-                f"armed tracepoints cost {(ratio - 1) * 100:.1f}% "
-                f"(> {PROBES_TOLERANCE * 100:.0f}% tolerance)")
+    for gate in PAIRED_GATES:
+        check_paired(report, gate, failures)
 
     if failures:
         for f in failures:

@@ -219,7 +219,7 @@ bool ProbePredicate::Parse(std::string_view text, ProbePredicate* out) {
   return true;
 }
 
-Tracepoints::Tracepoints(MetricsRegistry* registry) {
+Tracepoints::Tracepoints(MetricsRegistry* registry) : registry_(registry) {
   NORMAN_CHECK(registry != nullptr);
   // Eager registration keeps the manifest shape-stable: arming (or never
   // arming) a probe changes values, never the inventory.
@@ -261,10 +261,17 @@ void Tracepoints::DisarmAll() {
   predicates_.fill(ProbePredicate{});
 }
 
+void Tracepoints::set_span_sample_interval(uint32_t n) {
+  if (n != 0) {
+    EnsureRings();
+  }
+  span_interval_ = n;
+}
+
 void Tracepoints::EnsureRings() {
-  // Ring storage is carved on first arm, not at construction: every test
-  // and bench world owns a Tracepoints, and the many that never arm a
-  // probe should not each hold 2x4096 record slots.
+  // Ring storage is carved on first arm (or when spans are turned on), not
+  // at construction: every test and bench world owns a Tracepoints, and the
+  // many that never trace should not each hold the record slots.
   if (rings_[0].buf.empty()) {
     for (Ring& ring : rings_) {
       ring.buf.resize(kRingCapacity);
@@ -288,14 +295,43 @@ void Tracepoints::EmitSlow(Probe probe, uint32_t core, uint32_t pid,
   }
   TraceRecord rec;
   rec.t = clock_ != nullptr ? *clock_ : 0;
-  rec.seq = next_seq_++;
   rec.a0 = a0;
   rec.a1 = a1;
   rec.a2 = a2;
   rec.pid = pid;
   rec.probe = static_cast<uint16_t>(probe);
-  rec.core = static_cast<uint8_t>(core < kNumCores ? core : kNumCores - 1);
   rec.dir = flow != nullptr ? flow->dir : kDirNone;
+  Append(rec, core);
+}
+
+void Tracepoints::SpanSlow(uint32_t trace_id, std::string_view stage,
+                           Nanos start, Nanos end, uint32_t core) {
+  EnsureRings();  // already carved unless a caller made up its trace id
+  auto it = stage_ids_.find(stage);
+  if (it == stage_ids_.end()) {
+    std::string name = "trace.stage.";
+    name += stage;
+    stages_.push_back(Stage{stage, registry_->GetHistogram(name)});
+    it = stage_ids_.emplace(stage, static_cast<uint32_t>(stages_.size() - 1))
+             .first;
+  }
+  stages_[it->second].hist->Add(end - start);
+  if (frozen_) {
+    return;
+  }
+  ++spans_recorded_;
+  TraceRecord rec;
+  rec.t = start;
+  rec.a0 = trace_id;
+  rec.a1 = it->second;
+  rec.a2 = static_cast<uint64_t>(end);
+  rec.probe = kSpanRecord;
+  Append(rec, core);
+}
+
+void Tracepoints::Append(TraceRecord& rec, uint32_t core) {
+  rec.seq = next_seq_++;
+  rec.core = static_cast<uint8_t>(core < kNumCores ? core : kNumCores - 1);
   Ring& ring = rings_[rec.core];
   if (ring.total >= kRingCapacity) {
     ++overwritten_count_;
@@ -328,6 +364,42 @@ std::vector<TraceRecord> Tracepoints::Journal() const {
   return out;
 }
 
+std::vector<TraceSpan> Tracepoints::Spans() const {
+  std::vector<TraceSpan> out;
+  for (const TraceRecord& rec : Journal()) {
+    if (rec.probe == kSpanRecord) {
+      out.push_back(TraceSpan{static_cast<uint32_t>(rec.a0),
+                              stages_[rec.a1].name, rec.t,
+                              static_cast<Nanos>(rec.a2)});
+    }
+  }
+  return out;
+}
+
+std::string Tracepoints::ChromeTraceJson() const {
+  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  char buf[224];
+  for (const TraceSpan& span : Spans()) {
+    if (out.back() != '[') {
+      out.push_back(',');
+    }
+    // ts/dur are microseconds (Chrome convention); %.3f keeps full ns
+    // precision.
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"%.*s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                  "\"pid\":1,\"tid\":%u,\"args\":{\"start_ns\":%lld,"
+                  "\"end_ns\":%lld}}",
+                  static_cast<int>(span.stage.size()), span.stage.data(),
+                  static_cast<double>(span.start) / 1e3,
+                  static_cast<double>(span.end - span.start) / 1e3,
+                  span.trace_id, static_cast<long long>(span.start),
+                  static_cast<long long>(span.end));
+    out += buf;
+  }
+  out += "]}";
+  return out;
+}
+
 std::string Tracepoints::JournalJson() const {
   std::string out = "[";
   char buf[256];
@@ -338,11 +410,13 @@ std::string Tracepoints::JournalJson() const {
     }
     first = false;
     const std::string_view name =
-        kProbeNames[rec.probe < kNumProbes ? rec.probe : 0];
+        rec.probe == kSpanRecord
+            ? "pkt.span"
+            : kProbeNames[rec.probe < kNumProbes ? rec.probe : 0];
     std::snprintf(
         buf, sizeof(buf),
         "{\"t\":%llu,\"seq\":%llu,\"probe\":\"%.*s\",\"core\":%u,"
-        "\"pid\":%u,\"dir\":\"%s\",\"a0\":%llu,\"a1\":%llu,\"a2\":%llu}",
+        "\"pid\":%u,\"dir\":\"%s\",\"a0\":%llu,\"a1\":%llu,\"a2\":%llu",
         static_cast<unsigned long long>(rec.t),
         static_cast<unsigned long long>(rec.seq),
         static_cast<int>(name.size()), name.data(), rec.core, rec.pid,
@@ -350,6 +424,13 @@ std::string Tracepoints::JournalJson() const {
         static_cast<unsigned long long>(rec.a1),
         static_cast<unsigned long long>(rec.a2));
     out += buf;
+    if (rec.probe == kSpanRecord) {
+      // The stage name, so a journal alone rebuilds a packet's path.
+      out += ",\"stage\":\"";
+      out += stages_[rec.a1].name;
+      out.push_back('"');
+    }
+    out.push_back('}');
   }
   out += "]";
   return out;
@@ -393,6 +474,9 @@ void Tracepoints::Clear() {
   next_seq_ = 0;
   overwritten_count_ = 0;
   frozen_ = false;
+  arrivals_ = 0;
+  next_trace_id_ = 0;
+  spans_recorded_ = 0;
 }
 
 }  // namespace norman::telemetry

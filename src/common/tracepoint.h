@@ -21,6 +21,12 @@
 // observe only — no events, no RNG, no virtual-time cost, no steady-state
 // allocation (rings are carved once at arm time) — so the bit-exact
 // determinism goldens hold with every probe armed.
+//
+// The same rings carry packet-lifecycle spans: a packet sampled 1-in-N at
+// NIC arrival appends one [start, end) record per hop (DMA, pipeline, each
+// stage, qdisc wait, wire, ring), and its spans tile exactly onto
+// completed_at - nic_arrival. Spans are recorded at every stats level and
+// are not an armable probe, so ArmAll() cannot flood the rings with them.
 #ifndef NORMAN_COMMON_TRACEPOINT_H_
 #define NORMAN_COMMON_TRACEPOINT_H_
 
@@ -28,6 +34,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -58,6 +65,10 @@ enum class Probe : uint8_t {
   kWatchdogTransition,   // a0 = HealthState after, a1 = before
 };
 inline constexpr size_t kNumProbes = 15;
+
+// Record id of a packet-lifecycle span ("pkt.span"), one past the probes:
+// t = span start, a0 = trace id, a1 = interned stage id, a2 = span end.
+inline constexpr uint16_t kSpanRecord = kNumProbes;
 
 // Sorted-stable dotted names ("filter.verdict", "nic.drop", ...).
 std::string_view ProbeName(Probe probe);
@@ -117,6 +128,14 @@ struct TraceRecord {
   uint8_t dir = kDirNone;
 };
 
+// One lifecycle span decoded from a kSpanRecord record.
+struct TraceSpan {
+  uint32_t trace_id = 0;
+  std::string_view stage;  // the static-storage name passed to Span()
+  Nanos start = 0;
+  Nanos end = 0;
+};
+
 // Per-probe emit filter. Zero fields match anything; a set field must
 // match exactly. Canonical text form is comma-separated k=v pairs:
 //   pid=3,dir=tx,src_ip=10.0.0.1,dst_port=443,proto=17
@@ -160,7 +179,8 @@ class Tracepoints {
 
   // Registers per-probe hit counters ("probe.<name>") plus the ring
   // overwrite counter eagerly, so the metric manifest is shape-stable
-  // whether or not a run ever arms anything.
+  // whether or not a run ever arms anything. Span stage histograms
+  // ("trace.stage.<stage>") register at a stage's first span.
   explicit Tracepoints(MetricsRegistry* registry);
   Tracepoints(const Tracepoints&) = delete;
   Tracepoints& operator=(const Tracepoints&) = delete;
@@ -215,6 +235,41 @@ class Tracepoints {
     EmitSlow(probe, core, pid, a0, a1, a2, flow);
   }
 
+  // ---- packet-lifecycle spans ---------------------------------------------
+
+  // 1-in-N arrival sampling; 0 (the default) turns spans off. A non-zero
+  // interval carves the rings, as arming a probe does.
+  void set_span_sample_interval(uint32_t n);
+
+  // Once per packet at NIC arrival: a fresh nonzero trace id for every N-th
+  // arrival, else 0.
+  uint32_t SampleArrival() {
+    if (span_interval_ == 0 || arrivals_++ % span_interval_ != 0) {
+      return 0;
+    }
+    return ++next_trace_id_;
+  }
+
+  // Appends a sampled packet's span to `core`'s ring and feeds the
+  // "trace.stage.<stage>" histogram, frozen or not (the watchdog reads it
+  // live). Id 0 returns inline. `stage` must be static storage: the record
+  // holds an interned id.
+  void Span(uint32_t trace_id, std::string_view stage, Nanos start,
+            Nanos end, uint32_t core) {
+    if (trace_id != 0) {
+      SpanSlow(trace_id, stage, start, end, core);
+    }
+  }
+
+  // Spans appended since Clear(), overwritten ones included.
+  uint64_t spans_recorded() const { return spans_recorded_; }
+  // Retained spans in record order.
+  std::vector<TraceSpan> Spans() const;
+  // Chrome trace-event JSON of Spans(): one complete ("X") event per span,
+  // ts/dur in microseconds of virtual time, tid = trace id (one Perfetto
+  // track per traced packet).
+  std::string ChromeTraceJson() const;
+
   // ---- inspection (cold; all byte-stable) ---------------------------------
 
   uint64_t hits(Probe probe) const {
@@ -228,8 +283,9 @@ class Tracepoints {
 
   // Retained records from every core ring, merged in emit (seq) order.
   std::vector<TraceRecord> Journal() const;
-  // The journal decoded to a JSON array (probe names, not ids), sorted by
-  // emit order; byte-stable for a deterministic run.
+  // The journal decoded to a JSON array (probe names, not ids; spans also
+  // carry their stage name), sorted by emit order; byte-stable for a
+  // deterministic run.
   std::string JournalJson() const;
   // Probe inventory: one "name armed predicate hits filtered" line per
   // probe, sorted by probe name; byte-stable.
@@ -238,13 +294,15 @@ class Tracepoints {
   void AttachRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
   FlightRecorder* recorder() const { return recorder_; }
 
-  // Drops retained records, counters memo and the freeze latch; arming and
-  // predicates survive (Clear is "new capture, same configuration").
+  // Drops retained records, counters memo and the freeze latch, and
+  // restarts span sampling (arrival and trace-id counters); arming,
+  // predicates and the span interval survive (Clear is "new capture, same
+  // configuration").
   void Clear();
 
  private:
   struct Ring {
-    std::vector<TraceRecord> buf;  // sized kRingCapacity at first arm
+    std::vector<TraceRecord> buf;  // sized kRingCapacity when carved
     uint64_t total = 0;            // records ever appended to this ring
   };
 
@@ -252,10 +310,21 @@ class Tracepoints {
     return uint32_t{1} << static_cast<uint32_t>(probe);
   }
 
+  struct Stage {  // an interned span stage
+    std::string_view name;
+    LatencyHistogram* hist;
+  };
+
   void EmitSlow(Probe probe, uint32_t core, uint32_t pid, uint64_t a0,
                 uint64_t a1, uint64_t a2, const TraceFlow* flow);
+  void SpanSlow(uint32_t trace_id, std::string_view stage, Nanos start,
+                Nanos end, uint32_t core);
+  // The one append path for probe records and spans: stamps seq and core,
+  // overwrites the ring's oldest record when full, notifies the recorder.
+  void Append(TraceRecord& rec, uint32_t core);
   void EnsureRings();
 
+  MetricsRegistry* registry_;
   const Nanos* clock_ = nullptr;
   uint32_t armed_mask_ = 0;
   // Bit set iff the probe's predicate constrains anything: lets the armed
@@ -271,6 +340,13 @@ class Tracepoints {
   std::array<Counter*, kNumProbes> hit_counters_{};
   Counter* overwritten_counter_;  // probe.records.dropped
   FlightRecorder* recorder_ = nullptr;
+  uint32_t span_interval_ = 0;
+  uint64_t arrivals_ = 0;
+  uint32_t next_trace_id_ = 0;
+  uint64_t spans_recorded_ = 0;
+  // A span record's a1 indexes `stages_`; `stage_ids_` maps name to index.
+  std::vector<Stage> stages_;
+  std::unordered_map<std::string_view, uint32_t> stage_ids_;
 };
 
 }  // namespace norman::telemetry

@@ -47,8 +47,8 @@ struct PacketMeta {
   // owner_pid from the flow entry so per-tenant cycle shares and drop
   // attribution work anywhere in the pipeline.
   uint32_t tenant = 0;
-  // Lifecycle tracing (telemetry::PacketTracer): nonzero when this packet
-  // was sampled at NIC arrival; spans are recorded under this id.
+  // Lifecycle tracing (telemetry::Tracepoints spans): nonzero when this
+  // packet was sampled at NIC arrival; spans are recorded under this id.
   uint32_t trace_id = 0;
   // When the TX scheduler accepted the packet (start of the qdisc-wait
   // span; meaningful only while trace_id != 0).

@@ -632,7 +632,8 @@ StageResult SmartNic::RunStages(Lane& lane,
       // Spans are laid end to end from `stage_start` so the chain tiles
       // exactly onto the cost model's stage window.
       const Nanos span_end = stage_start + stage_cost;
-      sim_->tracer().Record(trace_id, stage->name(), stage_start, span_end);
+      sim_->tracepoints().Span(trace_id, stage->name(), stage_start,
+                               span_end, TpCore(lane));
       stage_start = span_end;
     }
     if (r.verdict != Verdict::kAccept) {
@@ -770,8 +771,9 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   }
 
   // Lifecycle tracing: deterministic 1-in-N arrival sampling. A zero id
-  // makes every Record() below a no-op; virtual time is never touched.
-  const uint32_t trace_id = sim_->tracer().SampleArrival();
+  // makes every Span() below a no-op; virtual time is never touched.
+  const uint32_t trace_id = sim_->tracepoints().SampleArrival();
+  const uint32_t tp_core = TpCore(lane);
 
   // 1) DMA-fetch the payload from the host ring (DDIO hit or DRAM miss).
   const uint64_t ring_ws =
@@ -781,7 +783,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const Nanos dma_done = lane.dma.Serve(now, dma_cost);
   prof_->Charge(prof_tx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   burst.dma.Add();
-  sim_->tracer().Record(trace_id, "tx.dma", now, dma_done);
+  sim_->tracepoints().Span(trace_id, "tx.dma", now, dma_done, tp_core);
 
   // 2) Pipeline occupancy (line-rate cap) + per-stage latency. Tenants with
   // a configured cycle share are gated through their own WFQ virtual server
@@ -800,7 +802,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
     pipe_done = lane.pipeline.Serve(dma_done, pipe_cost);
   }
   prof_->Charge(prof_tx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
-  sim_->tracer().Record(trace_id, "tx.pipeline", dma_done, pipe_done);
+  sim_->tracepoints().Span(trace_id, "tx.pipeline", dma_done, pipe_done,
+                           tp_core);
 
   // Single-pass parse: stored on the packet, refreshed only if a stage
   // mutates the frame. Everything downstream reads this copy.
@@ -863,7 +866,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       lane.stages.AddBusy(fp_cost);
       prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       stages_done = pipe_done + fp_cost;
-      sim_->tracer().Record(trace_id, "fastpath", pipe_done, stages_done);
+      sim_->tracepoints().Span(trace_id, "fastpath", pipe_done, stages_done,
+                               tp_core);
       verdict = static_cast<Verdict>(e->verdict);
       drop_reason = e->drop_reason;
       fp_hit = true;
@@ -911,8 +915,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   switch (verdict) {
     case Verdict::kDrop:
       stats_.RecordDrop(net::Direction::kTx, NormalizeDropReason(drop_reason),
-                        ctx.conn.owner_pid, TpCore(lane),
-                        ctx.conn.owner_tenant);
+                        ctx.conn.owner_pid, tp_core, ctx.conn.owner_tenant);
       return;
     case Verdict::kSoftwareFallback: {
       burst.fallback.Add();
@@ -935,8 +938,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const overlay::ConnMetadata conn_meta = ctx.conn;
   sim_->ScheduleAtLane(
       lane.index, stages_done,
-      [this, p = std::move(packet), conn_meta,
-       tp_core = TpCore(lane)]() mutable {
+      [this, p = std::move(packet), conn_meta, tp_core]() mutable {
     // Rebuild a minimal context for the scheduler (classification inputs).
     // The packet's cached parse is already fresh — RunStages re-parsed in
     // place if (and only if) a stage rewrote the frame — so classifying
@@ -1056,10 +1058,12 @@ void SmartNic::DrainWire() {
                   prof_->OwnerSlot(pkt->meta().owner_pid), wire_cost);
   }
   if (pkt->meta().trace_id != 0) {
-    // Time parked in the discipline, then serialization onto the wire.
-    sim_->tracer().Record(pkt->meta().trace_id, "tx.qdisc",
-                          pkt->meta().sched_enqueued_at, now);
-    sim_->tracer().Record(pkt->meta().trace_id, "tx.wire", now, done);
+    // Time parked in the discipline, then serialization onto the wire,
+    // which every lane shares: both spans go to the NIC ring.
+    const uint32_t core = telemetry::Tracepoints::kCoreNic;
+    sim_->tracepoints().Span(pkt->meta().trace_id, "tx.qdisc",
+                             pkt->meta().sched_enqueued_at, now, core);
+    sim_->tracepoints().Span(pkt->meta().trace_id, "tx.wire", now, done, core);
   }
   pkt->meta().completed_at = done;
   telemetry::HotIncrement(stats_.tx_bytes_wire_, pkt->size());
@@ -1215,7 +1219,8 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   telemetry::ProfScope rx_scope(prof_, prof_rx_site_);
   packet->meta().direction = net::Direction::kRx;
   packet->meta().nic_arrival = now;
-  const uint32_t trace_id = sim_->tracer().SampleArrival();
+  const uint32_t trace_id = sim_->tracepoints().SampleArrival();
+  const uint32_t tp_core = TpCore(lane);
   packet->meta().trace_id = trace_id;
 
   // Ingress already parsed the pristine frame and nothing between there
@@ -1241,7 +1246,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   } else {
     pipe_done = lane.pipeline.Serve(now, pipe_cost);
   }
-  sim_->tracer().Record(trace_id, "rx.pipeline", now, pipe_done);
+  sim_->tracepoints().Span(trace_id, "rx.pipeline", now, pipe_done, tp_core);
 
   // RX ownership: the receiving connection's pid (flow-table owner), or
   // "unowned" for unmatched frames bound for the host slow path. Restamp the
@@ -1266,7 +1271,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
       !net::FrameChecksumsValid(packet->bytes(), *packet->parsed())) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
                       entry != nullptr ? entry->owner.owner_pid : 0,
-                      TpCore(lane), tenant);
+                      tp_core, tenant);
     return;
   }
 
@@ -1303,7 +1308,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
       lane.stages.AddBusy(fp_cost);
       prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
       ready = pipe_done + fp_cost;
-      sim_->tracer().Record(trace_id, "fastpath", pipe_done, ready);
+      sim_->tracepoints().Span(trace_id, "fastpath", pipe_done, ready, tp_core);
       verdict = static_cast<Verdict>(e->verdict);
       drop_reason = e->drop_reason;
       fp_hit = true;
@@ -1338,7 +1343,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
 
   if (verdict == Verdict::kDrop) {
     stats_.RecordDrop(net::Direction::kRx, NormalizeDropReason(drop_reason),
-                      ctx.conn.owner_pid, TpCore(lane), ctx.conn.owner_tenant);
+                      ctx.conn.owner_pid, tp_core, ctx.conn.owner_tenant);
     return;
   }
 
@@ -1361,7 +1366,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   // The lane ingress steered to (on the pre-rewrite headers) IS the queue.
   // Steering is combinational (zero cost-model time); the zero-width span
   // still marks the RSS decision point on a traced packet's track.
-  sim_->tracer().Record(trace_id, "rx.rss", ready, ready);
+  sim_->tracepoints().Span(trace_id, "rx.rss", ready, ready, tp_core);
   packet->meta().connection = entry->conn_id;
   ++entry->rx_packets;
   entry->rx_bytes += packet->size();
@@ -1375,13 +1380,13 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
   prof_->Charge(prof_rx_dma_site_, lane.core_dma, owner_slot, dma_cost);
   telemetry::HotIncrement(stats_.dma_transfers_);
-  sim_->tracer().Record(trace_id, "rx.dma", ready, dma_done);
+  sim_->tracepoints().Span(trace_id, "rx.dma", ready, dma_done, tp_core);
 
   const net::ConnectionId conn_id = entry->conn_id;
   sim_->ScheduleAtLane(
       lane.index, dma_done,
       [this, p = std::move(packet), conn_id, queue = lane.index,
-       tp_core = TpCore(lane)]() mutable {
+       tp_core]() mutable {
     const auto it = rings_.find(conn_id);
     FlowEntry* e = flow_table_.Lookup(conn_id);
     if (it == rings_.end() || e == nullptr) {
@@ -1397,7 +1402,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
     }
     // Delivery into the app-visible ring (zero-width: the push itself is
     // instantaneous in the cost model; the wait was charged to rx.dma).
-    sim_->tracer().Record(tid, "rx.ring", ring_at, ring_at);
+    sim_->tracepoints().Span(tid, "rx.ring", ring_at, ring_at, tp_core);
     telemetry::HotIncrement(stats_.rx_accepted_);
     if (e->notify_rx) {
       PostNotification(*e, NotificationKind::kRxData, sim_->Now(), queue);

@@ -25,7 +25,6 @@
 #include "src/common/metrics.h"
 #include "src/common/profiler.h"
 #include "src/common/stats.h"
-#include "src/common/trace.h"
 #include "src/common/tracepoint.h"
 #include "src/common/units.h"
 
@@ -233,19 +232,18 @@ class Simulator {
   const PoolCounters& event_pool() const { return node_counters_; }
 
   // Telemetry for this simulated world. The simulator owns the registry
-  // and tracer so every device reached through a Simulator* shares them,
-  // and separate worlds (tests, benches) stay isolated.
+  // and the event journal so every device reached through a Simulator*
+  // shares them, and separate worlds (tests, benches) stay isolated.
   telemetry::MetricsRegistry& metrics() { return metrics_; }
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
-  telemetry::PacketTracer& tracer() { return tracer_; }
-  const telemetry::PacketTracer& tracer() const { return tracer_; }
   // Cycle-attribution profiler for this world (off by default; devices
   // register their cores at construction, charges appear only once
   // profiler().set_enabled(true)).
   telemetry::Profiler& profiler() { return profiler_; }
   const telemetry::Profiler& profiler() const { return profiler_; }
-  // Armable probe points + the black-box trigger engine riding on them
-  // (all probes disarmed by default; see tracepoint.h).
+  // Armable probe points, packet-lifecycle spans and the black-box
+  // trigger engine riding on them (all probes disarmed and spans off by
+  // default; see tracepoint.h).
   telemetry::Tracepoints& tracepoints() { return tracepoints_; }
   const telemetry::Tracepoints& tracepoints() const { return tracepoints_; }
   telemetry::FlightRecorder& flight_recorder() { return flight_recorder_; }
@@ -319,7 +317,6 @@ class Simulator {
   bool dispatch_buf_busy_ = false;
   PoolCounters node_counters_{"event"};
   telemetry::MetricsRegistry metrics_;
-  telemetry::PacketTracer tracer_{&metrics_};
   telemetry::Profiler profiler_;
   telemetry::Tracepoints tracepoints_{&metrics_};
   telemetry::FlightRecorder flight_recorder_{&tracepoints_};

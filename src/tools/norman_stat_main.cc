@@ -118,6 +118,7 @@ int Main(int argc, char** argv) {
   bool show_manifest = false;
   std::string trace_path;
   uint32_t sample = 1;
+  uint64_t value = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -133,8 +134,9 @@ int Main(int argc, char** argv) {
       show_manifest = true;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (arg == "--sample" && i + 1 < argc) {
-      sample = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+    } else if (arg == "--sample" && i + 1 < argc &&
+               tools::ParseDecimal(argv[++i], UINT32_MAX, &value)) {
+      sample = static_cast<uint32_t>(value);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--drops] [--fastpath] [--json] [--text] "
@@ -147,7 +149,7 @@ int Main(int argc, char** argv) {
   workload::TestBedOptions opts;
   opts.echo = true;
   workload::TestBed bed(opts);
-  bed.sim().tracer().set_sample_interval(sample);
+  bed.sim().tracepoints().set_span_sample_interval(sample);
   // Cycle attribution on: the prof.*/attr.* gauge families published below
   // must appear in the manifest CI diffs. Registration is ungated, so the
   // inventory (though not the values) is identical at stats level 0.
@@ -180,10 +182,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 1;
     }
-    out << bed.sim().tracer().ChromeTraceJson();
+    out << bed.sim().tracepoints().ChromeTraceJson();
     std::fprintf(stderr, "wrote %llu spans to %s\n",
                  static_cast<unsigned long long>(
-                     bed.sim().tracer().total_recorded()),
+                     bed.sim().tracepoints().spans_recorded()),
                  trace_path.c_str());
   }
 

@@ -218,6 +218,7 @@ int Main(int argc, char** argv) {
   bool chaos = false;
   std::string series_path;
   size_t max_flows = 10;
+  uint64_t value = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -237,8 +238,9 @@ int Main(int argc, char** argv) {
       chaos = true;
     } else if (arg == "--series-out" && i + 1 < argc) {
       series_path = argv[++i];
-    } else if (arg == "--flows" && i + 1 < argc) {
-      max_flows = std::strtoul(argv[++i], nullptr, 10);
+    } else if (arg == "--flows" && i + 1 < argc &&
+               tools::ParseDecimal(argv[++i], SIZE_MAX, &value)) {
+      max_flows = static_cast<size_t>(value);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--text] [--by-pid] [--by-core] "

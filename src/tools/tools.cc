@@ -1,5 +1,6 @@
 #include "src/tools/tools.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -1115,6 +1116,17 @@ std::string ArpShow(const kernel::Kernel& k) {
         << "): " << count << " ARP frames\n";
   }
   return out.str();
+}
+
+bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace norman::tools

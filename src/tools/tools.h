@@ -10,7 +10,9 @@
 #ifndef NORMAN_TOOLS_TOOLS_H_
 #define NORMAN_TOOLS_TOOLS_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 #include "src/kernel/kernel.h"
@@ -126,6 +128,11 @@ std::string Netstat(const kernel::Kernel& k);
 // ARP cache plus — unique to Norman — the TX-side ARP forensic log with the
 // emitting process for every application-originated ARP frame.
 std::string ArpShow(const kernel::Kernel& k);
+
+// ---- CLI arguments ---------------------------------------------------------
+// Reads a whole decimal string in [0, max] into *out. False on an empty
+// string, any non-digit (sign included) or a value above max.
+bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out);
 
 }  // namespace norman::tools
 

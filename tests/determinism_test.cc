@@ -20,7 +20,8 @@ struct RunTrace {
   // Profiler exports, captured when the run had attribution enabled.
   std::string folded_stacks;
   std::string prof_json;
-  // Tracepoint journal, captured when the run had every probe armed.
+  // Tracepoint journal, captured when the run armed every probe or
+  // sampled spans.
   std::string journal_json;
 };
 
@@ -39,7 +40,7 @@ RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
   if (dispatch_batch != 0) {
     bed.sim().set_dispatch_batch(dispatch_batch);
   }
-  bed.sim().tracer().set_sample_interval(trace_sample);
+  bed.sim().tracepoints().set_span_sample_interval(trace_sample);
   if (profiler) {
     bed.sim().profiler().set_enabled(true);
   }
@@ -80,7 +81,7 @@ RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
     trace.folded_stacks = bed.sim().profiler().FoldedStacks();
     trace.prof_json = bed.sim().profiler().JsonReport();
   }
-  if (tracepoints) {
+  if (tracepoints || trace_sample != 0) {
     trace.journal_json = bed.sim().tracepoints().JournalJson();
   }
   return trace;
@@ -136,10 +137,14 @@ TEST(DeterminismTest, MatchesPrePoolingGoldenTrace) {
 
 // Lifecycle tracing is pure observation: it schedules no events and draws
 // no randomness, so the virtual-time trajectory with sampling enabled —
-// at any interval — must still match the pre-telemetry golden bit-for-bit.
+// at any interval, and with every probe armed beside the spans — must
+// still match the pre-telemetry golden bit-for-bit.
 TEST(DeterminismTest, TracingOnMatchesGoldenTrace) {
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/1));
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/64));
+  ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/1, /*monitor=*/false,
+                               /*fastpath=*/false, 0, /*profiler=*/false,
+                               /*tracepoints=*/true));
 }
 
 // The continuous-monitoring stack — maintenance tick, time-series sampler,
@@ -268,7 +273,8 @@ TEST(DeterminismTest, TracepointsArmedFastPathGoldenHolds) {
 }
 
 // The decoded journal itself must be byte-stable across reruns — the
-// postmortem bundle's core section rests on this.
+// postmortem bundle's core section rests on this — with probes alone and
+// with packet spans interleaved among them.
 TEST(DeterminismTest, TracepointsJournalIsByteStable) {
   const RunTrace a = RunWorld(42, 0, /*monitor=*/true, /*fastpath=*/true, 0,
                               /*profiler=*/false, /*tracepoints=*/true);
@@ -278,6 +284,17 @@ TEST(DeterminismTest, TracepointsJournalIsByteStable) {
     EXPECT_GT(a.journal_json.size(), 2u);  // more than "[]"
   }
   EXPECT_EQ(a.journal_json, b.journal_json);
+
+  const RunTrace sa = RunWorld(42, /*trace_sample=*/1, /*monitor=*/true,
+                               /*fastpath=*/true, 0, /*profiler=*/false,
+                               /*tracepoints=*/true);
+  const RunTrace sb = RunWorld(42, /*trace_sample=*/1, /*monitor=*/true,
+                               /*fastpath=*/true, 0, /*profiler=*/false,
+                               /*tracepoints=*/true);
+  // Spans are recorded at every stats level.
+  EXPECT_NE(sa.journal_json.find("\"probe\":\"pkt.span\""),
+            std::string::npos);
+  EXPECT_EQ(sa.journal_json, sb.journal_json);
 }
 
 // The multi-queue trajectory is pinned separately: RSS steering at wire

@@ -1,14 +1,21 @@
 // Black-box flight recorder: trigger matching and first-match latching,
 // probe auto-arming, the freeze interplay with the tracepoint rings, the
 // canned trigger rules, and byte-stable postmortem bundles over a real
-// TestBed world.
+// TestBed world, including the packet spans a bundle carries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "src/common/drop_reason.h"
 #include "src/common/flight_recorder.h"
 #include "src/common/metrics.h"
 #include "src/common/tracepoint.h"
+#include "src/dataplane/filter_engine.h"
 #include "src/norman/socket.h"
 #include "src/workload/testbed.h"
 
@@ -201,6 +208,121 @@ TEST(FlightRecorderTest, BundleRendersNullSectionsWithoutWatchdogOrProfiler) {
   EXPECT_EQ(bundle.rfind("{\"trigger\":null", 0), 0u);
   EXPECT_NE(bundle.find("\"health\":null"), std::string::npos);
   EXPECT_NE(bundle.find("\"flame\":null"), std::string::npos);
+}
+
+// The value of `"key":` in one decoded journal record (quotes stripped).
+std::string RecordField(std::string_view rec, std::string_view key) {
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":";
+  size_t at = rec.find(pattern);
+  if (at == std::string_view::npos) {
+    return "";
+  }
+  at += pattern.size();
+  if (rec[at] == '"') {
+    ++at;
+    return std::string(rec.substr(at, rec.find('"', at) - at));
+  }
+  return std::string(rec.substr(at, rec.find_first_of(",}", at) - at));
+}
+
+// Spans ride the journal into the postmortem bundle: with every packet
+// sampled and a filter-deny trigger that fires after traffic has flowed,
+// the bundle alone rebuilds each traced packet's path — pkt.span records,
+// stage names, and per-trace spans that tile. At NORMAN_STATS_LEVEL=0 the
+// trigger's probe compiles away, so only the spans are asserted there.
+TEST(FlightRecorderTest, BundleCarriesPacketSpansThatTile) {
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
+  auto& tp = bed.sim().tracepoints();
+  auto& fr = bed.sim().flight_recorder();
+  tp.set_span_sample_interval(1);
+  fr.AddDropReasonTrigger("filter-deny",
+                          static_cast<uint64_t>(DropReason::kFilterDeny));
+
+  auto& k = bed.kernel();
+  k.processes().AddUser(1, "u");
+  const auto pid = *k.processes().Spawn(1, "app");
+  dataplane::FilterRule deny;
+  deny.proto = net::IpProto::kUdp;
+  deny.dst_port = dataplane::PortRange{9, 9};
+  deny.action = dataplane::FilterAction::kDrop;
+  ASSERT_TRUE(
+      k.AppendFilterRule(kernel::kRootUid, kernel::Chain::kOutput, deny).ok());
+  const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);
+  auto good = Socket::Connect(&k, pid, peer, 6000, {});
+  auto bad = Socket::Connect(&k, pid, peer, 9, {});
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(bad.ok());
+
+  const std::vector<uint8_t> payload(200, 0x5a);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(good->Send(payload).ok());
+    bed.sim().Run();
+  }
+  EXPECT_FALSE(fr.triggered());
+  ASSERT_TRUE(bad->Send(payload).ok());
+  bed.sim().Run();
+  const uint64_t spans_at_trigger = tp.spans_recorded();
+  ASSERT_TRUE(good->Send(payload).ok());
+  bed.sim().Run();
+  if (telemetry::kHotStatsEnabled) {
+    EXPECT_TRUE(fr.triggered());
+    EXPECT_EQ(fr.fired_trigger(), "filter-deny");
+    // Frozen at the trigger: the post-trigger packet appended no spans.
+    EXPECT_EQ(tp.spans_recorded(), spans_at_trigger);
+  }
+
+  const std::string bundle = fr.Bundle(bed.sim().metrics(), nullptr, nullptr);
+  if (telemetry::kHotStatsEnabled) {
+    EXPECT_NE(bundle.find("\"name\":\"filter-deny\""), std::string::npos);
+  }
+  // The journal section is a flat array of brace-delimited records.
+  const size_t journal_at = bundle.find("\"journal\":[");
+  ASSERT_NE(journal_at, std::string::npos);
+  const size_t journal_end = bundle.find(']', journal_at);
+  struct BundleSpan {
+    Nanos start;
+    Nanos end;
+    std::string stage;
+  };
+  std::map<uint64_t, std::vector<BundleSpan>> by_id;
+  size_t span_records = 0;
+  for (size_t at = bundle.find('{', journal_at);
+       at != std::string::npos && at < journal_end;
+       at = bundle.find('{', at + 1)) {
+    const std::string_view rec(bundle.data() + at,
+                               bundle.find('}', at) - at + 1);
+    if (RecordField(rec, "probe") != "pkt.span") {
+      continue;
+    }
+    ++span_records;
+    BundleSpan span{std::stoll(RecordField(rec, "t")),
+                    std::stoll(RecordField(rec, "a2")),
+                    RecordField(rec, "stage")};
+    ASSERT_FALSE(span.stage.empty()) << rec;
+    by_id[std::stoull(RecordField(rec, "a0"))].push_back(std::move(span));
+  }
+  EXPECT_EQ(span_records, tp.Spans().size());
+  ASSERT_GE(by_id.size(), 8u);  // 4 TX frames + 4 echoes, at least
+
+  bool full_tx_path = false;
+  for (auto& [id, spans] : by_id) {
+    std::sort(spans.begin(), spans.end(),
+              [](const BundleSpan& a, const BundleSpan& b) {
+                return a.start != b.start ? a.start < b.start : a.end < b.end;
+              });
+    for (size_t i = 1; i < spans.size(); ++i) {
+      ASSERT_EQ(spans[i].start, spans[i - 1].end)
+          << "gap/overlap in trace " << id << " before stage "
+          << spans[i].stage;
+    }
+    full_tx_path |= spans.front().stage == "tx.dma" &&
+                    spans.back().stage == "tx.wire";
+  }
+  EXPECT_TRUE(full_tx_path);
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
-// Lifecycle tracing: deterministic 1-in-N sampling, the span ring buffer,
-// Chrome trace export, and the tiling invariant — a traced packet's spans
-// are contiguous and sum exactly to its end-to-end latency. Plus the
+// Lifecycle tracing end to end: a traced packet's spans are contiguous and
+// sum exactly to its end-to-end latency, on one lane and on four. Plus the
 // drop-attribution invariant: every drop lands in exactly one reason
 // counter, and the per-reason counters reproduce the legacy aggregates.
+// (Span sampling, retention and export are unit-tested in
+// tracepoint_test.cc.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/drop_reason.h"
 #include "src/common/metrics.h"
-#include "src/common/trace.h"
+#include "src/common/tracepoint.h"
 #include "src/net/packet_builder.h"
 #include "src/net/packet_pool.h"
 #include "src/norman/socket.h"
@@ -21,112 +23,10 @@
 namespace norman {
 namespace {
 
-using telemetry::MetricsRegistry;
-using telemetry::PacketTracer;
+using telemetry::Tracepoints;
 using telemetry::TraceSpan;
 
 constexpr auto kPeerIp = net::Ipv4Address::FromOctets(10, 0, 0, 2);
-
-TEST(PacketTracerTest, DisabledByDefault) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 16);
-  EXPECT_FALSE(tracer.enabled());
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(tracer.SampleArrival(), 0u);
-  }
-  tracer.Record(0, "tx.dma", 0, 10);  // id 0 -> no-op
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-}
-
-TEST(PacketTracerTest, SamplingCadenceIsDeterministicOneInN) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 16);
-  tracer.set_sample_interval(4);
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 16; ++i) {
-    ids.push_back(tracer.SampleArrival());
-  }
-  // Arrivals 0, 4, 8, 12 get fresh ids 1..4; everything else is 0.
-  for (int i = 0; i < 16; ++i) {
-    if (i % 4 == 0) {
-      EXPECT_EQ(ids[static_cast<size_t>(i)],
-                static_cast<uint32_t>(i / 4 + 1));
-    } else {
-      EXPECT_EQ(ids[static_cast<size_t>(i)], 0u);
-    }
-  }
-}
-
-TEST(PacketTracerTest, SampleEveryPacket) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 16);
-  tracer.set_sample_interval(1);
-  for (uint32_t i = 1; i <= 5; ++i) {
-    EXPECT_EQ(tracer.SampleArrival(), i);
-  }
-}
-
-TEST(PacketTracerTest, RingWrapKeepsNewestSpans) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 4);
-  for (uint32_t i = 1; i <= 10; ++i) {
-    tracer.Record(i, "tx.wire", i * 10, i * 10 + 5);
-  }
-  EXPECT_EQ(tracer.total_recorded(), 10u);
-  EXPECT_EQ(tracer.dropped_spans(), 6u);
-  const auto spans = tracer.Spans();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest-first among the survivors: ids 7, 8, 9, 10.
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].trace_id, static_cast<uint32_t>(i + 7));
-  }
-}
-
-TEST(PacketTracerTest, RecordFeedsStageHistograms) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 16);
-  tracer.Record(1, "tx.wire", 100, 350);
-  tracer.Record(2, "tx.wire", 100, 350);
-  tracer.Record(3, "rx.dma", 0, 40);
-  const auto* wire = tracer.StageHistogram("tx.wire");
-  ASSERT_NE(wire, nullptr);
-  EXPECT_EQ(wire->count(), 2u);
-  EXPECT_EQ(wire->min(), 250);
-  // The histogram lives in the registry under "trace.stage.<name>".
-  EXPECT_EQ(reg.FindHistogram("trace.stage.tx.wire"), wire);
-  EXPECT_EQ(tracer.StageHistogram("never.recorded"), nullptr);
-}
-
-TEST(PacketTracerTest, ChromeTraceJsonShape) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 16);
-  tracer.Record(1, "tx.dma", 1000, 2500);
-  tracer.Record(1, "tx.wire", 2500, 9000);
-  const std::string json = tracer.ChromeTraceJson();
-  EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["), 0u)
-      << json;
-  EXPECT_EQ(json.back(), '}');
-  // Two complete events, microsecond timestamps, tid = trace id.
-  EXPECT_NE(json.find("\"name\":\"tx.dma\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"dur\":1.500"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos) << json;
-}
-
-TEST(PacketTracerTest, ClearDropsSpansKeepsKnob) {
-  MetricsRegistry reg;
-  PacketTracer tracer(&reg, 8);
-  tracer.set_sample_interval(2);
-  (void)tracer.SampleArrival();
-  tracer.Record(1, "tx.dma", 0, 5);
-  tracer.Clear();
-  EXPECT_EQ(tracer.total_recorded(), 0u);
-  EXPECT_TRUE(tracer.Spans().empty());
-  EXPECT_EQ(tracer.sample_interval(), 2u);
-  // Arrival counter restarts: the first arrival is sampled again.
-  EXPECT_NE(tracer.SampleArrival(), 0u);
-}
 
 // ---- End-to-end tiling invariant -----------------------------------------
 
@@ -134,13 +34,22 @@ TEST(PacketTracerTest, ClearDropsSpansKeepsKnob) {
 // that the recorded spans are contiguous (no gaps, no overlaps) and that
 // for frames that reached the wire the last span ends exactly at
 // meta().completed_at — i.e. span durations sum to end-to-end latency.
-TEST(TraceIntegrationTest, SpansTileToEndToEndLatency) {
+// On a multi-lane NIC the lane work lands on the lane rings and the wire's
+// on the NIC ring, so the check also covers the merged journal.
+void ExpectSpansTile(uint16_t shard_queues) {
   workload::TestBedOptions opts;
   opts.echo = true;
   workload::TestBed bed(opts);
-  bed.sim().tracer().set_sample_interval(1);
+  Tracepoints& tp = bed.sim().tracepoints();
+  tp.set_span_sample_interval(1);
 
   auto& k = bed.kernel();
+  if (shard_queues != 0) {
+    // Sharding is one-shot and must precede the connect.
+    kernel::NicConfig config;
+    config.shard_queues = shard_queues;
+    ASSERT_TRUE(k.Configure(kernel::kRootUid, config).ok());
+  }
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");
   auto sock = Socket::Connect(&k, pid, kPeerIp, 6000, {});
@@ -161,8 +70,19 @@ TEST(TraceIntegrationTest, SpansTileToEndToEndLatency) {
   }
   EXPECT_FALSE(completed.empty());
 
+  if (shard_queues != 0) {
+    size_t on_lane_rings = 0;
+    for (const telemetry::TraceRecord& rec : tp.Journal()) {
+      if (rec.probe == telemetry::kSpanRecord &&
+          rec.core >= Tracepoints::kCoreLaneBase) {
+        ++on_lane_rings;
+      }
+    }
+    EXPECT_GT(on_lane_rings, 0u);
+  }
+
   std::map<uint32_t, std::vector<TraceSpan>> by_id;
-  for (const auto& span : bed.sim().tracer().Spans()) {
+  for (const auto& span : tp.Spans()) {
     by_id[span.trace_id].push_back(span);
   }
   ASSERT_GE(by_id.size(), 20u);  // 10 TX frames + 10 RX echoes
@@ -191,6 +111,13 @@ TEST(TraceIntegrationTest, SpansTileToEndToEndLatency) {
       EXPECT_EQ(sum, it->second - spans.front().start)
           << "trace " << id << " span sum != end-to-end latency";
     }
+  }
+}
+
+TEST(TraceIntegrationTest, SpansTileToEndToEndLatency) {
+  for (const uint16_t queues : {uint16_t{0}, uint16_t{4}}) {
+    SCOPED_TRACE("shard_queues=" + std::to_string(queues));
+    ExpectSpansTile(queues);
   }
 }
 

@@ -1,9 +1,12 @@
 // Kernel tracepoints: probe naming, arm/disarm gating, predicate parsing
 // and emit-time filtering, per-core ring retention with oldest-first
 // overwrite, the freeze latch, and the byte-stable inspection exports.
+// Plus packet-lifecycle spans on the same journal: deterministic 1-in-N
+// sampling, ring retention, stage histograms and the Chrome export.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/common/tracepoint.h"
@@ -13,6 +16,7 @@ namespace {
 
 using telemetry::kDirRx;
 using telemetry::kDirTx;
+using telemetry::MetricsRegistry;
 using telemetry::Probe;
 using telemetry::ProbePredicate;
 using telemetry::TraceFlow;
@@ -255,6 +259,164 @@ TEST(TracepointTest, JournalJsonIsByteStable) {
   EXPECT_NE(a.find("\"probe\":\"socket.call\""), std::string::npos);
   EXPECT_NE(a.find("\"t\":7"), std::string::npos);
   EXPECT_NE(a.find("\"dir\":\"rx\""), std::string::npos);
+}
+
+// ---- Packet-lifecycle spans (the packet tracer) ---------------------------
+
+TEST(PacketTracerTest, DisabledByDefault) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(tp.SampleArrival(), 0u);
+  }
+  tp.Span(0, "tx.dma", 0, 10, Tracepoints::kCoreNic);  // id 0 -> no-op
+  EXPECT_EQ(tp.spans_recorded(), 0u);
+  EXPECT_TRUE(tp.Journal().empty());
+}
+
+TEST(PacketTracerTest, SamplingCadenceIsDeterministicOneInN) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  tp.set_span_sample_interval(4);
+  std::vector<uint32_t> ids;
+  for (int i = 0; i < 16; ++i) {
+    ids.push_back(tp.SampleArrival());
+  }
+  // Arrivals 0, 4, 8, 12 get fresh ids 1..4; everything else is 0.
+  for (int i = 0; i < 16; ++i) {
+    if (i % 4 == 0) {
+      EXPECT_EQ(ids[static_cast<size_t>(i)],
+                static_cast<uint32_t>(i / 4 + 1));
+    } else {
+      EXPECT_EQ(ids[static_cast<size_t>(i)], 0u);
+    }
+  }
+}
+
+TEST(PacketTracerTest, SampleEveryPacket) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  tp.set_span_sample_interval(1);
+  for (uint32_t i = 1; i <= 5; ++i) {
+    EXPECT_EQ(tp.SampleArrival(), i);
+  }
+}
+
+TEST(PacketTracerTest, RingWrapKeepsNewestSpans) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  const size_t extra = 6;
+  const auto total = static_cast<uint32_t>(Tracepoints::kRingCapacity + extra);
+  for (uint32_t i = 1; i <= total; ++i) {
+    tp.Span(i, "tx.wire", i * 10, i * 10 + 5, Tracepoints::kCoreNic);
+  }
+  EXPECT_EQ(tp.spans_recorded(), total);
+  // Span overwrites count with every other record's.
+  EXPECT_EQ(tp.overwritten(), extra);
+  EXPECT_EQ(reg.GetCounter("probe.records.dropped")->value(), extra);
+  const auto spans = tp.Spans();
+  ASSERT_EQ(spans.size(), Tracepoints::kRingCapacity);
+  // Oldest-first among the survivors: ids extra + 1 .. total.
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].trace_id, static_cast<uint32_t>(i + extra + 1));
+  }
+  EXPECT_EQ(spans.back().start, Nanos{total} * 10);
+  EXPECT_EQ(spans.back().end, Nanos{total} * 10 + 5);
+}
+
+TEST(PacketTracerTest, RecordFeedsStageHistograms) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  tp.Span(1, "tx.wire", 100, 350, Tracepoints::kCoreNic);
+  tp.Span(2, "tx.wire", 100, 350, Tracepoints::kCoreNic);
+  tp.Span(3, "rx.dma", 0, 40, Tracepoints::kCoreNic);
+  // The histograms live in the registry under "trace.stage.<name>".
+  const auto* wire = reg.FindHistogram("trace.stage.tx.wire");
+  ASSERT_NE(wire, nullptr);
+  EXPECT_EQ(wire->count(), 2u);
+  EXPECT_EQ(wire->min(), 250);
+  const auto* dma = reg.FindHistogram("trace.stage.rx.dma");
+  ASSERT_NE(dma, nullptr);
+  EXPECT_EQ(dma->count(), 1u);
+  EXPECT_EQ(reg.FindHistogram("trace.stage.never.recorded"), nullptr);
+}
+
+TEST(PacketTracerTest, ChromeTraceJsonShape) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  tp.Span(1, "tx.dma", 1000, 2500, Tracepoints::kCoreNic);
+  tp.Span(1, "tx.wire", 2500, 9000, Tracepoints::kCoreNic);
+  const std::string json = tp.ChromeTraceJson();
+  EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["), 0u)
+      << json;
+  EXPECT_EQ(json.back(), '}');
+  // Two complete events, microsecond timestamps, tid = trace id.
+  EXPECT_NE(json.find("\"name\":\"tx.dma\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":1.000"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\":1.500"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"tid\":1"), std::string::npos) << json;
+}
+
+TEST(PacketTracerTest, ClearDropsSpansKeepsKnob) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  tp.set_span_sample_interval(2);
+  const uint32_t id = tp.SampleArrival();
+  (void)tp.SampleArrival();
+  tp.Span(id, "tx.dma", 0, 5, Tracepoints::kCoreNic);
+  tp.Clear();
+  EXPECT_EQ(tp.spans_recorded(), 0u);
+  EXPECT_TRUE(tp.Spans().empty());
+  // Arrival and trace-id counters restart: the first arrival is sampled
+  // again, under the first id, and the 1-in-2 interval survives.
+  EXPECT_EQ(tp.SampleArrival(), 1u);
+  EXPECT_EQ(tp.SampleArrival(), 0u);
+  EXPECT_EQ(tp.SampleArrival(), 2u);
+}
+
+// Spans and probe emits share one journal: one global sequence across the
+// core rings, the freeze latch stops span appends while the stage
+// histograms (which the watchdog reads live) keep filling, and the decoded
+// journal names each span's stage. Probe emits compile away at
+// NORMAN_STATS_LEVEL=0; spans do not.
+TEST(TracepointTest, SpansShareTheJournalWithProbeEmits) {
+  MetricsRegistry reg;
+  Tracepoints tp(&reg);
+  Nanos now = 50;
+  tp.SetClock(&now);
+  tp.Arm(Probe::kNicDrop);
+  tp.set_span_sample_interval(1);
+  const uint32_t id = tp.SampleArrival();
+  tp.Span(id, "tx.dma", 10, 20, Tracepoints::kCoreNic);
+  tp.Emit(Probe::kNicDrop, Tracepoints::kCoreHost, 0);
+  tp.Span(id, "tx.wire", 20, 45, Tracepoints::kCoreLaneBase + 1);
+  const size_t probes = telemetry::kHotStatsEnabled ? 1 : 0;
+  const auto journal = tp.Journal();
+  ASSERT_EQ(journal.size(), 2 + probes);
+  for (size_t i = 0; i < journal.size(); ++i) {
+    EXPECT_EQ(journal[i].seq, i);
+  }
+  const telemetry::TraceRecord& span = journal.front();
+  EXPECT_EQ(span.probe, telemetry::kSpanRecord);
+  EXPECT_EQ(span.t, 10);
+  EXPECT_EQ(span.a0, id);
+  EXPECT_EQ(span.a2, 20u);
+  EXPECT_EQ(journal.back().core, Tracepoints::kCoreLaneBase + 1);
+  if (telemetry::kHotStatsEnabled) {
+    EXPECT_EQ(journal[1].probe, static_cast<uint16_t>(Probe::kNicDrop));
+  }
+
+  const std::string json = tp.JournalJson();
+  EXPECT_NE(json.find("\"probe\":\"pkt.span\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"stage\":\"tx.dma\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"stage\":\"tx.wire\""), std::string::npos) << json;
+
+  tp.Freeze();
+  tp.Span(id, "tx.wire", 45, 60, Tracepoints::kCoreNic);
+  EXPECT_EQ(tp.Journal().size(), 2 + probes);
+  EXPECT_EQ(tp.spans_recorded(), 2u);
+  EXPECT_EQ(reg.FindHistogram("trace.stage.tx.wire")->count(), 2u);
 }
 
 }  // namespace
