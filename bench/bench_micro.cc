@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): per-component costs of the Norman
-// dataplane — overlay interpretation, filter-chain evaluation by rule
-// count, frame parsing, checksums, WFQ operations, DDIO model, RSS.
+// dataplane — overlay interpretation, filter-chain evaluation and install
+// by rule count, frame parsing, checksums, WFQ operations, DDIO model, RSS.
 //
 // These are *simulator implementation* speeds (host ns/op), reported so
 // regressions in the hot paths are visible; virtual-time results live in
@@ -90,19 +90,23 @@ void BM_OverlayExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlayExecute);
 
-void BM_FilterChain(benchmark::State& state) {
-  const Fixture fx;
-  dataplane::FilterEngine engine;
-  for (int i = 0; i < state.range(0); ++i) {
+// UDP drop rules on ports 1..n: same protocol bucket as the fixture packet,
+// so its port 443 walks (and misses) every rule in the chain.
+void AppendUdpPortRules(dataplane::FilterEngine& engine, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
     dataplane::FilterRule r;
-    // UDP rules on ports 1..N: same protocol bucket as the test packet, so
-    // its port 443 walks (and misses) every rule in the chain.
     r.proto = net::IpProto::kUdp;
     r.dst_port = dataplane::PortRange{static_cast<uint16_t>(i + 1),
                                       static_cast<uint16_t>(i + 1)};
     r.action = dataplane::FilterAction::kDrop;
     (void)engine.AppendRule(r);
   }
+}
+
+void BM_FilterChain(benchmark::State& state) {
+  const Fixture fx;
+  dataplane::FilterEngine engine;
+  AppendUdpPortRules(engine, state.range(0));
   net::Packet packet(fx.frame);
   for (auto _ : state) {
     auto v = engine.Process(packet, fx.ctx);
@@ -110,6 +114,20 @@ void BM_FilterChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilterChain)->Arg(1)->Arg(8)->Arg(32)->Arg(60);
+
+// A firewall install: N appends to a fresh engine, then the first packet,
+// which compiles the chain and its buckets once. Linear in N.
+void BM_FilterInstall(benchmark::State& state) {
+  const Fixture fx;
+  net::Packet packet(fx.frame);
+  for (auto _ : state) {
+    dataplane::FilterEngine engine;
+    AppendUdpPortRules(engine, state.range(0));
+    auto v = engine.Process(packet, fx.ctx);
+    benchmark::DoNotOptimize(v);
+  }
+}
+BENCHMARK(BM_FilterInstall)->Arg(8)->Arg(32)->Arg(60);
 
 // The flow verdict cache's exact-match lookup — the operation that replaces
 // a full chain walk on the fast path. Steady-state: one resident entry hit

@@ -44,8 +44,11 @@ void EmitRule(const FilterRule& r, uint32_t index, overlay::Program* out) {
                                uint32_t prefix) {
     out->push_back(Instruction::Ldf(1, f));
     if (prefix < 32) {
+      // 64-bit shift: /0 (any address) compiles to `shr 32; jne 0`, which
+      // every 32-bit address passes.
+      const uint64_t expected = uint64_t{ip.addr} >> (32 - prefix);
       out->push_back(Instruction::AluImm(Opcode::kShr, 1, 32 - prefix));
-      mismatch_if(Opcode::kJne, 1, ip.addr >> (32 - prefix));
+      mismatch_if(Opcode::kJne, 1, static_cast<int64_t>(expected));
     } else {
       mismatch_if(Opcode::kJne, 1, ip.addr);
     }
@@ -85,6 +88,14 @@ void EmitRule(const FilterRule& r, uint32_t index, overlay::Program* out) {
   }
   // All predicates held: return this rule's encoded action.
   out->push_back(Instruction::RetImm(EncodeVerdict(index, r.action)));
+}
+
+// Instructions EmitRule produces for `r`. The rule's chain index only
+// changes the `ret` immediate, so the length is the same at every position.
+size_t BlockLength(const FilterRule& r) {
+  overlay::Program block;
+  EmitRule(r, 0, &block);
+  return block.size();
 }
 
 }  // namespace
@@ -129,22 +140,30 @@ overlay::Program CompileFilterChain(const std::vector<FilterRule>& rules,
 }
 
 FilterEngine::FilterEngine(FilterAction default_action)
-    : default_action_(default_action) {
-  NORMAN_CHECK(Recompile().ok());
+    : default_action_(default_action) {}
+
+StatusOr<size_t> FilterEngine::AdmitRule(const FilterRule& rule) const {
+  if (rule.src_ip_prefix.value_or(32) > 32 ||
+      rule.dst_ip_prefix.value_or(32) > 32) {
+    return InvalidArgumentError("filter: address prefix longer than 32 bits");
+  }
+  const size_t length = BlockLength(rule);
+  // The verifier's length bound, applied without compiling the chain.
+  if (chain_length_ + length > overlay::kMaxProgramLength) {
+    return ResourceExhaustedError(
+        "filter: chain no longer fits overlay instruction memory (" +
+        std::to_string(chain_length_ + length) + " > " +
+        std::to_string(overlay::kMaxProgramLength) + " instructions)");
+  }
+  return length;
 }
 
 StatusOr<size_t> FilterEngine::AppendRule(const FilterRule& rule) {
+  NORMAN_ASSIGN_OR_RETURN(const size_t length, AdmitRule(rule));
   rules_.push_back(rule);
   hits_.push_back(0);
-  const Status s = Recompile();
-  if (!s.ok()) {
-    rules_.pop_back();
-    hits_.pop_back();
-    NORMAN_CHECK(Recompile().ok());
-    return ResourceExhaustedError(
-        "filter: chain no longer fits overlay instruction memory (" +
-        s.message() + ")");
-  }
+  chain_length_ += length;
+  stale_ = true;
   return rules_.size() - 1;
 }
 
@@ -152,16 +171,11 @@ Status FilterEngine::InsertRule(size_t index, const FilterRule& rule) {
   if (index > rules_.size()) {
     return OutOfRangeError("filter: insert index past end of chain");
   }
+  NORMAN_ASSIGN_OR_RETURN(const size_t length, AdmitRule(rule));
   rules_.insert(rules_.begin() + static_cast<ptrdiff_t>(index), rule);
   hits_.insert(hits_.begin() + static_cast<ptrdiff_t>(index), 0);
-  const Status s = Recompile();
-  if (!s.ok()) {
-    rules_.erase(rules_.begin() + static_cast<ptrdiff_t>(index));
-    hits_.erase(hits_.begin() + static_cast<ptrdiff_t>(index));
-    NORMAN_CHECK(Recompile().ok());
-    return ResourceExhaustedError(
-        "filter: chain no longer fits overlay instruction memory");
-  }
+  chain_length_ += length;
+  stale_ = true;
   return OkStatus();
 }
 
@@ -169,29 +183,33 @@ Status FilterEngine::DeleteRule(size_t index) {
   if (index >= rules_.size()) {
     return OutOfRangeError("filter: no rule at index");
   }
+  chain_length_ -= BlockLength(rules_[index]);
   rules_.erase(rules_.begin() + static_cast<ptrdiff_t>(index));
   hits_.erase(hits_.begin() + static_cast<ptrdiff_t>(index));
-  NORMAN_CHECK(Recompile().ok());
+  stale_ = true;
   return OkStatus();
 }
 
 void FilterEngine::Flush() {
   rules_.clear();
   hits_.clear();
-  NORMAN_CHECK(Recompile().ok());
+  chain_length_ = 1;
+  stale_ = true;
 }
 
 void FilterEngine::SetDefaultAction(FilterAction action) {
   default_action_ = action;
-  NORMAN_CHECK(Recompile().ok());
+  stale_ = true;
 }
 
-Status FilterEngine::Recompile() {
-  overlay::Program candidate = CompileFilterChain(rules_, default_action_);
-  NORMAN_RETURN_IF_ERROR(overlay::VerifyProgram(candidate));
-  compiled_ = std::move(candidate);
-  // Per-protocol buckets are strict subsequences of a chain that just
-  // verified, so their verification cannot fail.
+void FilterEngine::Rebuild() const {
+  compiled_ = CompileFilterChain(rules_, default_action_);
+  NORMAN_CHECK(compiled_.size() == chain_length_)
+      << compiled_.size() << " != " << chain_length_;
+  const Status verified = overlay::VerifyProgram(compiled_);
+  NORMAN_CHECK(verified.ok()) << verified;
+  // Per-protocol buckets are subsequences of a chain that just verified,
+  // so their verification cannot fail.
   const auto bucket = [&](net::IpProto proto) {
     overlay::Program p = CompileFilterSubset(
         rules_, default_action_,
@@ -202,10 +220,24 @@ Status FilterEngine::Recompile() {
   tcp_program_ = bucket(net::IpProto::kTcp);
   udp_program_ = bucket(net::IpProto::kUdp);
   icmp_program_ = bucket(net::IpProto::kIcmp);
-  return OkStatus();
+  stale_ = false;
+}
+
+const overlay::Program& FilterEngine::compiled() const {
+  if (stale_) {
+    Rebuild();
+  }
+  return compiled_;
 }
 
 const overlay::Program& FilterEngine::compiled_for(net::IpProto proto) const {
+  if (stale_) {
+    Rebuild();
+  }
+  return ProgramFor(proto);
+}
+
+const overlay::Program& FilterEngine::ProgramFor(net::IpProto proto) const {
   switch (proto) {
     case net::IpProto::kTcp:
       return tcp_program_;
@@ -219,18 +251,17 @@ const overlay::Program& FilterEngine::compiled_for(net::IpProto proto) const {
 
 nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
                                        const overlay::PacketContext& ctx) {
+  if (stale_) {
+    Rebuild();
+  }
   // Bucket dispatch: a parsed IPv4 frame runs only the rules its protocol
   // could match; everything else (ARP, unparsed, exotic protos) runs the
   // full chain, whose kIsIpv4/kIpProto guards keep semantics identical.
-  const overlay::Program* program = &compiled_;
-  if (ctx.parsed != nullptr && ctx.parsed->is_ipv4()) {
-    const net::IpProto proto = ctx.parsed->ipv4->protocol;
-    if (proto == net::IpProto::kTcp || proto == net::IpProto::kUdp ||
-        proto == net::IpProto::kIcmp) {
-      program = &compiled_for(proto);
-    }
-  }
-  auto exec = overlay::Execute(*program, ctx);
+  const overlay::Program& program =
+      ctx.parsed != nullptr && ctx.parsed->is_ipv4()
+          ? ProgramFor(ctx.parsed->ipv4->protocol)
+          : compiled_;
+  auto exec = overlay::Execute(program, ctx);
   NORMAN_CHECK(exec.ok()) << exec.status();
   const auto rule_index = static_cast<uint32_t>(exec->verdict >> 2);
   const auto action = static_cast<FilterAction>(exec->verdict & 0x3);

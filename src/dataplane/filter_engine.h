@@ -11,6 +11,11 @@
 // overlay program* and executed by the overlay interpreter — the engine is
 // literally running on the simulated soft processor, and its per-packet
 // instruction count is charged by the NIC at overlay_instr_ns each.
+//
+// Rule changes do not compile anything: they edit the rule list and a
+// running instruction count, and the chain plus its protocol buckets are
+// compiled and verified once, on the first Process() or compiled*() call
+// after a change. Installing N rules therefore costs one compile, not N.
 #ifndef NORMAN_DATAPLANE_FILTER_ENGINE_H_
 #define NORMAN_DATAPLANE_FILTER_ENGINE_H_
 
@@ -45,7 +50,7 @@ struct FilterRule {
   std::optional<net::Direction> direction;
   std::optional<net::IpProto> proto;
   std::optional<net::Ipv4Address> src_ip;
-  std::optional<uint32_t> src_ip_prefix;  // bits, default 32 when src_ip set
+  std::optional<uint32_t> src_ip_prefix;  // bits 0-32; 32 when unset
   std::optional<net::Ipv4Address> dst_ip;
   std::optional<uint32_t> dst_ip_prefix;
   std::optional<PortRange> src_port;
@@ -81,8 +86,10 @@ class FilterEngine : public nic::PipelineStage {
 
   // Rule management (called by the kernel on behalf of iptables).
   // Appends at the end of the chain; returns the rule's index. Fails with
+  // InvalidArgument when an address prefix is longer than 32 bits, and with
   // ResourceExhausted when the compiled chain would exceed overlay
-  // instruction memory.
+  // instruction memory; the length is known without compiling, and a
+  // refused rule leaves the engine untouched. InsertRule checks the same.
   StatusOr<size_t> AppendRule(const FilterRule& rule);
   Status InsertRule(size_t index, const FilterRule& rule);
   Status DeleteRule(size_t index);
@@ -97,11 +104,13 @@ class FilterEngine : public nic::PipelineStage {
   uint64_t default_hits() const { return default_hits_; }
 
   // The compiled overlay program for the full chain (the bucket used for
-  // frames whose protocol has no dedicated bucket).
-  const overlay::Program& compiled() const { return compiled_; }
+  // frames whose protocol has no dedicated bucket). Compiles the chain and
+  // its buckets first if a rule change left them stale.
+  const overlay::Program& compiled() const;
 
   // The program Process() would run for a frame of `proto` (introspection
-  // for tests/tools; kNone-style fallthrough uses compiled()).
+  // for tests/tools; kNone-style fallthrough uses compiled()). Compiles
+  // first if stale, like compiled().
   const overlay::Program& compiled_for(net::IpProto proto) const;
 
   nic::StageResult Process(net::Packet& packet,
@@ -111,25 +120,38 @@ class FilterEngine : public nic::PipelineStage {
   void AttachTracepoints(telemetry::Tracepoints* tp) { tp_ = tp; }
 
  private:
-  // Rebuilds the compiled program; on failure the ruleset must be restored
-  // by the caller before returning.
-  Status Recompile();
+  // Validates `rule` for AppendRule/InsertRule and returns the length of
+  // its compiled block.
+  StatusOr<size_t> AdmitRule(const FilterRule& rule) const;
+  // The only place that compiles: the full chain and its three buckets,
+  // each verified, then the cache is marked fresh.
+  void Rebuild() const;
+  // The bucket for `proto` (compiled_ for unbucketed protocols); no
+  // staleness check.
+  const overlay::Program& ProgramFor(net::IpProto proto) const;
 
   FilterAction default_action_;
   std::vector<FilterRule> rules_;
   std::vector<uint64_t> hits_;
   uint64_t default_hits_ = 0;
+  // Length of the compiled full chain: the default tail plus every rule's
+  // block. Kept on every mutation so capacity checks never compile.
+  size_t chain_length_ = 1;
+  // The compiled programs are a cache of rules_ and default_action_,
+  // rebuilt behind const accessors (Kernel::filter() hands out const
+  // engines).
+  mutable bool stale_ = true;
   // Full chain; also serves frames outside the bucketed protocols (ARP,
   // unparseable, exotic IP protos), where proto-specific rules cannot match
   // anyway thanks to their kIsIpv4/kIpProto guards.
-  overlay::Program compiled_;
-  // Install-time protocol buckets: the chain restricted to rules that could
-  // match that protocol (proto-unset rules plus proto == P), compiled with
-  // *original* rule indices so first-match order and per-rule hit
-  // attribution are untouched. TCP traffic never scans UDP-only rules.
-  overlay::Program tcp_program_;
-  overlay::Program udp_program_;
-  overlay::Program icmp_program_;
+  mutable overlay::Program compiled_;
+  // Protocol buckets: the chain restricted to rules that could match that
+  // protocol (proto-unset rules plus proto == P), compiled with *original*
+  // rule indices so first-match order and per-rule hit attribution are
+  // untouched. TCP traffic never scans UDP-only rules.
+  mutable overlay::Program tcp_program_;
+  mutable overlay::Program udp_program_;
+  mutable overlay::Program icmp_program_;
   telemetry::Tracepoints* tp_ = nullptr;
 };
 

@@ -18,6 +18,11 @@ StatusOr<ExecResult> Execute(const Program& program,
       return InternalError("overlay: step budget exceeded (unverified loop?)");
     }
     const Instruction& ins = program[pc];
+    if (ins.dst >= kNumRegisters ||
+        (!ins.use_imm && ins.src >= kNumRegisters)) {
+      return InternalError("overlay: register out of range (unverified "
+                           "program?)");
+    }
     const uint64_t rhs =
         ins.use_imm ? static_cast<uint64_t>(ins.imm) : regs[ins.src];
     switch (ins.op) {

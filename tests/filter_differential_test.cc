@@ -1,12 +1,14 @@
 // Differential property test: the overlay-compiled filter chain must agree
 // with an independent reference implementation of iptables first-match
-// semantics, over thousands of randomized (ruleset, packet) pairs.
+// semantics, over thousands of randomized (ruleset, packet) pairs, with
+// random inserts, deletes and default-policy changes between packets.
 //
 // This is the compiler's correctness argument: CompileFilterChain and the
 // overlay interpreter on one side; a direct, obviously-correct C++ matcher
 // on the other. Any divergence in match semantics (prefix arithmetic, port
 // ranges, owner fields, direction, first-match ordering, default policy)
-// fails here with the full rule and packet dump.
+// fails here with the full rule and packet dump, and so does a compiled
+// program left stale by a rule change.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -122,12 +124,12 @@ FilterRule RandomRule(Rng& rng) {
   if (rng.NextBool(0.3)) {
     r.src_ip = Ipv4Address::FromOctets(10, 0, 0,
                                        static_cast<uint8_t>(rng.NextBounded(4)));
-    r.src_ip_prefix = static_cast<uint32_t>(rng.NextInRange(8, 32));
+    r.src_ip_prefix = static_cast<uint32_t>(rng.NextInRange(0, 32));
   }
   if (rng.NextBool(0.3)) {
     r.dst_ip = Ipv4Address::FromOctets(10, 0, 0,
                                        static_cast<uint8_t>(rng.NextBounded(4)));
-    r.dst_ip_prefix = static_cast<uint32_t>(rng.NextInRange(8, 32));
+    r.dst_ip_prefix = static_cast<uint32_t>(rng.NextInRange(0, 32));
   }
   if (rng.NextBool(0.4)) {
     const auto lo = static_cast<uint16_t>(rng.NextBounded(100));
@@ -211,6 +213,35 @@ std::string DumpRule(const FilterRule& r, size_t index) {
   return out.str();
 }
 
+// Applies one random rule-set change to both the engine and the reference
+// list, so a program left stale by the change diverges on the next packet.
+void MutateBoth(Rng& rng, FilterEngine& engine,
+                std::vector<FilterRule>& rules) {
+  switch (rng.NextBounded(3)) {
+    case 0: {
+      const size_t at = rng.NextBounded(rules.size() + 1);
+      const FilterRule r = RandomRule(rng);
+      const Status s = engine.InsertRule(at, r);
+      if (s.ok()) {
+        rules.insert(rules.begin() + static_cast<ptrdiff_t>(at), r);
+      } else {
+        ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << s;
+      }
+      break;
+    }
+    case 1:
+      if (!rules.empty()) {
+        const size_t at = rng.NextBounded(rules.size());
+        ASSERT_TRUE(engine.DeleteRule(at).ok());
+        rules.erase(rules.begin() + static_cast<ptrdiff_t>(at));
+      }
+      break;
+    default:
+      engine.SetDefaultAction(static_cast<FilterAction>(rng.NextBounded(3)));
+      break;
+  }
+}
+
 class FilterDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
@@ -227,6 +258,9 @@ TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
       rules.push_back(r);
     }
     for (int trial = 0; trial < 40; ++trial) {
+      if (rng.NextBool(0.25)) {
+        ASSERT_NO_FATAL_FAILURE(MutateBoth(rng, engine, rules));
+      }
       auto pkt = RandomPacket(rng);
       const FilterAction expected =
           RefEvaluate(rules, engine.default_action(), pkt->ctx);

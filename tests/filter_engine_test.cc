@@ -143,6 +143,56 @@ TEST(FilterEngineTest, PrefixMatch) {
   EXPECT_EQ(RunFilter(engine2, *in_subnet), nic::Verdict::kAccept);
 }
 
+TEST(FilterEngineTest, SlashZeroPrefixMatchesEveryAddress) {
+  // iptables' "any address": at /0 the address bits must not matter.
+  FilterEngine engine;
+  FilterRule any_src;
+  any_src.src_ip = Ipv4Address::FromOctets(10, 1, 2, 3);
+  any_src.src_ip_prefix = 0;
+  any_src.action = FilterAction::kDrop;
+  ASSERT_TRUE(engine.AppendRule(any_src).ok());
+  // ldf src; shr 32; jne 0: every 32-bit address shifts to 0.
+  const overlay::Program& program = engine.compiled();
+  ASSERT_GE(program.size(), 3u);
+  EXPECT_EQ(program[1],
+            overlay::Instruction::AluImm(overlay::Opcode::kShr, 1, 32));
+  EXPECT_EQ(program[2].op, overlay::Opcode::kJne);
+  EXPECT_EQ(program[2].imm, 0);
+
+  auto tx = MakeUdpContext(1, 2, Direction::kTx);  // from 10.0.0.1
+  auto rx = MakeUdpContext(1, 2, Direction::kRx);  // from 10.0.0.2
+  auto tcp = MakeTcpContext(1, 2, net::TcpFlags::kSyn, Direction::kTx);
+  EXPECT_EQ(RunFilter(engine, *tx), nic::Verdict::kDrop);
+  EXPECT_EQ(RunFilter(engine, *rx), nic::Verdict::kDrop);
+  EXPECT_EQ(RunFilter(engine, *tcp), nic::Verdict::kDrop);
+  EXPECT_EQ(engine.hit_counts()[0], 3u);
+  EXPECT_EQ(engine.default_hits(), 0u);
+}
+
+TEST(FilterEngineTest, PrefixLongerThan32IsRefused) {
+  FilterEngine engine;
+  FilterRule keep;
+  keep.dst_port = PortRange{53, 53};
+  keep.action = FilterAction::kDrop;
+  ASSERT_TRUE(engine.AppendRule(keep).ok());
+  const overlay::Program before = engine.compiled();
+
+  FilterRule bad_src;
+  bad_src.src_ip = Ipv4Address::FromOctets(10, 0, 0, 1);
+  bad_src.src_ip_prefix = 33;
+  FilterRule bad_dst;
+  bad_dst.dst_ip = Ipv4Address::FromOctets(10, 0, 0, 2);
+  bad_dst.dst_ip_prefix = 33;
+  for (const FilterRule& bad : {bad_src, bad_dst}) {
+    EXPECT_EQ(engine.AppendRule(bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.InsertRule(0, bad).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.rules().size(), 1u);
+  EXPECT_EQ(engine.hit_counts().size(), 1u);
+  EXPECT_EQ(engine.compiled(), before);
+}
+
 TEST(FilterEngineTest, PortRangeMatch) {
   FilterEngine engine;
   FilterRule rule;
@@ -275,6 +325,79 @@ TEST(FilterEngineTest, ChainCapacityIsEnforced) {
   // Engine still functional after the failed append.
   auto pkt = MakeUdpContext(1, 2, Direction::kTx);
   EXPECT_EQ(RunFilter(engine, *pkt), nic::Verdict::kAccept);
+}
+
+TEST(FilterEngineTest, ChainFillingInstructionMemoryExactlyIsAccepted) {
+  // An unconditional rule compiles to a lone `ret`, so 511 of them plus the
+  // default tail are exactly kMaxProgramLength instructions.
+  FilterEngine engine;
+  FilterRule any;
+  any.action = FilterAction::kDrop;
+  for (size_t i = 0; i + 1 < overlay::kMaxProgramLength; ++i) {
+    ASSERT_TRUE(engine.AppendRule(any).ok()) << "rule " << i;
+  }
+  EXPECT_EQ(engine.compiled().size(), overlay::kMaxProgramLength);
+  auto pkt = MakeUdpContext(1, 2, Direction::kTx);
+  EXPECT_EQ(RunFilter(engine, *pkt), nic::Verdict::kDrop);
+  const size_t num_rules = engine.rules().size();
+  const std::vector<uint64_t> hits = engine.hit_counts();
+  const overlay::Program compiled = engine.compiled();
+
+  // One more instruction does not fit, at either end of the chain.
+  EXPECT_EQ(engine.AppendRule(any).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine.InsertRule(0, any).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine.rules().size(), num_rules);
+  EXPECT_EQ(engine.hit_counts(), hits);
+  EXPECT_EQ(engine.compiled(), compiled);
+  EXPECT_EQ(RunFilter(engine, *pkt), nic::Verdict::kDrop);
+  EXPECT_EQ(engine.hit_counts()[0], 2u);
+}
+
+TEST(FilterEngineTest, EveryMutationIsSeenByTheNextPacketAndProgram) {
+  // Two engines take the same changes: `by_packet` must see each one on the
+  // very next Process(), `by_program` on the very next compiled_for().
+  FilterEngine by_packet;
+  FilterEngine by_program;
+  auto dns = MakeUdpContext(1000, 53, Direction::kTx);
+  const auto step = [&](auto mutate, nic::Verdict want) {
+    mutate(by_packet);
+    mutate(by_program);
+    EXPECT_EQ(RunFilter(by_packet, *dns), want);
+    FilterEngine fresh(by_program.default_action());
+    for (const FilterRule& r : by_program.rules()) {
+      ASSERT_TRUE(fresh.AppendRule(r).ok());
+    }
+    for (const IpProto proto : {IpProto::kTcp, IpProto::kUdp, IpProto::kIcmp}) {
+      EXPECT_EQ(by_program.compiled_for(proto), fresh.compiled_for(proto));
+    }
+    EXPECT_EQ(by_program.compiled(),
+              CompileFilterChain(by_program.rules(),
+                                 by_program.default_action()));
+  };
+  FilterRule drop_dns;
+  drop_dns.proto = IpProto::kUdp;
+  drop_dns.dst_port = PortRange{53, 53};
+  drop_dns.action = FilterAction::kDrop;
+  FilterRule accept_udp;
+  accept_udp.proto = IpProto::kUdp;
+  accept_udp.action = FilterAction::kAccept;
+  // Both start compiled, so a change that failed to mark them stale shows.
+  EXPECT_EQ(RunFilter(by_packet, *dns), nic::Verdict::kAccept);
+  EXPECT_EQ(by_program.compiled().size(), 1u);
+
+  step([&](FilterEngine& e) { ASSERT_TRUE(e.AppendRule(drop_dns).ok()); },
+       nic::Verdict::kDrop);
+  step([&](FilterEngine& e) { ASSERT_TRUE(e.InsertRule(0, accept_udp).ok()); },
+       nic::Verdict::kAccept);
+  EXPECT_EQ(by_packet.hit_counts(), (std::vector<uint64_t>{1, 1}));
+  step([](FilterEngine& e) { ASSERT_TRUE(e.DeleteRule(0).ok()); },
+       nic::Verdict::kDrop);
+  step([](FilterEngine& e) { e.Flush(); }, nic::Verdict::kAccept);
+  step([](FilterEngine& e) { e.SetDefaultAction(FilterAction::kDrop); },
+       nic::Verdict::kDrop);
+  step([&](FilterEngine& e) { ASSERT_TRUE(e.AppendRule(accept_udp).ok()); },
+       nic::Verdict::kAccept);
 }
 
 TEST(FilterEngineTest, TcpFlagsVisibleToCompiledChain) {

@@ -181,6 +181,26 @@ TEST(InterpreterTest, UnverifiedFallOffEndFails) {
   EXPECT_FALSE(Execute(p, tp.ctx).ok());
 }
 
+TEST(InterpreterTest, UnverifiedRegisterOutOfRangeFails) {
+  const auto tp = MakeUdpPacket(1, 2);
+  // Out-of-range destination: a write past the 16-entry register file.
+  const Program bad_dst{Instruction::Ldi(40, 7), Instruction::RetReg(40)};
+  // Out-of-range source: a register-operand read past it.
+  const Program bad_src{Instruction::AluReg(Opcode::kAdd, 1, 40),
+                        Instruction::RetReg(1)};
+  const Program bad_cmp{
+      Instruction::JmpCmpReg(Opcode::kJeq, 1, 16, 2),
+      Instruction::RetImm(0),
+      Instruction::RetImm(1),
+  };
+  for (const Program& p : {bad_dst, bad_src, bad_cmp}) {
+    EXPECT_FALSE(VerifyProgram(p).ok());
+    const auto r = Execute(p, tp.ctx);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  }
+}
+
 // --- Verifier ---
 
 TEST(VerifierTest, AcceptsMinimalProgram) {
