@@ -347,7 +347,7 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
   std::printf(
       "{\"bench\":\"forwarding_loop\",\"trace_sample\":%u,\"monitor\":%d,"
       "\"fastpath\":%d,\"filter_rules\":%d,"
-      "\"batch\":%u,\"stats_level\":%d,\"profiler\":%d,\"probes\":%d,"
+      "\"batch\":%u,\"profiler\":%d,\"probes\":%d,"
       "\"fastpath_hits\":%llu,\"fastpath_misses\":%llu,"
       "\"wall_s\":%.6f,\"cpu_s\":%.6f,"
       "\"events\":%llu,\"events_per_s\":%.0f,"
@@ -356,8 +356,7 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
       "\"pool_hit_rate_all\":%.4f,\"trace_spans\":%llu,"
       "\"samples\":%llu,\"maintenance_ticks\":%llu}\n",
       trace_sample, monitor ? 1 : 0, fastpath ? 1 : 0, filter_rules,
-      dispatch_batch, telemetry::kStatsLevel, profiler ? 1 : 0,
-      probes ? 1 : 0,
+      dispatch_batch, profiler ? 1 : 0, probes ? 1 : 0,
       static_cast<unsigned long long>(
           k.nic_control().flow_cache().hits()),
       static_cast<unsigned long long>(

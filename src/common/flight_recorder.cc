@@ -10,40 +10,6 @@
 
 namespace norman::telemetry {
 
-namespace {
-
-// Minimal JSON string escaping (same dialect as health.cc's reports).
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(Tracepoints* tracepoints)
     : tracepoints_(tracepoints) {
   NORMAN_CHECK(tracepoints_ != nullptr);

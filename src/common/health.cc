@@ -6,31 +6,6 @@
 
 namespace norman::telemetry {
 
-namespace {
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
-
 const char* HealthStateName(HealthState s) {
   switch (s) {
     case HealthState::kHealthy: return "healthy";
@@ -191,7 +166,6 @@ void HealthWatchdog::LogTransition(Nanos now, const std::string& component,
 }
 
 void HealthWatchdog::Evaluate(Nanos now) {
-  ++evaluations_;
   // Fold every rule into its component: worst severity wins; the first rule
   // (registration order) at that severity supplies owner and reason, so the
   // outcome is deterministic even with several rules firing at once.

@@ -89,9 +89,7 @@ class HealthWatchdog {
 
   HealthState StateOf(std::string_view component) const;
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
-  uint64_t evaluations() const { return evaluations_; }
   uint64_t alerts_dropped() const { return alerts_dropped_; }
-  size_t num_components() const { return components_.size(); }
 
   // "watchdog.transition" probe hookup; fires on every logged transition,
   // which is what the flight recorder's unhealthy trigger latches on.
@@ -135,7 +133,6 @@ class HealthWatchdog {
   std::map<std::string, ComponentStatus, std::less<>> components_;
   std::vector<HealthAlert> alerts_;
   uint64_t alerts_dropped_ = 0;
-  uint64_t evaluations_ = 0;
 
   Counter* alerts_total_;     // health.alerts
   Gauge* gauge_healthy_;      // health.components.healthy

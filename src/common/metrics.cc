@@ -5,10 +5,6 @@
 
 namespace norman::telemetry {
 
-namespace {
-
-// JSON string escaping for metric names (dotted ASCII in practice, but the
-// exporter must not emit invalid JSON for any name).
 void AppendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
@@ -29,8 +25,6 @@ void AppendJsonString(std::string& out, std::string_view s) {
   }
   out.push_back('"');
 }
-
-}  // namespace
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   auto it = counters_.find(name);
@@ -81,7 +75,6 @@ const LatencyHistogram* MetricsRegistry::FindHistogram(
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  FlushPending();
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) {
     snap.values.emplace(name, static_cast<int64_t>(c->value()));
@@ -104,7 +97,6 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& before,
 }
 
 std::string MetricsRegistry::TextReport() const {
-  FlushPending();
   std::string out;
   char buf[64];
   for (const auto& [name, c] : counters_) {
@@ -127,7 +119,6 @@ std::string MetricsRegistry::TextReport() const {
 }
 
 std::string MetricsRegistry::JsonReport() const {
-  FlushPending();
   std::string out = "{\"counters\":{";
   char buf[96];
   bool first = true;

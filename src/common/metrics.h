@@ -15,7 +15,6 @@
 #ifndef NORMAN_COMMON_METRICS_H_
 #define NORMAN_COMMON_METRICS_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -25,22 +24,7 @@
 
 #include "src/common/stats.h"
 
-// Compile-time stats tier (TAS-style). Level 1 (default) keeps the full
-// always-on registry. Level 0 compiles *hot-path* volume counters and
-// per-frame queue-depth updates to no-ops: registration still happens (so
-// the metric inventory/manifest keeps its shape) but the per-packet
-// increments vanish from the generated code. Accounting that feeds
-// decisions or attribution — drop ledgers, flow-cache hit/miss, filter
-// rule hits, pool recycling — is deliberately NOT tiered and stays exact
-// at every level. Set via -DNORMAN_STATS_LEVEL=0 (see CMakeLists.txt).
-#ifndef NORMAN_STATS_LEVEL
-#define NORMAN_STATS_LEVEL 1
-#endif
-
 namespace norman::telemetry {
-
-inline constexpr int kStatsLevel = NORMAN_STATS_LEVEL;
-inline constexpr bool kHotStatsEnabled = kStatsLevel >= 1;
 
 // Monotonic event count. Hot-path increment is one add through a pointer.
 class Counter {
@@ -71,62 +55,6 @@ class Gauge {
   explicit Gauge(std::string name) : name_(std::move(name)) {}
   std::string name_;
   int64_t value_ = 0;
-};
-
-// Hot-tier increment: a plain add at stats level >= 1, a no-op at level 0.
-// Use for per-packet/per-event volume counters on the fast path; use
-// Counter::Increment directly for accounting that must stay exact at every
-// level (drops, cache hits, rule matches).
-// The expected reading of a hot-tier counter: `v` when the tier is compiled
-// in, 0 when it compiled out. Lets tests (and tooling that cross-checks
-// counters against ground truth) state one assertion that holds at both
-// stats levels.
-constexpr uint64_t HotCount(uint64_t v) { return kHotStatsEnabled ? v : 0; }
-
-inline void HotIncrement(Counter* c, uint64_t n = 1) {
-  if (kHotStatsEnabled) {
-    c->Increment(n);
-  }
-}
-
-class MetricsRegistry;
-
-// Burst-local accumulator for one registry counter: increments land in a
-// plain stack local and are flushed to the shared counter once per burst
-// (TAS poll/empty/total style), so the per-element path touches no shared
-// state. Flushes on destruction, so early returns can't lose counts. At
-// stats level 0 both Add and Flush compile to nothing.
-//
-// The registry-tracked constructor additionally registers the live
-// accumulator with the registry: every report path (TextReport, JsonReport,
-// Snapshot) and Simulator teardown folds pending counts in first, so a
-// report taken while a burst is mid-flight — or after an odd-sized final
-// burst — can never under-count.
-class BatchedCounter {
- public:
-  explicit BatchedCounter(Counter* counter) : counter_(counter) {}
-  BatchedCounter(Counter* counter, MetricsRegistry* registry);
-  BatchedCounter(const BatchedCounter&) = delete;
-  BatchedCounter& operator=(const BatchedCounter&) = delete;
-  ~BatchedCounter();
-
-  void Add(uint64_t n = 1) {
-    if (kHotStatsEnabled) {
-      pending_ += n;
-    }
-  }
-  void Flush() {
-    if (kHotStatsEnabled && pending_ != 0) {
-      counter_->Increment(pending_);
-      pending_ = 0;
-    }
-  }
-  uint64_t pending() const { return pending_; }
-
- private:
-  Counter* counter_;
-  MetricsRegistry* registry_ = nullptr;
-  uint64_t pending_ = 0;
 };
 
 // Point-in-time capture of all scalar metrics (counters + gauges), used for
@@ -198,22 +126,6 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  // Live burst-local accumulators (see BatchedCounter's tracked ctor).
-  void TrackBatched(BatchedCounter* b) { batched_.push_back(b); }
-  void UntrackBatched(BatchedCounter* b) {
-    batched_.erase(std::remove(batched_.begin(), batched_.end(), b),
-                   batched_.end());
-  }
-  // Fold every live accumulator's pending count into its backing counter.
-  // Const because report paths call it: only the pointed-to accumulators
-  // and counters mutate, never the registry's own structure.
-  void FlushPending() const {
-    for (BatchedCounter* b : batched_) {
-      b->Flush();
-    }
-  }
-  size_t num_tracked_batched() const { return batched_.size(); }
-
  private:
   // Sorted maps: deterministic export order, heterogeneous string_view
   // lookup, stable unique_ptr targets.
@@ -221,23 +133,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms_;
-  std::vector<BatchedCounter*> batched_;
 };
-
-inline BatchedCounter::BatchedCounter(Counter* counter,
-                                      MetricsRegistry* registry)
-    : counter_(counter), registry_(registry) {
-  if (registry_ != nullptr) {
-    registry_->TrackBatched(this);
-  }
-}
-
-inline BatchedCounter::~BatchedCounter() {
-  if (registry_ != nullptr) {
-    registry_->UntrackBatched(this);
-  }
-  Flush();
-}
 
 // Paired depth + high-watermark gauges for one bounded queue, registered as
 // "queue.<name>.depth" and "queue.<name>.high_water". Queue owners attach one
@@ -265,20 +161,10 @@ class QueueDepthGauges {
   Gauge* high_water_;
 };
 
-// Hot-tier queue-depth updates: per-frame occupancy tracking is volume
-// telemetry, so it compiles out at stats level 0 (the gauges then read 0).
-// QueueDepthGauges itself stays ungated — cold-path owners (accept queues,
-// admission control) call Set/Add directly and remain exact.
-inline void HotAdd(QueueDepthGauges* g, int64_t delta) {
-  if (kHotStatsEnabled) {
-    g->Add(delta);
-  }
-}
-inline void HotSet(QueueDepthGauges* g, int64_t depth) {
-  if (kHotStatsEnabled) {
-    g->Set(depth);
-  }
-}
+// Appends `s` to `out` as a JSON string literal, escaping quotes,
+// backslashes and control characters. Every JSON exporter writes its
+// strings through this one function.
+void AppendJsonString(std::string& out, std::string_view s);
 
 }  // namespace norman::telemetry
 

@@ -20,16 +20,15 @@
 // Exactness invariant (same discipline as the drop ledger): for every
 // registered core, summed attributed ns + an explicit unaccounted bucket
 // equals the resource's busy_ns — time is never silently lost. Tests pin
-// `sum(attr.*) + attr.unaccounted == busy_ns` per core across batch sizes,
-// stats tiers and chaos runs.
+// `sum(attr.*) + attr.unaccounted == busy_ns` per core across batch sizes
+// and chaos runs.
 //
 // Hot-path budget: the profiler-on forwarding loop must stay within 5% of
 // profiler-off (bench gate), which rules out hash lookups per charge. A
 // charge is a branch, a per-call-site memo check (ProfSite caches the
 // resolved node for its last parent), and one indexed add into a dense
-// [core][owner] cell array. When disabled — runtime flag off, or the whole
-// tier compiled out at NORMAN_STATS_LEVEL=0 — every charge is a single
-// predictable branch (or nothing at all).
+// [core][owner] cell array. When the runtime flag is off, every charge is
+// a single predictable branch.
 //
 // Determinism: the profiler observes, never schedules. No events, no RNG,
 // no virtual-time cost. Node and owner-slot numbering follow first-touch
@@ -85,7 +84,7 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  // ---- registration (cold; ungated so inventories are tier-independent) --
+  // ---- registration (cold; ungated so inventories never depend on the flag)
 
   // Register a serialized core whose busy time this profiler attributes.
   // `busy` is read only at export time and is the conservation ground truth.
@@ -96,12 +95,12 @@ class Profiler {
   // Intern an owner pid into a dense slot. Called from cold control-plane
   // paths (flow install / connect) regardless of enablement so slot
   // numbering — and the exported attr.* inventory — does not depend on the
-  // runtime flag or the stats tier.
+  // runtime flag.
   uint32_t RegisterOwner(uint32_t pid);
 
   // Runtime gate. Off by default: worlds that don't ask for attribution pay
   // one predicted branch per charge site and nothing else.
-  void set_enabled(bool on) { enabled_ = kHotStatsEnabled && on; }
+  void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
   // ---- hot path ---------------------------------------------------------
@@ -116,9 +115,6 @@ class Profiler {
 
   // Charge `ns` on `core` to `site` resolved under the current context node.
   void Charge(ProfSite& site, uint32_t core, uint32_t owner_slot, Nanos ns) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (!enabled_) {
       return;
     }
@@ -129,9 +125,6 @@ class Profiler {
   // Charge to the current context node itself (the enclosing ProfScope
   // already resolved it — no site needed).
   void ChargeCurrent(uint32_t core, uint32_t owner_slot, Nanos ns) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (!enabled_) {
       return;
     }
@@ -141,9 +134,6 @@ class Profiler {
   // Owner resource ledger (attr.<owner>.{pkts,bytes,drops,sram_bytes};
   // nic_ns/host_ns derive from the cells at export).
   void CountPacket(uint32_t owner_slot, uint64_t bytes) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (!enabled_) {
       return;
     }
@@ -151,18 +141,12 @@ class Profiler {
     owners_[owner_slot].bytes += bytes;
   }
   void CountDrop(uint32_t owner_slot) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (!enabled_) {
       return;
     }
     owners_[owner_slot].drops += 1;
   }
   void ChargeSram(uint32_t owner_slot, int64_t delta) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (!enabled_) {
       return;
     }
@@ -218,8 +202,6 @@ class Profiler {
   // Zero all cells, ledgers and scope counts; registrations survive.
   void Reset();
 
-  uint32_t num_cores() const { return static_cast<uint32_t>(cores_.size()); }
-  uint32_t num_owners() const { return static_cast<uint32_t>(owners_.size()); }
   uint32_t owner_pid(uint32_t slot) const { return owners_[slot].pid; }
 
  private:
@@ -275,13 +257,10 @@ class Profiler {
 // RAII attribution-context guard. Opening pushes `site` (resolved under the
 // current node) as the new context; destruction restores the previous one.
 // Cheap enough for per-packet use: a memo check and two stores when the
-// profiler is on, one branch when off, nothing at stats level 0.
+// profiler is on, one branch when off.
 class ProfScope {
  public:
   ProfScope(Profiler* prof, ProfSite& site) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (prof == nullptr || !prof->enabled()) {
       return;
     }
@@ -294,9 +273,6 @@ class ProfScope {
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
   ~ProfScope() {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if (prof_ != nullptr) {
       prof_->top_ = saved_;
     }

@@ -15,18 +15,17 @@
 // direction) are evaluated at emit so a probe can watch one flow without
 // drowning in the rest.
 //
-// Cost discipline (same tiering as the profiler, PR 6/7): a disarmed
-// probe is a single predictable branch on a zero mask; at
-// NORMAN_STATS_LEVEL=0 the emit compiles away entirely. Armed probes
-// observe only — no events, no RNG, no virtual-time cost, no steady-state
-// allocation (rings are carved once at arm time) — so the bit-exact
-// determinism goldens hold with every probe armed.
+// Cost discipline (same as the profiler's): a disarmed probe is a single
+// predictable branch on a zero mask. Armed probes observe only — no
+// events, no RNG, no virtual-time cost, no steady-state allocation (rings
+// are carved once at arm time) — so the bit-exact determinism goldens hold
+// with every probe armed.
 //
 // The same rings carry packet-lifecycle spans: a packet sampled 1-in-N at
 // NIC arrival appends one [start, end) record per hop (DMA, pipeline, each
 // stage, qdisc wait, wire, ring), and its spans tile exactly onto
-// completed_at - nic_arrival. Spans are recorded at every stats level and
-// are not an armable probe, so ArmAll() cannot flood the rings with them.
+// completed_at - nic_arrival. Spans are not an armable probe, so ArmAll()
+// cannot flood the rings with them.
 #ifndef NORMAN_COMMON_TRACEPOINT_H_
 #define NORMAN_COMMON_TRACEPOINT_H_
 
@@ -220,15 +219,12 @@ class Tracepoints {
 
   // ---- hot path -----------------------------------------------------------
 
-  // One predictable branch while nothing is armed; nothing at all at
-  // NORMAN_STATS_LEVEL=0. Armed emits run the predicate, stamp a record
-  // into the core ring and notify the attached flight recorder.
+  // One predictable branch while nothing is armed. Armed emits run the
+  // predicate, stamp a record into the core ring and notify the attached
+  // flight recorder.
   void Emit(Probe probe, uint32_t core, uint32_t pid, uint64_t a0 = 0,
             uint64_t a1 = 0, uint64_t a2 = 0,
             const TraceFlow* flow = nullptr) {
-    if constexpr (!kHotStatsEnabled) {
-      return;
-    }
     if ((armed_mask_ & Bit(probe)) == 0) {
       return;
     }

@@ -537,26 +537,23 @@ void Kernel::PumpNotifications(Pid pid) {
     return;
   }
   // Drain whatever is pending in bursts (bulk PollN over the shared ring:
-  // one gauge/counter flush per burst instead of one per notification);
-  // for each notification wake matching waiters.
+  // one gauge update and one counter add per burst instead of one per
+  // notification); for each notification wake matching waiters.
   telemetry::ProfScope notify_scope(prof_, prof_notify_site_);
   bool woke_any = false;
   constexpr uint32_t kNotifyDrainBatch = 16;
   nic::Notification batch[kNotifyDrainBatch];
-  // Registry-tracked: if a report (or simulator teardown) lands while this
-  // pump is mid-drain, the pending partial burst still folds in.
-  telemetry::BatchedCounter drained(notify_drained_, &sim_->metrics());
   for (;;) {
     const uint32_t count =
         queue->PollN(std::span<nic::Notification>(batch));
     if (count == 0) {
       break;
     }
-    drained.Add(count);
+    notify_drained_->Increment(count);
     for (uint32_t i = 0; i < count; ++i) {
       const nic::Notification& n = batch[i];
       if (n.queue < notify_drained_q_.size()) {
-        telemetry::HotIncrement(notify_drained_q_[n.queue]);
+        notify_drained_q_[n.queue]->Increment();
       }
       const auto it = waiters_.find(n.conn_id);
       if (it == waiters_.end()) {

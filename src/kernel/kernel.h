@@ -206,7 +206,6 @@ class Kernel {
                       std::optional<overlay::Program> filter = std::nullopt);
   Status StopCapture(Uid caller);
   const dataplane::SnifferTap& sniffer() const { return *sniffer_; }
-  dataplane::SnifferTap& mutable_sniffer() { return *sniffer_; }
 
   // arp: the NIC's ARP cache and TX-side ARP observations.
   const dataplane::ArpService& arp() const { return *arp_; }
@@ -250,13 +249,6 @@ class Kernel {
   const telemetry::TimeSeriesSampler& sampler() const { return *sampler_; }
   telemetry::HealthWatchdog& watchdog() { return *watchdog_; }
   const telemetry::HealthWatchdog& watchdog() const { return *watchdog_; }
-
-  // Host-slow-path drops, itemized in the registry as "kernel.drop.*"
-  // (malformed / unmatched / sram_exhausted).
-  uint64_t slow_path_drops() const {
-    return drop_malformed_->value() + drop_unmatched_->value() +
-           drop_sram_exhausted_->value();
-  }
 
  private:
   struct FallbackConn {
@@ -363,11 +355,11 @@ class Kernel {
   telemetry::Counter* drop_malformed_ = nullptr;
   telemetry::Counter* drop_unmatched_ = nullptr;
   telemetry::Counter* drop_sram_exhausted_ = nullptr;
-  // Notifications consumed by PumpNotifications, flushed once per bulk
-  // drain (hot tier: compiles out at stats level 0). The per-queue
-  // breakdown (kernel.notify.q<N>.drained) keys on Notification::queue so
-  // a sharded world's per-lane completion flow is visible end to end;
-  // registered eagerly for every possible lane (manifest shape-stability).
+  // Notifications consumed by PumpNotifications, added once per bulk
+  // drain. The per-queue breakdown (kernel.notify.q<N>.drained) keys on
+  // Notification::queue so a sharded world's per-lane completion flow is
+  // visible end to end; registered eagerly for every possible lane
+  // (manifest shape-stability).
   telemetry::Counter* notify_drained_ = nullptr;
   std::array<telemetry::Counter*, nic::SmartNic::kMaxShardQueues>
       notify_drained_q_{};

@@ -169,8 +169,7 @@ class FlowCache {
   // Accounting for a burst drain that replays the entry its previous packet
   // just hit, without re-walking the map (see SmartNic::ConsumeTxRing). The
   // hit counter stays exact; the LRU touch coalesces away, which is
-  // order-preserving because the entry is already most-recently-used. Hit
-  // and miss counts are decision-grade accounting, never stats-tiered.
+  // order-preserving because the entry is already most-recently-used.
   void CountCoalescedHit() { hits_->Increment(); }
 
  private:

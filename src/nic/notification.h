@@ -48,7 +48,7 @@ class NotificationQueue {
     if (!ok) {
       ++overflows_;
     } else if (gauges_ != nullptr) {
-      telemetry::HotAdd(gauges_, 1);
+      gauges_->Add(1);
     }
     if (interrupts_armed_ && on_interrupt_) {
       interrupts_armed_ = false;
@@ -59,7 +59,7 @@ class NotificationQueue {
 
   std::optional<Notification> Poll() {
     auto n = ring_.TryPop();
-    if (n.has_value() && gauges_ != nullptr) telemetry::HotAdd(gauges_, -1);
+    if (n.has_value() && gauges_ != nullptr) gauges_->Add(-1);
     return n;
   }
 
@@ -68,8 +68,7 @@ class NotificationQueue {
   // short count means the queue is now empty.
   uint32_t PollN(std::span<Notification> out) {
     const uint32_t n = ring_.PopN(out);
-    if (n != 0 && gauges_ != nullptr)
-      telemetry::HotAdd(gauges_, -static_cast<int64_t>(n));
+    if (n != 0 && gauges_ != nullptr) gauges_->Add(-static_cast<int64_t>(n));
     return n;
   }
   bool empty() const { return ring_.empty(); }

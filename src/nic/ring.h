@@ -27,7 +27,6 @@ namespace norman::nic {
 // which we model as kHotWorkingSetBytes, far below the ring's total pinned
 // allocation.
 inline constexpr uint32_t kDefaultRingEntries = 256;
-inline constexpr uint64_t kDefaultBufferBytes = 2048;
 inline constexpr uint64_t kHotWorkingSetBytes = 2048;
 
 class RingPair {
@@ -38,9 +37,9 @@ class RingPair {
   ~RingPair() {
     // Occupants die with the ring; keep the aggregate gauges honest.
     if (tx_gauges_ != nullptr)
-      telemetry::HotAdd(tx_gauges_, -static_cast<int64_t>(tx_.size()));
+      tx_gauges_->Add(-static_cast<int64_t>(tx_.size()));
     if (rx_gauges_ != nullptr)
-      telemetry::HotAdd(rx_gauges_, -static_cast<int64_t>(rx_.size()));
+      rx_gauges_->Add(-static_cast<int64_t>(rx_.size()));
   }
 
   FixedRing<net::PacketPtr>& tx() { return tx_; }
@@ -49,59 +48,42 @@ class RingPair {
   // Gauge-aware access. The gauges aggregate occupancy across every ring of
   // the NIC ("queue.nic.tx_ring" / "queue.nic.rx_ring"), so all push/pop
   // traffic must flow through these wrappers once gauges are attached.
-  // Per-frame occupancy tracking is hot-tier telemetry: at stats level 0
-  // the gauge updates compile out (see metrics.h).
   // Push takes by value like FixedRing::TryPush: a refused packet is
   // destroyed with the temporary unless the caller kept a reference.
   bool PushTx(net::PacketPtr p) {
     const bool ok = tx_.TryPush(std::move(p));
-    if (ok && tx_gauges_ != nullptr) telemetry::HotAdd(tx_gauges_, 1);
+    if (ok && tx_gauges_ != nullptr) tx_gauges_->Add(1);
     return ok;
   }
   std::optional<net::PacketPtr> PopTx() {
     auto p = tx_.TryPop();
-    if (p.has_value() && tx_gauges_ != nullptr)
-      telemetry::HotAdd(tx_gauges_, -1);
+    if (p.has_value() && tx_gauges_ != nullptr) tx_gauges_->Add(-1);
     return p;
   }
   bool PushRx(net::PacketPtr p) {
     const bool ok = rx_.TryPush(std::move(p));
-    if (ok && rx_gauges_ != nullptr) telemetry::HotAdd(rx_gauges_, 1);
+    if (ok && rx_gauges_ != nullptr) rx_gauges_->Add(1);
     return ok;
   }
   std::optional<net::PacketPtr> PopRx() {
     auto p = rx_.TryPop();
-    if (p.has_value() && rx_gauges_ != nullptr)
-      telemetry::HotAdd(rx_gauges_, -1);
+    if (p.has_value() && rx_gauges_ != nullptr) rx_gauges_->Add(-1);
     return p;
   }
 
-  // Bulk variants over FixedRing::PushN/PopN: one gauge update per burst
-  // instead of one per frame. An incremental sequence of pushes peaks at
-  // the same depth as one bulk push of the same count, so the high-water
+  // Bulk pops over FixedRing::PopN: one gauge update per burst instead of
+  // one per frame. Draining never raises the depth, so the high-water
   // latch is unchanged by batching.
-  uint32_t PushTxN(std::span<net::PacketPtr> src) {
-    const uint32_t n = tx_.PushN(src);
-    if (n != 0 && tx_gauges_ != nullptr)
-      telemetry::HotAdd(tx_gauges_, static_cast<int64_t>(n));
-    return n;
-  }
   uint32_t PopTxN(std::span<net::PacketPtr> dst) {
     const uint32_t n = tx_.PopN(dst);
     if (n != 0 && tx_gauges_ != nullptr)
-      telemetry::HotAdd(tx_gauges_, -static_cast<int64_t>(n));
-    return n;
-  }
-  uint32_t PushRxN(std::span<net::PacketPtr> src) {
-    const uint32_t n = rx_.PushN(src);
-    if (n != 0 && rx_gauges_ != nullptr)
-      telemetry::HotAdd(rx_gauges_, static_cast<int64_t>(n));
+      tx_gauges_->Add(-static_cast<int64_t>(n));
     return n;
   }
   uint32_t PopRxN(std::span<net::PacketPtr> dst) {
     const uint32_t n = rx_.PopN(dst);
     if (n != 0 && rx_gauges_ != nullptr)
-      telemetry::HotAdd(rx_gauges_, -static_cast<int64_t>(n));
+      rx_gauges_->Add(-static_cast<int64_t>(n));
     return n;
   }
 
@@ -116,19 +98,18 @@ class RingPair {
     rx_gauges_ = rx_gauges;
   }
 
-  // Total pinned host memory backing this pair.
-  uint64_t PinnedBytes() const {
-    return 2 * static_cast<uint64_t>(tx_.capacity()) * kDefaultBufferBytes;
-  }
-
-  // Cache-resident working set per ring for the DDIO model.
-  uint64_t HotBytesPerRing() const { return kHotWorkingSetBytes; }
+  // Whether the NIC's TX descriptor consumer for this ring is scheduled:
+  // set by the doorbell that starts it, cleared when it drains the ring.
+  // The flag lives exactly as long as the ring.
+  bool tx_consumer_active() const { return tx_consumer_active_; }
+  void set_tx_consumer_active(bool active) { tx_consumer_active_ = active; }
 
  private:
   FixedRing<net::PacketPtr> tx_;
   FixedRing<net::PacketPtr> rx_;
   telemetry::QueueDepthGauges* tx_gauges_ = nullptr;
   telemetry::QueueDepthGauges* rx_gauges_ = nullptr;
+  bool tx_consumer_active_ = false;
 };
 
 }  // namespace norman::nic

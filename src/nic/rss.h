@@ -101,7 +101,7 @@ class RssEngine {
   uint16_t Steer(const net::FiveTuple& t) const {
     const uint16_t q = table_[Hash(t) % kIndirectionEntries];
     if (q < kCountedQueues && steered_[q] != nullptr) {
-      telemetry::HotIncrement(steered_[q]);
+      steered_[q]->Increment();
     }
     return q;
   }
@@ -110,8 +110,8 @@ class RssEngine {
   uint64_t seed_;
   uint16_t num_queues_ = 1;
   std::array<uint16_t, kIndirectionEntries> table_{};
-  // Steering decisions per queue (hot-tier) and indirection rewrites
-  // (control path); null until AttachMetrics.
+  // Steering decisions per queue and indirection rewrites (control path);
+  // null until AttachMetrics.
   std::array<telemetry::Counter*, kCountedQueues> steered_{};
   telemetry::Counter* rebalance_ = nullptr;
 };

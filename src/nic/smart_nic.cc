@@ -29,7 +29,6 @@ static_assert(TenantTable::kMaxLanes == SmartNic::kMaxShardQueues,
               "TenantTable lane bound must match the NIC's");
 
 NicStats::NicStats(telemetry::MetricsRegistry* registry) {
-  registry_ = registry;
   tx_seen_ = registry->GetCounter("nic.tx.seen");
   tx_accepted_ = registry->GetCounter("nic.tx.accepted");
   tx_fallback_ = registry->GetCounter("nic.tx.fallback");
@@ -238,9 +237,9 @@ Status SmartNic::ControlPlane::InstallFlow(const FlowEntry& entry) {
     return s;
   }
   nic_->rings_.emplace(entry.conn_id, std::move(ring));
-  // Intern the owner pid (ungated: slot numbering is tier-independent) and
-  // bill the flow's SRAM footprint — table entry + ring descriptor state —
-  // to its ledger.
+  // Intern the owner pid (ungated: slot numbering does not depend on the
+  // profiler's runtime flag) and bill the flow's SRAM footprint — table
+  // entry + ring descriptor state — to its ledger.
   const uint32_t owner_slot =
       nic_->prof_->RegisterOwner(entry.owner.owner_pid);
   nic_->prof_->ChargeSram(owner_slot,
@@ -674,15 +673,16 @@ uint32_t SmartNic::ReplayFastPath(const FlowCacheEntry& entry,
 }
 
 Status SmartNic::Doorbell(net::ConnectionId conn_id, Nanos now) {
-  if (!rings_.contains(conn_id)) {
+  const auto it = rings_.find(conn_id);
+  if (it == rings_.end()) {
     return NotFoundError("doorbell for unknown connection");
   }
   // The doorbell write starts (or pokes) this connection's descriptor
   // consumer; fetches are paced by the DMA engine, so an application that
   // outruns the NIC observes a full TX ring (backpressure).
-  bool& active = tx_consumer_active_[conn_id];
-  if (!active) {
-    active = true;
+  RingPair& ring = *it->second;
+  if (!ring.tx_consumer_active()) {
+    ring.set_tx_consumer_active(true);
     // The consumer event carries the flow's TX lane so the interleave
     // schedule orders same-tick wake-ups across lanes.
     sim_->ScheduleAtLane(TxLaneOf(flow_table_.Lookup(conn_id)),
@@ -703,8 +703,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   const uint32_t batch = std::max<uint32_t>(1, options_.tx_fetch_batch);
   const auto it = rings_.find(conn_id);
   if (it == rings_.end()) {
-    tx_consumer_active_.erase(conn_id);  // teardown: drop the entry too
-    return;
+    return;  // torn down: the consumer flag died with the ring
   }
   // Hoisted per burst: no other event can run between inline iterations
   // (the continuation check above guarantees it), so the ring and flow
@@ -715,14 +714,13 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
   Lane& lane = *lanes_[TxLaneOf(entry)];
-  TxBurst burst(&stats_);
   FastPathMemo memo;
   for (uint32_t fetched = 0;;) {
     auto pkt = ring->PopTx();
     if (!pkt.has_value()) {
       // Ring drained: stop the consumer and post the drain notification if
       // the connection asked for it (blocking send support, §4.3).
-      tx_consumer_active_[conn_id] = false;
+      ring->set_tx_consumer_active(false);
       if (entry != nullptr && entry->notify_tx_drain) {
         PostNotification(*entry, NotificationKind::kTxDrained, now,
                          lane.index);
@@ -734,8 +732,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
         next_pkt != nullptr && *next_pkt != nullptr) {
       PrefetchRead(next_pkt->get());
     }
-    ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, burst, &memo,
-                        lane);
+    ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, &memo, lane);
     // Next descriptor fetch when the lane's DMA engine frees up.
     const Nanos next = std::max(lane.dma.next_free(), now + 1);
     if (++fetched >= batch || sim_->HasEventAtOrBefore(next)) {
@@ -749,9 +746,8 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
 
 void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                                    net::ConnectionId conn_id, FlowEntry* entry,
-                                   Nanos now, TxBurst& burst,
-                                   FastPathMemo* memo, Lane& lane) {
-  burst.seen.Add();
+                                   Nanos now, FastPathMemo* memo, Lane& lane) {
+  stats_.tx_seen_->Increment();
 
   // Attribution context for the whole descriptor: everything below charges
   // under dispatch;nic.tx for the flow's owning pid (resolved through the
@@ -782,7 +778,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(now, dma_cost);
   prof_->Charge(prof_tx_dma_site_, lane.core_dma, owner_slot, dma_cost);
-  burst.dma.Add();
+  stats_.dma_transfers_->Increment();
   sim_->tracepoints().Span(trace_id, "tx.dma", now, dma_done, tp_core);
 
   // 2) Pipeline occupancy (line-rate cap) + per-stage latency. Tenants with
@@ -859,7 +855,8 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
       telemetry::ProfScope fp_scope(prof_, prof_tx_fastpath_site_);
       const uint32_t observer_instructions =
           ReplayFastPath(*e, tx_stages_, *packet, ctx);
-      burst.overlay.Add(e->pure_instructions + observer_instructions);
+      stats_.overlay_instructions_->Increment(e->pure_instructions +
+                                              observer_instructions);
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
@@ -885,7 +882,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
         packet->meta().software_fallback) {
       result.verdict = Verdict::kAccept;
     }
-    burst.overlay.Add(result.overlay_instructions);
+    stats_.overlay_instructions_->Increment(result.overlay_instructions);
     stages_done = pipe_done +
                   static_cast<Nanos>(tx_stages_.size()) *
                       options_.cost.nic_stage_latency_ns +
@@ -918,7 +915,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                         ctx.conn.owner_pid, tp_core, ctx.conn.owner_tenant);
       return;
     case Verdict::kSoftwareFallback: {
-      burst.fallback.Add();
+      stats_.tx_fallback_->Increment();
       packet->meta().software_fallback = true;
       sim_->ScheduleAt(stages_done, [this, p = std::move(packet)]() mutable {
         if (fallback_sink_) {
@@ -930,7 +927,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
     case Verdict::kAccept:
       break;
   }
-  burst.accepted.Add();
+  stats_.tx_accepted_->Increment();
 
   // 3) Hand to the queueing discipline at the time the pipeline finishes,
   // then keep the wire busy. The event carries the lane so same-tick qdisc
@@ -955,8 +952,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                         conn_meta.owner_tenant);
       return;
     }
-    telemetry::HotSet(&qdisc_gauges_,
-                      static_cast<int64_t>(scheduler_->backlog_packets()));
+    qdisc_gauges_.Set(static_cast<int64_t>(scheduler_->backlog_packets()));
     DrainWire();
   });
 }
@@ -973,12 +969,9 @@ void SmartNic::InjectHostPacket(net::PacketPtr packet, Nanos now) {
   Lane& lane = *lanes_[q];
   if (lanes_.size() == 1) {
     // One lane has nothing to interleave with: run the frame inside this
-    // event as a single-packet burst (the accumulators flush on return). No
-    // memo — host-injected packets have no burst neighbor to share a flow
-    // with.
-    TxBurst burst(&stats_);
-    ProcessTxDescriptor(std::move(packet), conn, entry, now, burst, nullptr,
-                        lane);
+    // event. No memo — host-injected packets have no burst neighbor to
+    // share a flow with.
+    ProcessTxDescriptor(std::move(packet), conn, entry, now, nullptr, lane);
     return;
   }
   // Several lanes: stage the frame in its lane's TX ring and let the lane's
@@ -1004,14 +997,13 @@ void SmartNic::DrainTxLane(uint16_t queue) {
   lane.tx_drain_scheduled = false;
   const Nanos now = sim_->Now();
   const uint32_t n = lane.rings.PopTxN(std::span<net::PacketPtr>(lane.burst));
-  TxBurst burst(&stats_);
   for (uint32_t i = 0; i < n; ++i) {
     net::PacketPtr pkt = std::move(lane.burst[i]);
     const net::ConnectionId conn = pkt->meta().connection;
     // Per-frame flow lookup (unlike the doorbell consumer's hoist): staged
     // frames on one lane can belong to different connections.
     ProcessTxDescriptor(std::move(pkt), conn, flow_table_.Lookup(conn), now,
-                        burst, nullptr, lane);
+                        nullptr, lane);
   }
   if (!lane.rings.tx().empty() && !lane.tx_drain_scheduled) {
     lane.tx_drain_scheduled = true;
@@ -1040,8 +1032,7 @@ void SmartNic::DrainWire() {
     return;
   }
   net::PacketPtr pkt = scheduler_->Dequeue(now);
-  telemetry::HotSet(&qdisc_gauges_,
-                    static_cast<int64_t>(scheduler_->backlog_packets()));
+  qdisc_gauges_.Set(static_cast<int64_t>(scheduler_->backlog_packets()));
   if (pkt == nullptr) {
     const Nanos eligible = scheduler_->NextEligibleTime(now);
     if (eligible > now) {
@@ -1066,7 +1057,7 @@ void SmartNic::DrainWire() {
     sim_->tracepoints().Span(pkt->meta().trace_id, "tx.wire", now, done, core);
   }
   pkt->meta().completed_at = done;
-  telemetry::HotIncrement(stats_.tx_bytes_wire_, pkt->size());
+  stats_.tx_bytes_wire_->Increment(pkt->size());
   sim_->ScheduleAt(done, [this, p = std::move(pkt)]() mutable {
     EmitToWire(std::move(p));
     DrainWire();
@@ -1152,7 +1143,7 @@ FlowEntry* SmartNic::InboundEntry(const net::Packet& packet) {
 void SmartNic::DeliverFromWire(net::PacketPtr packet, Nanos now) {
   // Seen-counting happens at the wire regardless of path, so frames a full
   // lane ingress ring refuses still count as seen.
-  telemetry::HotIncrement(stats_.rx_seen_);
+  stats_.rx_seen_->Increment();
   // Wire ingress: the MAC parses the frame exactly as received — the one
   // parse unless a stage rewrites the frame — and steers on those
   // pre-rewrite headers, as real multi-queue NICs steer on what arrives at
@@ -1211,11 +1202,6 @@ void SmartNic::DrainRxLane(uint16_t queue) {
 
 void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
                               FlowEntry* entry, Nanos now) {
-  // RX frames are processed one event each (one-lane ingress runs inside
-  // the wire event; lane drains run a burst inside one event), so there is
-  // no burst scope to accumulate into; the volume counters go through the
-  // hot tier instead. Drop accounting below stays exact at every stats
-  // level.
   telemetry::ProfScope rx_scope(prof_, prof_rx_site_);
   packet->meta().direction = net::Direction::kRx;
   packet->meta().nic_arrival = now;
@@ -1300,8 +1286,8 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
       telemetry::ProfScope fp_scope(prof_, prof_rx_fastpath_site_);
       const uint32_t observer_instructions =
           ReplayFastPath(*e, rx_stages_, *packet, ctx);
-      telemetry::HotIncrement(stats_.overlay_instructions_,
-                              e->pure_instructions + observer_instructions);
+      stats_.overlay_instructions_->Increment(e->pure_instructions +
+                                              observer_instructions);
       const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
                             static_cast<Nanos>(observer_instructions) *
                                 options_.cost.overlay_instr_ns;
@@ -1320,8 +1306,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
     StageResult result = RunStages(lane, rx_stages_, *packet, ctx, pipe_done,
                                    trace_id, fp_eligible ? &mint : nullptr,
                                    rx_stage_sites_, owner_slot);
-    telemetry::HotIncrement(stats_.overlay_instructions_,
-                            result.overlay_instructions);
+    stats_.overlay_instructions_->Increment(result.overlay_instructions);
     ready = pipe_done +
             static_cast<Nanos>(rx_stages_.size()) *
                 options_.cost.nic_stage_latency_ns +
@@ -1350,9 +1335,9 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   if (entry == nullptr || verdict == Verdict::kSoftwareFallback) {
     // No registered connection (or explicitly diverted): host slow path.
     if (entry == nullptr) {
-      telemetry::HotIncrement(stats_.rx_unmatched_);
+      stats_.rx_unmatched_->Increment();
     } else {
-      telemetry::HotIncrement(stats_.rx_fallback_);
+      stats_.rx_fallback_->Increment();
     }
     packet->meta().software_fallback = true;
     sim_->ScheduleAt(ready, [this, p = std::move(packet)]() mutable {
@@ -1379,7 +1364,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
   prof_->Charge(prof_rx_dma_site_, lane.core_dma, owner_slot, dma_cost);
-  telemetry::HotIncrement(stats_.dma_transfers_);
+  stats_.dma_transfers_->Increment();
   sim_->tracepoints().Span(trace_id, "rx.dma", ready, dma_done, tp_core);
 
   const net::ConnectionId conn_id = entry->conn_id;
@@ -1403,7 +1388,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
     // Delivery into the app-visible ring (zero-width: the push itself is
     // instantaneous in the cost model; the wait was charged to rx.dma).
     sim_->tracepoints().Span(tid, "rx.ring", ring_at, ring_at, tp_core);
-    telemetry::HotIncrement(stats_.rx_accepted_);
+    stats_.rx_accepted_->Increment();
     if (e->notify_rx) {
       PostNotification(*e, NotificationKind::kRxData, sim_->Now(), queue);
     }

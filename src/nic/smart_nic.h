@@ -164,9 +164,6 @@ class NicStats {
   telemetry::Profiler* prof_ = nullptr;
   telemetry::Tracepoints* tp_ = nullptr;
   TenantTable* tenants_ = nullptr;
-  // Backing registry, kept so TxBurst accumulators register as pending
-  // (reports and simulator teardown flush them; see MetricsRegistry).
-  telemetry::MetricsRegistry* registry_ = nullptr;
 };
 
 class SmartNic {
@@ -361,7 +358,6 @@ class SmartNic {
   const DdioModel& ddio() const { return ddio_; }
   const TenantTable& tenants() const { return tenant_table_; }
   const sim::CostModel& cost() const { return options_.cost; }
-  uint64_t mmio_writes() const { return regs_.write_count(); }
   sim::Simulator* simulator() { return sim_; }
   // Dataplane lanes (1 until EnableSharding adds more).
   uint16_t shard_queues() const {
@@ -459,25 +455,6 @@ class SmartNic {
                           const std::vector<PipelineStage*>& stages,
                           net::Packet& packet, overlay::PacketContext& ctx);
 
-  // Burst-local accumulators for the TX volume counters (tentpole (c)):
-  // per-packet increments land in stack locals and flush to the registry
-  // once per burst — on scope exit, so early returns cannot lose counts.
-  // Drop accounting never goes through here; RecordDrop stays per-event and
-  // exact at every stats level.
-  struct TxBurst {
-    explicit TxBurst(NicStats* s)
-        : seen(s->tx_seen_, s->registry_),
-          accepted(s->tx_accepted_, s->registry_),
-          fallback(s->tx_fallback_, s->registry_),
-          dma(s->dma_transfers_, s->registry_),
-          overlay(s->overlay_instructions_, s->registry_) {}
-    telemetry::BatchedCounter seen;
-    telemetry::BatchedCounter accepted;
-    telemetry::BatchedCounter fallback;
-    telemetry::BatchedCounter dma;
-    telemetry::BatchedCounter overlay;
-  };
-
   // Consecutive-packet flow-cache memo for one TX burst. A burst serves a
   // single connection, so back-to-back packets almost always share the
   // cache key; the memo replays the previous packet's hit without the hash
@@ -493,8 +470,8 @@ class SmartNic {
   // `entry` is the burst-hoisted flow-table entry for conn_id (nullable);
   // `memo` may be null (host-injected packets bypass burst memoization).
   void ProcessTxDescriptor(net::PacketPtr packet, net::ConnectionId conn_id,
-                           FlowEntry* entry, Nanos now, TxBurst& burst,
-                           FastPathMemo* memo, Lane& lane);
+                           FlowEntry* entry, Nanos now, FastPathMemo* memo,
+                           Lane& lane);
   void ConsumeTxRing(net::ConnectionId conn_id);
   // The RX datapath body (pipeline → stages/fast path → DMA → ring push →
   // notify) for one frame that ingress already parsed and steered to
@@ -609,11 +586,6 @@ class SmartNic {
   telemetry::Gauge* fault_sram_pressure_gauge_;    // bytes held hostage
   telemetry::Gauge* fault_notify_stall_gauge_;     // 1 while stalled
   telemetry::Counter* fault_notify_deferred_;      // completions held back
-  // Per-connection "descriptor consumer is running" flags. A map of bools
-  // rather than a set so the steady-state doorbell -> drain -> doorbell
-  // cycle flips a bit in place instead of allocating/freeing a node per
-  // packet; entries are erased only on connection teardown.
-  std::unordered_map<net::ConnectionId, bool> tx_consumer_active_;
   NicStats stats_;  // registered in sim_->metrics(); see ctor
 };
 

@@ -12,13 +12,6 @@ Simulator::Simulator() {
   tracepoints_.SetClock(&now_);
 }
 
-Simulator::~Simulator() {
-  // Fold any still-live BatchedCounter accumulators into their backing
-  // counters so teardown-order observers (and a final partial burst) can
-  // never under-count. Report paths flush too; this is the backstop.
-  metrics_.FlushPending();
-}
-
 Simulator::EventNode* Simulator::AcquireNode() {
   if (!free_nodes_.empty()) {
     EventNode* node = free_nodes_.back();
@@ -131,9 +124,9 @@ uint32_t Simulator::DrainHorizon(InlineCallback& first, InlineCallback* buf,
   const uint32_t n = 1 + extra;
   events_processed_ += n;
   // Dispatch telemetry counts multi-event passes only (the single-event
-  // fast path is deliberately counter-free); flushed once per burst.
-  telemetry::HotIncrement(dispatch_batches_);
-  telemetry::HotIncrement(dispatch_events_, n);
+  // fast path is deliberately counter-free); one add each per pass.
+  dispatch_batches_->Increment();
+  dispatch_events_->Increment(n);
   // Buffered-but-unrun events still count as pending for the queue
   // observers (Idle / pending_events / HasEventAtOrBefore): under
   // per-event stepping they would still be in the heap, and callbacks

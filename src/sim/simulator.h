@@ -137,7 +137,6 @@ class Simulator {
   Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   // Current virtual time.
   Nanos Now() const { return now_; }
@@ -323,7 +322,7 @@ class Simulator {
   // Root attribution frame: every StepBatch() pass runs under "dispatch",
   // so device scopes (nic.tx, kernel.slow_path, ...) nest beneath it.
   telemetry::ProfSite dispatch_site_{"dispatch"};
-  // Dispatch telemetry, flushed once per batch pass (never per event):
+  // Dispatch telemetry, added once per batch pass (never per event):
   // batches = StepBatch passes, batched events / batches = mean burst size.
   telemetry::Counter* dispatch_batches_ =
       metrics_.GetCounter("sim.dispatch.batches");

@@ -151,8 +151,7 @@ int Main(int argc, char** argv) {
   workload::TestBed bed(opts);
   bed.sim().tracepoints().set_span_sample_interval(sample);
   // Cycle attribution on: the prof.*/attr.* gauge families published below
-  // must appear in the manifest CI diffs. Registration is ungated, so the
-  // inventory (though not the values) is identical at stats level 0.
+  // must appear in the manifest CI diffs.
   bed.sim().profiler().set_enabled(true);
   RunScenario(bed, show_fastpath);
 

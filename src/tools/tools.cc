@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/stats.h"
 #include "src/dataplane/qdisc.h"
 #include "src/nic/fifo_scheduler.h"
@@ -841,8 +842,9 @@ std::string TopJson(const kernel::Kernel& k, const nic::SmartNic& nic,
     const kernel::Process* proc = k.processes().Lookup(pid);
     if (!first) out << ",";
     first = false;
-    out << "{\"pid\":" << pid << ",\"comm\":\""
-        << (proc != nullptr ? proc->comm : "?") << "\",\"tx_packets\":"
+    std::string comm;
+    telemetry::AppendJsonString(comm, proc != nullptr ? proc->comm : "?");
+    out << "{\"pid\":" << pid << ",\"comm\":" << comm << ",\"tx_packets\":"
         << b.tx_packets << ",\"rx_packets\":" << b.rx_packets
         << ",\"tx_bytes\":" << b.tx_bytes << ",\"rx_bytes\":" << b.rx_bytes
         << "}";

@@ -1,9 +1,8 @@
 // Batched drains must be invisible to accounting and delivery semantics.
 //
 // Three layers of the batching refactor get their equivalence pinned here:
-//  * drop accounting — RecordDrop bypasses the burst accumulators by design,
-//    so the owner-annotated ledger must be *exactly* equal (not statistically
-//    close) between per-event and batched dispatch;
+//  * drop accounting — the owner-annotated ledger must be *exactly* equal
+//    (not statistically close) between per-event and batched dispatch;
 //  * the kernel's bulk notification drain (NotificationQueue::PollN) — FIFO
 //    order, lossy-overflow semantics, and interrupt re-arm unchanged;
 //  * the socket bulk receive lane (Socket::RecvFrames) — same frames, same

@@ -57,9 +57,6 @@ TEST(FlightRecorderTest, AddTriggerArmsItsProbe) {
 }
 
 TEST(FlightRecorderTest, FirstMatchLatchesAndFreezesTheRings) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   FlightRecorder fr(&tp);
@@ -88,9 +85,6 @@ TEST(FlightRecorderTest, FirstMatchLatchesAndFreezesTheRings) {
 }
 
 TEST(FlightRecorderTest, ResetClearsTheLatchAndKeepsTriggers) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   FlightRecorder fr(&tp);
@@ -107,9 +101,6 @@ TEST(FlightRecorderTest, ResetClearsTheLatchAndKeepsTriggers) {
 }
 
 TEST(FlightRecorderTest, WatchdogUnhealthyTriggerFiresOnLeavingHealthy) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   FlightRecorder fr(&tp);
@@ -138,10 +129,8 @@ TEST(FlightRecorderTest, TriggersReportShowsStateAndIsByteStable) {
   EXPECT_NE(a.find("corrupt-frame"), std::string::npos);
   EXPECT_NE(a.find("armed"), std::string::npos);
   EXPECT_EQ(a.find("FIRED"), std::string::npos);
-  if (telemetry::kHotStatsEnabled) {
-    tp.Emit(Probe::kSramExhausted, 0, 0);
-    EXPECT_NE(fr.TriggersReport().find("FIRED"), std::string::npos);
-  }
+  tp.Emit(Probe::kSramExhausted, 0, 0);
+  EXPECT_NE(fr.TriggersReport().find("FIRED"), std::string::npos);
 }
 
 // A small deterministic world that trips the SRAM trigger: the bundle —
@@ -195,9 +184,7 @@ TEST(FlightRecorderTest, PostmortemBundleIsByteStableAcrossRuns) {
   EXPECT_NE(a.find("\"metrics\":{"), std::string::npos);
   EXPECT_NE(a.find("\"health\":{"), std::string::npos);
   EXPECT_NE(a.find("\"flame\":"), std::string::npos);
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_NE(a.find("\"name\":\"sram-exhausted\""), std::string::npos);
-  }
+  EXPECT_NE(a.find("\"name\":\"sram-exhausted\""), std::string::npos);
 }
 
 TEST(FlightRecorderTest, BundleRendersNullSectionsWithoutWatchdogOrProfiler) {
@@ -230,8 +217,7 @@ std::string RecordField(std::string_view rec, std::string_view key) {
 // Spans ride the journal into the postmortem bundle: with every packet
 // sampled and a filter-deny trigger that fires after traffic has flowed,
 // the bundle alone rebuilds each traced packet's path — pkt.span records,
-// stage names, and per-trace spans that tile. At NORMAN_STATS_LEVEL=0 the
-// trigger's probe compiles away, so only the spans are asserted there.
+// stage names, and per-trace spans that tile.
 TEST(FlightRecorderTest, BundleCarriesPacketSpansThatTile) {
   workload::TestBedOptions opts;
   opts.echo = true;
@@ -268,17 +254,13 @@ TEST(FlightRecorderTest, BundleCarriesPacketSpansThatTile) {
   const uint64_t spans_at_trigger = tp.spans_recorded();
   ASSERT_TRUE(good->Send(payload).ok());
   bed.sim().Run();
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_TRUE(fr.triggered());
-    EXPECT_EQ(fr.fired_trigger(), "filter-deny");
-    // Frozen at the trigger: the post-trigger packet appended no spans.
-    EXPECT_EQ(tp.spans_recorded(), spans_at_trigger);
-  }
+  EXPECT_TRUE(fr.triggered());
+  EXPECT_EQ(fr.fired_trigger(), "filter-deny");
+  // Frozen at the trigger: the post-trigger packet appended no spans.
+  EXPECT_EQ(tp.spans_recorded(), spans_at_trigger);
 
   const std::string bundle = fr.Bundle(bed.sim().metrics(), nullptr, nullptr);
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_NE(bundle.find("\"name\":\"filter-deny\""), std::string::npos);
-  }
+  EXPECT_NE(bundle.find("\"name\":\"filter-deny\""), std::string::npos);
   // The journal section is a flat array of brace-delimited records.
   const size_t journal_at = bundle.find("\"journal\":[");
   ASSERT_NE(journal_at, std::string::npos);

@@ -15,6 +15,7 @@
 #include "src/nic/top_talkers.h"
 #include "src/norman/socket.h"
 #include "src/workload/testbed.h"
+#include "tests/test_util.h"
 
 namespace norman {
 namespace {
@@ -154,6 +155,7 @@ ObserverView RunObserverScenario(bool fastpath) {
     bed.InjectUdpFromPeer(6000, drop_sock->tuple().src_port, 50, when + 2000);
   }
   bed.sim().Run();
+  test::ExpectNicConservation(bed.nic().stats());
 
   ObserverView v;
   v.pcap = k.sniffer().pcap().buffer();

@@ -11,6 +11,7 @@
 #include "src/overlay/verifier.h"
 #include "src/workload/testbed.h"
 #include "src/net/packet_pool.h"
+#include "tests/test_util.h"
 
 namespace norman {
 namespace {
@@ -79,15 +80,8 @@ TEST(FuzzTest, GarbageThroughNicRxPathIsSafe) {
   // Everything was either dropped, unmatched, or (rarely) delivered —
   // but accounted for.
   const auto& stats = bed.nic().stats();
-  EXPECT_EQ(stats.rx_seen(), telemetry::HotCount(2000));
-  // The conservation equation mixes hot-tier volume counters with the
-  // always-exact drop counters, so it only balances when the hot tier is
-  // compiled in.
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_EQ(stats.rx_seen(), stats.rx_accepted() + stats.rx_dropped() +
-                                 stats.rx_fallback() + stats.rx_unmatched() +
-                                 stats.rx_ring_overflow());
-  }
+  EXPECT_EQ(stats.rx_seen(), 2000u);
+  test::ExpectNicConservation(stats);
 }
 
 TEST(FuzzTest, OverlayInterpreterSafeOnRandomVerifiedPrograms) {
@@ -197,20 +191,14 @@ TEST(InvariantTest, TxPacketConservationUnderRandomWorkload) {
     bed.sim().Run();
   }
   const auto& stats = bed.nic().stats();
-  // Volume-counter invariants need the hot stats tier compiled in; the
-  // drop-counter floor below stays exact at every level.
-  if (telemetry::kHotStatsEnabled) {
-    // Fallback TX packets re-enter the pipeline once (marked), so tx_seen
-    // counts them twice.
-    EXPECT_EQ(stats.tx_seen(),
-              static_cast<uint64_t>(sent) + stats.tx_fallback());
-    EXPECT_EQ(stats.tx_seen(),
-              stats.tx_accepted() + stats.tx_dropped() + stats.tx_fallback() +
-                  stats.tx_sched_dropped());
-    // Everything accepted eventually hit the wire (sim ran to quiescence).
-    EXPECT_EQ(bed.egress_frames(), stats.tx_accepted());
-    EXPECT_GT(stats.tx_fallback(), 0u);
-  }
+  // Fallback TX packets re-enter the pipeline once (marked), so tx_seen
+  // counts them twice.
+  EXPECT_EQ(stats.tx_seen(),
+            static_cast<uint64_t>(sent) + stats.tx_fallback());
+  test::ExpectNicConservation(stats);
+  // Everything accepted eventually hit the wire (sim ran to quiescence).
+  EXPECT_EQ(bed.egress_frames(), stats.tx_accepted());
+  EXPECT_GT(stats.tx_fallback(), 0u);
   EXPECT_GT(stats.tx_dropped(), 0u);
 }
 

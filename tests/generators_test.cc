@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/workload/testbed.h"
+#include "tests/test_util.h"
 
 namespace norman::workload {
 namespace {
@@ -108,6 +109,10 @@ TEST_F(GeneratorsTest, BulkSenderBacksOffOnFullRing) {
   // wire drains the scheduler), and the wire stays saturated.
   EXPECT_GT(bed.nic().stats().tx_sched_dropped(), 0u);
   EXPECT_GT(bed.nic().wire().Utilization(20 * kMillisecond), 0.95);
+  // Drained, every frame the scheduler dropped had been accepted by the
+  // pipeline first.
+  bed.sim().Run();
+  test::ExpectNicConservation(bed.nic().stats());
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST_F(ListenAcceptTest, MoveTransfersOwnership) {
 TEST_F(ListenAcceptTest, TrafficToUnboundPortIsDropped) {
   bed_.InjectUdpFromPeer(5555, 9999, 10, 100);
   bed_.sim().Run();
-  EXPECT_EQ(bed_.nic().stats().rx_unmatched(), telemetry::HotCount(1));
+  EXPECT_EQ(bed_.nic().stats().rx_unmatched(), 1u);
   // No connection appeared.
   EXPECT_TRUE(bed_.kernel().ListConnections().empty());
 }

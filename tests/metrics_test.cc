@@ -143,71 +143,5 @@ TEST(MetricsRegistryTest, ResetAllKeepsRegistrations) {
   EXPECT_EQ(reg.num_metrics(), 2u);
 }
 
-// ---- Stats tiers and batched accumulators ---------------------------------
-// These run at whichever NORMAN_STATS_LEVEL the binary was built with (CI
-// builds both), so the assertions condition on kHotStatsEnabled: at level 1
-// the hot tier must be exact, at level 0 it must be a complete no-op —
-// while registration and the direct Counter API stay live at both levels.
-
-TEST(StatsTierTest, HotIncrementFollowsCompiledTier) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("tier.probe");
-  HotIncrement(c);
-  HotIncrement(c, 4);
-  EXPECT_EQ(c->value(), kHotStatsEnabled ? 5u : 0u);
-  // The registry entry itself exists at every level (manifest shape is
-  // tier-independent) and direct increments always count.
-  EXPECT_NE(reg.FindCounter("tier.probe"), nullptr);
-  c->Increment(2);
-  EXPECT_EQ(c->value(), kHotStatsEnabled ? 7u : 2u);
-}
-
-TEST(StatsTierTest, HotQueueGaugeUpdatesFollowCompiledTier) {
-  MetricsRegistry reg;
-  QueueDepthGauges g(&reg, "tier");
-  HotAdd(&g, 3);
-  HotSet(&g, 7);
-  HotAdd(&g, -2);
-  if (kHotStatsEnabled) {
-    EXPECT_EQ(g.depth(), 5);
-    EXPECT_EQ(g.high_water(), 7);
-  } else {
-    EXPECT_EQ(g.depth(), 0);
-    EXPECT_EQ(g.high_water(), 0);
-  }
-  // The ungated QueueDepthGauges API still works at level 0 (cold-path
-  // users like the monitor's unit tests rely on it).
-  g.Set(9);
-  EXPECT_EQ(reg.FindGauge("queue.tier.depth")->value(), 9);
-}
-
-TEST(BatchedCounterTest, AccumulatesLocallyAndFlushesOnce) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("burst.probe");
-  {
-    BatchedCounter acc(c);
-    acc.Add();
-    acc.Add(3);
-    // Nothing hits the shared counter until a flush.
-    EXPECT_EQ(c->value(), 0u);
-    EXPECT_EQ(acc.pending(), kHotStatsEnabled ? 4u : 0u);
-    acc.Flush();
-    EXPECT_EQ(c->value(), kHotStatsEnabled ? 4u : 0u);
-    acc.Add(2);
-  }  // destructor flushes the tail
-  EXPECT_EQ(c->value(), kHotStatsEnabled ? 6u : 0u);
-}
-
-TEST(BatchedCounterTest, EmptyBurstNeverTouchesCounter) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("burst.empty");
-  c->Increment(11);
-  {
-    BatchedCounter acc(c);
-    acc.Flush();
-  }
-  EXPECT_EQ(c->value(), 11u);
-}
-
 }  // namespace
 }  // namespace norman::telemetry

@@ -13,6 +13,7 @@
 #include "src/norman/socket.h"
 #include "src/tools/tools.h"
 #include "src/workload/testbed.h"
+#include "tests/test_util.h"
 
 namespace norman {
 namespace {
@@ -95,6 +96,7 @@ TEST(MulticoreShardingTest, ShardedEchoSpreadsAndDeliversEverything) {
     }
   }
   bed.sim().Run();
+  test::ExpectNicConservation(bed.nic().stats());
 
   // Every echo reply made it back up through its lane.
   uint8_t scratch[2048];
@@ -105,39 +107,32 @@ TEST(MulticoreShardingTest, ShardedEchoSpreadsAndDeliversEverything) {
     EXPECT_FALSE(s->RecvInto(scratch).ok());  // nothing lost or duplicated
   }
 
-  if (telemetry::kHotStatsEnabled) {
-    // The steered counters account for every inbound frame, across >1 lane.
-    const auto snap = bed.sim().metrics().Snapshot();
-    int64_t steered = 0;
-    int lanes_hit = 0;
-    for (int q = 0; q < 4; ++q) {
-      const auto it =
-          snap.values.find("rss.steered.q" + std::to_string(q));
-      if (it == snap.values.end()) continue;
-      steered += it->second;
-      lanes_hit += it->second > 0 ? 1 : 0;
-    }
-    EXPECT_EQ(steered, 64);  // 16 flows x 4 echoes
-    EXPECT_GE(lanes_hit, 2) << "16 flows all hashed to one lane";
-    // The lane ingress rings saw real occupancy on the lanes that got
-    // flows (ring depth is hot-tier telemetry too).
-    int64_t rx_high_water = 0;
-    for (int q = 0; q < 4; ++q) {
-      const auto it = snap.values.find("queue.nic.rx_ring.q" +
-                                       std::to_string(q) + ".high_water");
-      if (it != snap.values.end()) rx_high_water += it->second;
-    }
-    EXPECT_GT(rx_high_water, 0);
+  // The steered counters account for every inbound frame, across >1 lane.
+  const auto snap = bed.sim().metrics().Snapshot();
+  int64_t steered = 0;
+  int lanes_hit = 0;
+  for (int q = 0; q < 4; ++q) {
+    const auto it = snap.values.find("rss.steered.q" + std::to_string(q));
+    if (it == snap.values.end()) continue;
+    steered += it->second;
+    lanes_hit += it->second > 0 ? 1 : 0;
   }
+  EXPECT_EQ(steered, 64);  // 16 flows x 4 echoes
+  EXPECT_GE(lanes_hit, 2) << "16 flows all hashed to one lane";
+  // The lane ingress rings saw real occupancy on the lanes that got flows.
+  int64_t rx_high_water = 0;
+  for (int q = 0; q < 4; ++q) {
+    const auto it = snap.values.find("queue.nic.rx_ring.q" +
+                                     std::to_string(q) + ".high_water");
+    if (it != snap.values.end()) rx_high_water += it->second;
+  }
+  EXPECT_GT(rx_high_water, 0);
 }
 
 // The per-queue notification counters key on Notification::queue, so a
 // sharded run's completion flow is attributable lane by lane — and the
 // per-queue sum matches the aggregate drain counter.
 TEST(MulticoreShardingTest, NotificationsCarryTheirLane) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "per-queue notify counters compile out at stats level 0";
-  }
   workload::TestBedOptions opts;
   opts.echo = true;
   workload::TestBed bed(opts);

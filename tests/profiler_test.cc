@@ -1,15 +1,11 @@
 // Dataplane profiler (src/common/profiler.h): conservation, owner
-// attribution, export stability, and the registry-tracked BatchedCounter
-// flush that keeps end-of-run reports exact.
+// attribution, export stability, and an end-of-run counter check.
 //
 // The conservation invariant is the profiler's contract: for every
 // registered core, summed attributed ns + the explicit unaccounted bucket
-// equals the resource's busy ns — at every dispatch batch size, at both
-// stats tiers (CI builds NORMAN_STATS_LEVEL=0 and =1), and under chaos.
-// At the hot tier the instrumented paths charge exactly what they serve,
-// so unaccounted must be exactly zero; at level 0 the charges compile out
-// and the whole busy time lands in unaccounted — same equation, no silent
-// loss either way.
+// equals the resource's busy ns — at every dispatch batch size and under
+// chaos. The instrumented paths charge exactly what they serve, so
+// unaccounted must be exactly zero.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -36,12 +32,8 @@ void ExpectConservation(const Profiler& prof) {
   ASSERT_GE(cores.size(), 5u);  // nic.{dma,pipeline,stages,wire} + kernel
   for (const auto& c : cores) {
     EXPECT_EQ(c.attributed_ns + c.unaccounted_ns, c.busy_ns) << c.name;
-    if (telemetry::kHotStatsEnabled) {
-      EXPECT_EQ(c.unaccounted_ns, 0u) << c.name << ": busy time escaped "
-                                      << "the instrumented charge points";
-    } else {
-      EXPECT_EQ(c.attributed_ns, 0u) << c.name;
-    }
+    EXPECT_EQ(c.unaccounted_ns, 0u) << c.name << ": busy time escaped "
+                                    << "the instrumented charge points";
   }
 }
 
@@ -170,9 +162,6 @@ TEST(ProfilerExportTest, FoldedStacksTileToBusyNs) {
 }
 
 TEST(ProfilerOwnerTest, LedgerSplitsByPidAndBillsSram) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "owner ledger compiles out at NORMAN_STATS_LEVEL=0";
-  }
   workload::TestBedOptions opts;
   opts.echo = true;
   workload::TestBed bed(opts);
@@ -229,9 +218,6 @@ TEST(ProfilerOwnerTest, LedgerSplitsByPidAndBillsSram) {
 }
 
 TEST(ProfilerOwnerTest, UnmatchedWireTrafficStaysUnowned) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "owner ledger compiles out at NORMAN_STATS_LEVEL=0";
-  }
   workload::TestBedOptions opts;
   workload::TestBed bed(opts);
   bed.sim().profiler().set_enabled(true);
@@ -250,9 +236,6 @@ TEST(ProfilerOwnerTest, UnmatchedWireTrafficStaysUnowned) {
 // Scope entry counts keep zero-cost contexts (the maintenance tick) visible
 // in the attribution tree even though they charge no nanoseconds.
 TEST(ProfilerExportTest, MaintenanceTickVisibleByEntries) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "scopes compile out at NORMAN_STATS_LEVEL=0";
-  }
   workload::TestBedOptions opts;
   opts.echo = true;
   opts.kernel.housekeeping_period = 50 * kMicrosecond;
@@ -328,54 +311,9 @@ TEST(ProfilerExportTest, TopByPidRendersOwnerRows) {
   EXPECT_EQ(view, tools::TopByPid(bed.kernel()));
 }
 
-// ---- Satellite: registry-tracked BatchedCounter flush -----------------------
+// ---- Exact counters at end of run ------------------------------------------
 
-TEST(BatchedCounterFlushTest, ReportPathsFoldPendingCounts) {
-  sim::Simulator sim;
-  auto* c = sim.metrics().GetCounter("test.burst");
-  telemetry::BatchedCounter b(c, &sim.metrics());
-  EXPECT_EQ(sim.metrics().num_tracked_batched(), 1u);
-  b.Add(3);  // odd-sized burst, deliberately never flushed by hand
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_EQ(c->value(), 0u);  // still pending in the accumulator
-    (void)sim.metrics().TextReport();
-    EXPECT_EQ(c->value(), 3u);  // the report folded it in first
-    b.Add(2);
-    (void)sim.metrics().Snapshot();
-    EXPECT_EQ(c->value(), 5u);
-    b.Add(1);
-    (void)sim.metrics().JsonReport();
-    EXPECT_EQ(c->value(), 6u);
-  } else {
-    (void)sim.metrics().TextReport();
-    EXPECT_EQ(c->value(), 0u);  // hot tier compiled out entirely
-  }
-}
-
-TEST(BatchedCounterFlushTest, DestructionUntracksAndFlushes) {
-  sim::Simulator sim;
-  auto* c = sim.metrics().GetCounter("test.final");
-  {
-    telemetry::BatchedCounter b(c, &sim.metrics());
-    b.Add(7);
-  }
-  EXPECT_EQ(sim.metrics().num_tracked_batched(), 0u);
-  EXPECT_EQ(c->value(), telemetry::kHotStatsEnabled ? 7u : 0u);
-}
-
-TEST(BatchedCounterFlushTest, UntrackedCounterKeepsLegacyBehavior) {
-  sim::Simulator sim;
-  auto* c = sim.metrics().GetCounter("test.legacy");
-  telemetry::BatchedCounter b(c);  // not registry-tracked
-  b.Add(4);
-  EXPECT_EQ(sim.metrics().num_tracked_batched(), 0u);
-  (void)sim.metrics().TextReport();  // cannot see the accumulator
-  EXPECT_EQ(c->value(), 0u);
-  b.Flush();
-  EXPECT_EQ(c->value(), telemetry::kHotStatsEnabled ? 4u : 0u);
-}
-
-TEST(BatchedCounterFlushTest, OddFinalBurstVisibleInEndOfRunReport) {
+TEST(ExactCounterTest, OddFinalBurstVisibleInEndOfRunReport) {
   workload::TestBedOptions opts;
   opts.echo = false;
   workload::TestBed bed(opts);
@@ -386,17 +324,13 @@ TEST(BatchedCounterFlushTest, OddFinalBurstVisibleInEndOfRunReport) {
   auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
   ASSERT_TRUE(sock.ok());
   // 33 sends with a TX fetch batch of 16: the final burst is odd-sized
-  // (one descriptor), and its accumulator must still reach the counter by
-  // the time any report path reads it.
+  // (one descriptor), and it still counts every descriptor it served.
   const std::vector<uint8_t> payload(120, 0x42);
   for (int i = 0; i < 33; ++i) {
     ASSERT_TRUE(sock->Send(payload).ok());
   }
   bed.sim().Run();
-  bed.sim().metrics().FlushPending();
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_EQ(bed.nic().stats().tx_seen(), 33u);
-  }
+  EXPECT_EQ(bed.nic().stats().tx_seen(), 33u);
 }
 
 }  // namespace

@@ -84,8 +84,8 @@ TEST_F(SmartNicTest, TxPathReachesWire) {
   SendOne(1, 1234);
   sim_.Run();
   ASSERT_EQ(wire_out_.size(), 1u);
-  EXPECT_EQ(nic_.stats().tx_seen(), telemetry::HotCount(1));
-  EXPECT_EQ(nic_.stats().tx_accepted(), telemetry::HotCount(1));
+  EXPECT_EQ(nic_.stats().tx_seen(), 1u);
+  EXPECT_EQ(nic_.stats().tx_accepted(), 1u);
   EXPECT_GT(wire_out_[0]->meta().completed_at, 0);
   EXPECT_EQ(wire_out_[0]->meta().connection, 1u);
 }
@@ -147,13 +147,13 @@ TEST_F(SmartNicTest, RxPathDeliversToRing) {
   auto pkt = rings->rx().TryPop();
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ((*pkt)->meta().connection, 1u);
-  EXPECT_EQ(nic_.stats().rx_accepted(), telemetry::HotCount(1));
+  EXPECT_EQ(nic_.stats().rx_accepted(), 1u);
 }
 
 TEST_F(SmartNicTest, RxUnmatchedGoesToFallback) {
   nic_.DeliverFromWire(MakeRxPacket(4444), 0);  // no flow installed
   sim_.Run();
-  EXPECT_EQ(nic_.stats().rx_unmatched(), telemetry::HotCount(1));
+  EXPECT_EQ(nic_.stats().rx_unmatched(), 1u);
   ASSERT_EQ(fallback_.size(), 1u);
   EXPECT_EQ(fallback_[0].second, Direction::kRx);
 }
@@ -256,7 +256,7 @@ TEST_F(SmartNicTest, FallbackVerdictDivertsTx) {
   EXPECT_TRUE(wire_out_.empty());
   ASSERT_EQ(fallback_.size(), 1u);
   EXPECT_TRUE(fallback_[0].first->meta().software_fallback);
-  EXPECT_EQ(nic_.stats().tx_fallback(), telemetry::HotCount(1));
+  EXPECT_EQ(nic_.stats().tx_fallback(), 1u);
 }
 
 TEST_F(SmartNicTest, OverlaySlotLoadAndGenerations) {
@@ -334,9 +334,8 @@ TEST_F(SmartNicTest, RxQueueOverrideBeatsRss) {
   auto pkt = cp_->GetRings(1)->rx().TryPop();
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ((*pkt)->meta().rx_queue, 5);
-  // The frame crossed lane 5's ingress ring, not another lane's (ring
-  // occupancy is hot-tier telemetry, compiled out at stats level 0).
-  for (int q = 0; telemetry::kHotStatsEnabled && q < 8; ++q) {
+  // The frame crossed lane 5's ingress ring, not another lane's.
+  for (int q = 0; q < 8; ++q) {
     const std::string gauge =
         "queue.nic.rx_ring.q" + std::to_string(q) + ".high_water";
     EXPECT_EQ(sim_.metrics().GetGauge(gauge)->value(), q == 5 ? 1 : 0)

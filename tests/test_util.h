@@ -1,7 +1,10 @@
-// Shared helpers for Norman tests: canned frames, contexts, and an echo
-// network that loops TX frames back as RX.
+// Shared helpers for Norman tests: canned frames, contexts, an echo
+// network that loops TX frames back as RX, and the NIC's packet
+// conservation check.
 #ifndef NORMAN_TESTS_TEST_UTIL_H_
 #define NORMAN_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "src/net/packet.h"
 #include "src/net/packet_builder.h"
 #include "src/net/parsed_packet.h"
+#include "src/nic/smart_nic.h"
 #include "src/overlay/packet_context.h"
 
 namespace norman::test {
@@ -69,6 +73,19 @@ inline std::unique_ptr<ContextBundle> MakeTcpContext(
   b->ctx.direction = dir;
   b->packet.meta().direction = dir;
   return b;
+}
+
+// Packet conservation at the NIC, checked once the world has drained.
+// TX: the pipeline accepts, drops or diverts every frame the NIC fetched,
+// and the scheduler can drop only frames the pipeline accepted. RX: every
+// frame off the wire lands in a ring or in exactly one other outcome.
+inline void ExpectNicConservation(const nic::NicStats& s) {
+  EXPECT_EQ(s.tx_seen(), s.tx_accepted() + s.tx_dropped() + s.tx_fallback())
+      << "TX conservation";
+  EXPECT_LE(s.tx_sched_dropped(), s.tx_accepted()) << "TX conservation";
+  EXPECT_EQ(s.rx_seen(), s.rx_accepted() + s.rx_dropped() + s.rx_fallback() +
+                             s.rx_unmatched() + s.rx_ring_overflow())
+      << "RX conservation";
 }
 
 }  // namespace norman::test

@@ -65,10 +65,6 @@ class RenderFixture : public ::testing::Test {
 };
 
 TEST_F(RenderFixture, NicStatGolden) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "golden renders hot-tier volume counters, which compile "
-                    "to no-ops at NORMAN_STATS_LEVEL=0";
-  }
   const std::string got = tools::NicStat(bed_->kernel(), bed_->nic());
   const std::string want =
       "NIC statistics (virtual time 8.58us):\n"

@@ -56,9 +56,6 @@ TEST(TracepointTest, DisarmedEmitRecordsNothing) {
 }
 
 TEST(TracepointTest, ArmedEmitStampsRecordAndCounts) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   Nanos now = 0;
@@ -85,9 +82,6 @@ TEST(TracepointTest, ArmedEmitStampsRecordAndCounts) {
 }
 
 TEST(TracepointTest, PredicateFiltersAtEmit) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   ProbePredicate pred;
@@ -135,9 +129,6 @@ TEST(TracepointTest, PredicateParseRenderRoundTrip) {
 }
 
 TEST(TracepointTest, RingKeepsNewestAndCountsOverwrites) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   tp.Arm(Probe::kSramAlloc);
@@ -155,9 +146,6 @@ TEST(TracepointTest, RingKeepsNewestAndCountsOverwrites) {
 }
 
 TEST(TracepointTest, JournalMergesCoreRingsInEmitOrder) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   tp.Arm(Probe::kSramAlloc);
@@ -174,9 +162,6 @@ TEST(TracepointTest, JournalMergesCoreRingsInEmitOrder) {
 }
 
 TEST(TracepointTest, FreezeStopsAppendsButStillCountsHits) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   tp.Arm(Probe::kNicDrop);
@@ -192,9 +177,6 @@ TEST(TracepointTest, FreezeStopsAppendsButStillCountsHits) {
 }
 
 TEST(TracepointTest, ClearDropsRecordsButKeepsArming) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   ProbePredicate pred;
@@ -244,9 +226,6 @@ TEST(TracepointTest, ListReportIsSortedAndByteStable) {
 }
 
 TEST(TracepointTest, JournalJsonIsByteStable) {
-  if (!telemetry::kHotStatsEnabled) {
-    GTEST_SKIP() << "emits compile away at NORMAN_STATS_LEVEL=0";
-  }
   telemetry::MetricsRegistry reg;
   Tracepoints tp(&reg);
   Nanos now = 7;
@@ -378,8 +357,7 @@ TEST(PacketTracerTest, ClearDropsSpansKeepsKnob) {
 // Spans and probe emits share one journal: one global sequence across the
 // core rings, the freeze latch stops span appends while the stage
 // histograms (which the watchdog reads live) keep filling, and the decoded
-// journal names each span's stage. Probe emits compile away at
-// NORMAN_STATS_LEVEL=0; spans do not.
+// journal names each span's stage.
 TEST(TracepointTest, SpansShareTheJournalWithProbeEmits) {
   MetricsRegistry reg;
   Tracepoints tp(&reg);
@@ -391,9 +369,8 @@ TEST(TracepointTest, SpansShareTheJournalWithProbeEmits) {
   tp.Span(id, "tx.dma", 10, 20, Tracepoints::kCoreNic);
   tp.Emit(Probe::kNicDrop, Tracepoints::kCoreHost, 0);
   tp.Span(id, "tx.wire", 20, 45, Tracepoints::kCoreLaneBase + 1);
-  const size_t probes = telemetry::kHotStatsEnabled ? 1 : 0;
   const auto journal = tp.Journal();
-  ASSERT_EQ(journal.size(), 2 + probes);
+  ASSERT_EQ(journal.size(), 3u);
   for (size_t i = 0; i < journal.size(); ++i) {
     EXPECT_EQ(journal[i].seq, i);
   }
@@ -403,9 +380,7 @@ TEST(TracepointTest, SpansShareTheJournalWithProbeEmits) {
   EXPECT_EQ(span.a0, id);
   EXPECT_EQ(span.a2, 20u);
   EXPECT_EQ(journal.back().core, Tracepoints::kCoreLaneBase + 1);
-  if (telemetry::kHotStatsEnabled) {
-    EXPECT_EQ(journal[1].probe, static_cast<uint16_t>(Probe::kNicDrop));
-  }
+  EXPECT_EQ(journal[1].probe, static_cast<uint16_t>(Probe::kNicDrop));
 
   const std::string json = tp.JournalJson();
   EXPECT_NE(json.find("\"probe\":\"pkt.span\""), std::string::npos) << json;
@@ -414,7 +389,7 @@ TEST(TracepointTest, SpansShareTheJournalWithProbeEmits) {
 
   tp.Freeze();
   tp.Span(id, "tx.wire", 45, 60, Tracepoints::kCoreNic);
-  EXPECT_EQ(tp.Journal().size(), 2 + probes);
+  EXPECT_EQ(tp.Journal().size(), 3u);
   EXPECT_EQ(tp.spans_recorded(), 2u);
   EXPECT_EQ(reg.FindHistogram("trace.stage.tx.wire")->count(), 2u);
 }
