@@ -54,22 +54,6 @@ class FixedRing {
     return value;
   }
 
-  // Bulk producer: move as many elements of `src` in as fit (in order).
-  // Returns the number pushed — src.size() when there was room, the free
-  // count on a partial batch, 0 when full. Elements actually pushed are
-  // left moved-from in `src`; the rest are untouched, so callers can retry
-  // the tail of a partial batch later.
-  uint32_t PushN(std::span<T> src) {
-    const uint32_t n = std::min(static_cast<uint32_t>(std::min<size_t>(
-                                    src.size(), ~uint32_t{0})),
-                                capacity_ - size());
-    for (uint32_t i = 0; i < n; ++i) {
-      slots_[(head_ + i) & mask_] = std::move(src[i]);
-    }
-    head_ += n;
-    return n;
-  }
-
   // Bulk consumer: move up to dst.size() oldest elements out (FIFO order).
   // Returns the number popped — min(dst.size(), size()). dst elements past
   // the returned count are untouched.

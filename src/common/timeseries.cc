@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cinttypes>
+#include <cstddef>
 #include <cstdio>
 
 namespace norman::telemetry {
@@ -39,6 +40,18 @@ TimeSeries& TimeSeriesSampler::SeriesFor(const std::string& name) {
   return it->second;
 }
 
+TimeSeriesSampler::Track& TimeSeriesSampler::TrackAt(
+    std::vector<Track>& tracks, size_t pos, const void* metric,
+    const std::string& name, std::string_view suffix) {
+  if (pos == tracks.size() || tracks[pos].metric != metric) {
+    std::string series_name = name;
+    series_name += suffix;
+    tracks.insert(tracks.begin() + static_cast<std::ptrdiff_t>(pos),
+                  Track{metric, &SeriesFor(series_name), 0});
+  }
+  return tracks[pos];
+}
+
 void TimeSeriesSampler::Sample(Nanos now) {
   if (samples_ > 0 && now <= prev_time_) {
     return;  // zero-width (or time-reversed) window: nothing to derive
@@ -48,24 +61,27 @@ void TimeSeriesSampler::Sample(Nanos now) {
 
   // Counters: per-second rate over the elapsed window. A counter that first
   // appears mid-run deltas against zero, matching its actual birth value.
+  size_t pos = 0;
   registry_->ForEachCounter([&](const std::string& name, const Counter& c) {
-    const auto it = prev_.values.find(name);
-    const int64_t before = it == prev_.values.end() ? 0 : it->second;
-    const double delta =
-        static_cast<double>(static_cast<int64_t>(c.value()) - before);
-    SeriesFor(name + ".rate").Push(now, delta / window_s);
+    Track& t = TrackAt(counter_tracks_, pos++, &c, name, ".rate");
+    const int64_t value = static_cast<int64_t>(c.value());
+    t.series->Push(now, static_cast<double>(value - t.prev) / window_s);
+    t.prev = value;
   });
   // Gauges: instantaneous level at the scrape.
+  pos = 0;
   registry_->ForEachGauge([&](const std::string& name, const Gauge& g) {
-    SeriesFor(name).Push(now, static_cast<double>(g.value()));
+    TrackAt(gauge_tracks_, pos++, &g, name, "")
+        .series->Push(now, static_cast<double>(g.value()));
   });
   // Histograms: tail latency (cumulative p99 at the scrape, ns).
+  pos = 0;
   registry_->ForEachHistogram(
       [&](const std::string& name, const LatencyHistogram& h) {
-        SeriesFor(name + ".p99").Push(now, static_cast<double>(h.p99()));
+        TrackAt(histogram_tracks_, pos++, &h, name, ".p99")
+            .series->Push(now, static_cast<double>(h.p99()));
       });
 
-  prev_ = registry_->Snapshot();
   prev_time_ = now;
   ++samples_;
 }
@@ -112,7 +128,9 @@ std::string TimeSeriesSampler::JsonReport() const {
 
 void TimeSeriesSampler::Clear() {
   series_.clear();
-  prev_ = MetricsSnapshot{};
+  counter_tracks_.clear();
+  gauge_tracks_.clear();
+  histogram_tracks_.clear();
   prev_time_ = 0;
   samples_ = 0;
 }

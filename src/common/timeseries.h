@@ -11,6 +11,9 @@
 //   gauge    <name>      ->  series "<name>"       (instantaneous level)
 //   histogram <name>     ->  series "<name>.p99"   (tail latency, ns)
 //
+// A scrape allocates only for a metric it sees for the first time: each
+// metric's previous value and series pointer are cached in registry order.
+//
 // Everything runs on the virtual clock and touches no RNG or host time, so
 // sampling is pure observation: the packet trajectory is bit-identical with
 // the sampler on or off, and back-to-back runs export byte-identical JSON
@@ -90,12 +93,28 @@ class TimeSeriesSampler {
   void Clear();
 
  private:
+  // Scrape state of one registry metric. Tracks are kept in the registry's
+  // sorted-name order, so Sample walks them in lockstep with ForEach*
+  // without a lookup; a metric registered since the last scrape is spliced
+  // in where it appears (the registry never unregisters a metric).
+  struct Track {
+    const void* metric = nullptr;  // registry handle, compared by address
+    TimeSeries* series = nullptr;  // series_ nodes are stable
+    int64_t prev = 0;  // counters: value at the previous scrape
+  };
+
   TimeSeries& SeriesFor(const std::string& name);
+  // The track at `pos` for `metric`, inserting it (and its series
+  // "<name><suffix>") on first sight.
+  Track& TrackAt(std::vector<Track>& tracks, size_t pos, const void* metric,
+                 const std::string& name, std::string_view suffix);
 
   MetricsRegistry* registry_;
   Options opts_;
   std::map<std::string, TimeSeries, std::less<>> series_;
-  MetricsSnapshot prev_;  // counter/gauge values at the previous scrape
+  std::vector<Track> counter_tracks_;
+  std::vector<Track> gauge_tracks_;
+  std::vector<Track> histogram_tracks_;
   Nanos prev_time_ = 0;
   uint64_t samples_ = 0;
 };

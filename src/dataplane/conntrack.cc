@@ -1,10 +1,21 @@
 #include "src/dataplane/conntrack.h"
 
-#include <vector>
+#include <algorithm>
+#include <tuple>
 
 #include "src/net/parsed_packet.h"
 
 namespace norman::dataplane {
+
+namespace {
+// The orientation a flow is keyed under: the endpoint with the smaller
+// (ip, port) pair is the source, so a tuple and its reverse share a key.
+net::FiveTuple Canonical(const net::FiveTuple& t) {
+  const bool swap = std::tie(t.src_ip.addr, t.src_port) >
+                    std::tie(t.dst_ip.addr, t.dst_port);
+  return swap ? t.Reversed() : t;
+}
+}  // namespace
 
 Conntrack::Conntrack(nic::SramAllocator* sram, Nanos idle_timeout)
     : sram_(sram), idle_timeout_(idle_timeout) {}
@@ -64,16 +75,9 @@ nic::StageResult Conntrack::Process(net::Packet& packet,
   const uint8_t tcp_flags =
       ctx.parsed->is_tcp() ? ctx.parsed->tcp->flags : 0;
 
-  auto it = table_.find(*flow);
-  bool from_initiator = true;
-  if (it == table_.end()) {
-    const auto rev = table_.find(flow->Reversed());
-    if (rev != table_.end()) {
-      it = rev;
-      from_initiator = false;
-    }
-  }
-  if (it == table_.end()) {
+  const net::FiveTuple key = Canonical(*flow);
+  Table::Index i = table_.Find(key);
+  if (i == Table::kNil) {
     // Charge the owning tenant's quota when the flow has a kernel-attached
     // owner; anonymous wire flows charge the shared (tenant-0) pool, which
     // the bounded-table defense already protects.
@@ -87,16 +91,21 @@ nic::StageResult Conntrack::Process(net::Packet& packet,
     entry.tuple = *flow;
     entry.first_seen = now;
     entry.tenant = ctx.conn.owner_tenant;
-    it = table_.emplace(*flow, entry).first;
+    i = table_.PushFront(key, entry);
   }
-  ConntrackEntry& entry = it->second;
+  ConntrackEntry& entry = table_.value(i);
+  const bool from_initiator = entry.tuple == *flow;
   ++entry.packets;
   entry.bytes += packet.size();
   entry.last_seen = now;
+  oldest_seen_ = std::min(oldest_seen_, now);
   const ConnState prev = entry.state;
   Advance(entry, tcp_flags, from_initiator);
+  if (entry.state == ConnState::kClosed && prev != ConnState::kClosed) {
+    ++closed_;
+  }
   if (tp_ != nullptr && entry.state != prev) {
-    // Canonical (first-packet) orientation, like the table key.
+    // First-packet orientation (entry.tuple), whichever side sent this one.
     const telemetry::TraceFlow trace_flow{
         entry.tuple.src_ip.addr,
         entry.tuple.dst_ip.addr,
@@ -114,28 +123,32 @@ nic::StageResult Conntrack::Process(net::Packet& packet,
 }
 
 size_t Conntrack::Sweep(Nanos now) {
-  std::vector<net::FiveTuple> dead;
-  for (const auto& [tuple, entry] : table_) {
+  if (table_.empty() ||
+      (closed_ == 0 && now - oldest_seen_ <= idle_timeout_)) {
+    return 0;
+  }
+  size_t removed = 0;
+  Nanos oldest = std::numeric_limits<Nanos>::max();
+  for (Table::Index i = table_.front(); i != Table::kNil;) {
+    const Table::Index next = table_.next(i);
+    const ConntrackEntry& entry = table_.value(i);
     if (entry.state == ConnState::kClosed ||
         now - entry.last_seen > idle_timeout_) {
-      dead.push_back(tuple);
+      sram_->Free("conntrack", kConntrackEntryBytes, entry.tenant);
+      table_.EraseAt(i);
+      ++removed;
+    } else {
+      oldest = std::min(oldest, entry.last_seen);
     }
+    i = next;
   }
-  for (const auto& tuple : dead) {
-    const auto it = table_.find(tuple);
-    const uint32_t tenant = it != table_.end() ? it->second.tenant : 0;
-    table_.erase(tuple);
-    sram_->Free("conntrack", kConntrackEntryBytes, tenant);
-  }
-  return dead.size();
+  closed_ = 0;
+  oldest_seen_ = oldest;
+  return removed;
 }
 
 const ConntrackEntry* Conntrack::Lookup(const net::FiveTuple& tuple) const {
-  auto it = table_.find(tuple);
-  if (it == table_.end()) {
-    it = table_.find(tuple.Reversed());
-  }
-  return it == table_.end() ? nullptr : &it->second;
+  return table_.Get(Canonical(tuple));
 }
 
 }  // namespace norman::dataplane

@@ -5,12 +5,24 @@
 // today. State lives in NIC SRAM; when full, new flows are reported as
 // untracked rather than evicting established ones (§5's "careful data
 // structure design" mitigation).
+//
+// The table is a SlabMap keyed on the tuple's *canonical* orientation (the
+// endpoint with the smaller (ip, port) first), so one probe finds a flow
+// from either side; each entry keeps the orientation of its first packet,
+// which is what "initiator" means.
+//
+// Sweep keeps a watermark so a maintenance tick costs O(1) when nothing can
+// expire: `closed_` counts entries in kClosed, and `oldest_seen_` is a lower
+// bound on every entry's last_seen (lowered on every update, made exact by
+// each full scan). With no closed entry and now - oldest_seen_ within the
+// idle timeout, no entry can be due, so the scan is skipped.
 #ifndef NORMAN_DATAPLANE_CONNTRACK_H_
 #define NORMAN_DATAPLANE_CONNTRACK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 
+#include "src/common/slab_map.h"
 #include "src/common/tracepoint.h"
 #include "src/net/headers.h"
 #include "src/net/types.h"
@@ -30,7 +42,7 @@ enum class ConnState : uint8_t {
 };
 
 struct ConntrackEntry {
-  net::FiveTuple tuple;  // canonical orientation = first packet seen
+  net::FiveTuple tuple;  // orientation of the first packet seen
   ConnState state = ConnState::kNew;
   uint64_t packets = 0;
   uint64_t bytes = 0;
@@ -57,7 +69,8 @@ class Conntrack : public nic::PipelineStage {
                       const overlay::PacketContext& ctx) override;
 
   // Expires idle/closed entries; returns the number removed. The kernel
-  // control plane runs this periodically.
+  // control plane runs this periodically. Skips the scan when the
+  // watermark proves nothing is due.
   size_t Sweep(Nanos now);
 
   const ConntrackEntry* Lookup(const net::FiveTuple& tuple) const;
@@ -69,19 +82,24 @@ class Conntrack : public nic::PipelineStage {
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [tuple, entry] : table_) {
-      fn(entry);
-    }
+    table_.ForEach(
+        [&fn](const net::FiveTuple&, const ConntrackEntry& entry) {
+          fn(entry);
+        });
   }
 
  private:
+  using Table = SlabMap<net::FiveTuple, ConntrackEntry, net::FiveTupleHash>;
+
   void Advance(ConntrackEntry& entry, uint8_t tcp_flags, bool from_initiator);
 
   nic::SramAllocator* sram_;
   Nanos idle_timeout_;
-  std::unordered_map<net::FiveTuple, ConntrackEntry, net::FiveTupleHash>
-      table_;
+  Table table_;  // keyed on the canonical orientation
   uint64_t untracked_ = 0;
+  // Sweep watermark (see the file comment).
+  size_t closed_ = 0;
+  Nanos oldest_seen_ = std::numeric_limits<Nanos>::max();
   telemetry::Tracepoints* tp_ = nullptr;
 };
 

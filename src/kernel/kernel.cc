@@ -263,7 +263,7 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
       prof_->RegisterOwner(pid);
       fallback_conns_.emplace(conn_id,
                               FallbackConn{entry.tuple, entry.owner});
-      conn_owner_pid_.emplace(conn_id, pid);
+      conns_.PushFront(conn_id, ConnRecord{pid});
       return AppPort(conn_id, entry.tuple, options_.host_mac,
                      options_.gateway_mac, nullptr, nic::DoorbellWindow(),
                      nullptr);
@@ -275,7 +275,7 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
   if (opts.notify_rx || opts.notify_tx_drain) {
     nic_cp_->RegisterNotificationQueue(pid);
   }
-  conn_owner_pid_.emplace(conn_id, pid);
+  conns_.PushFront(conn_id, ConnRecord{pid});
   if (const auto t = tenants_.find(entry.owner.owner_tenant);
       t != tenants_.end()) {
     t->second.ring_bytes_used += ring_cost;
@@ -288,14 +288,26 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
 }
 
 Status Kernel::Close(net::ConnectionId conn_id) {
-  const auto owner_it = conn_owner_pid_.find(conn_id);
+  const ConnRecord* rec = conns_.Get(conn_id);
   sim_->tracepoints().Emit(
       telemetry::Probe::kSocketCall, telemetry::Tracepoints::kCoreHost,
-      owner_it == conn_owner_pid_.end() ? 0 : owner_it->second,
+      rec == nullptr ? 0 : rec->pid,
       static_cast<uint64_t>(telemetry::SocketOp::kClose),
       static_cast<uint64_t>(conn_id));
-  waiters_.erase(conn_id);
-  conn_owner_pid_.erase(conn_id);
+  if (rec != nullptr) {
+    // Parked waiters are dropped unrun; their pid's blocked count follows.
+    uint32_t dropped = 0;
+    for (uint32_t w = rec->first_waiter; w != kNoWaiter;) {
+      const uint32_t next = waiters_[w].next;
+      FreeWaiter(w);
+      ++dropped;
+      w = next;
+    }
+    if (dropped > 0) {
+      *blocked_.Get(rec->pid) -= dropped;
+    }
+    conns_.Erase(conn_id);
+  }
   if (const auto ct = conn_tenant_.find(conn_id); ct != conn_tenant_.end()) {
     // Refund the connection's ring working sets to its tenant's budget.
     if (const auto t = tenants_.find(ct->second); t != tenants_.end()) {
@@ -445,7 +457,7 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
   if (entry.notify_rx || entry.notify_tx_drain) {
     nic_cp_->RegisterNotificationQueue(listener.pid);
   }
-  conn_owner_pid_.emplace(conn_id, listener.pid);
+  conns_.PushFront(conn_id, ConnRecord{listener.pid});
   if (const auto t = tenants_.find(entry.owner.owner_tenant);
       t != tenants_.end()) {
     t->second.ring_bytes_used += ring_cost;
@@ -498,37 +510,61 @@ std::vector<ConnectionInfo> Kernel::ListConnections() const {
 // ---- Blocking I/O -----------------------------------------------------------
 
 Status Kernel::BlockOnRx(net::ConnectionId conn_id,
-                         std::function<void()> resume) {
-  const auto owner = conn_owner_pid_.find(conn_id);
-  if (owner == conn_owner_pid_.end()) {
-    return NotFoundError("block: unknown connection");
-  }
-  const nic::FlowEntry* entry = nic_cp_->LookupFlow(conn_id);
-  if (entry == nullptr || !entry->notify_rx) {
-    return FailedPreconditionError(
-        "block: connection not configured for RX notifications");
-  }
-  waiters_[conn_id].push_back(
-      Waiter{nic::NotificationKind::kRxData, std::move(resume)});
-  PumpNotifications(owner->second);
-  return OkStatus();
+                         sim::InlineCallback resume) {
+  return Block(conn_id, nic::NotificationKind::kRxData, std::move(resume));
 }
 
 Status Kernel::BlockOnTxDrain(net::ConnectionId conn_id,
-                              std::function<void()> resume) {
-  const auto owner = conn_owner_pid_.find(conn_id);
-  if (owner == conn_owner_pid_.end()) {
+                              sim::InlineCallback resume) {
+  return Block(conn_id, nic::NotificationKind::kTxDrained, std::move(resume));
+}
+
+Status Kernel::Block(net::ConnectionId conn_id, nic::NotificationKind kind,
+                     sim::InlineCallback resume) {
+  ConnRecord* rec = conns_.Get(conn_id);
+  if (rec == nullptr) {
     return NotFoundError("block: unknown connection");
   }
   const nic::FlowEntry* entry = nic_cp_->LookupFlow(conn_id);
-  if (entry == nullptr || !entry->notify_tx_drain) {
+  const bool rx = kind == nic::NotificationKind::kRxData;
+  if (entry == nullptr || !(rx ? entry->notify_rx : entry->notify_tx_drain)) {
     return FailedPreconditionError(
-        "block: connection not configured for TX-drain notifications");
+        rx ? "block: connection not configured for RX notifications"
+           : "block: connection not configured for TX-drain notifications");
   }
-  waiters_[conn_id].push_back(
-      Waiter{nic::NotificationKind::kTxDrained, std::move(resume)});
-  PumpNotifications(owner->second);
+  const uint32_t w = AllocWaiter(kind, std::move(resume));
+  if (rec->last_waiter == kNoWaiter) {
+    rec->first_waiter = w;
+  } else {
+    waiters_[rec->last_waiter].next = w;
+  }
+  rec->last_waiter = w;
+  const Pid pid = rec->pid;
+  if (uint32_t* blocked = blocked_.Get(pid); blocked != nullptr) {
+    ++*blocked;
+  } else {
+    blocked_.PushFront(pid, 1);
+  }
+  PumpNotifications(pid);
   return OkStatus();
+}
+
+uint32_t Kernel::AllocWaiter(nic::NotificationKind kind,
+                             sim::InlineCallback resume) {
+  if (free_waiter_ == kNoWaiter) {
+    waiters_.push_back(Waiter{kind, std::move(resume), kNoWaiter});
+    return static_cast<uint32_t>(waiters_.size() - 1);
+  }
+  const uint32_t w = free_waiter_;
+  free_waiter_ = waiters_[w].next;
+  waiters_[w] = Waiter{kind, std::move(resume), kNoWaiter};
+  return w;
+}
+
+void Kernel::FreeWaiter(uint32_t w) {
+  waiters_[w].resume = sim::InlineCallback();
+  waiters_[w].next = free_waiter_;
+  free_waiter_ = w;
 }
 
 void Kernel::PumpNotifications(Pid pid) {
@@ -540,7 +576,6 @@ void Kernel::PumpNotifications(Pid pid) {
   // one gauge update and one counter add per burst instead of one per
   // notification); for each notification wake matching waiters.
   telemetry::ProfScope notify_scope(prof_, prof_notify_site_);
-  bool woke_any = false;
   constexpr uint32_t kNotifyDrainBatch = 16;
   nic::Notification batch[kNotifyDrainBatch];
   for (;;) {
@@ -555,30 +590,39 @@ void Kernel::PumpNotifications(Pid pid) {
       if (n.queue < notify_drained_q_.size()) {
         notify_drained_q_[n.queue]->Increment();
       }
-      const auto it = waiters_.find(n.conn_id);
-      if (it == waiters_.end()) {
+      ConnRecord* rec = conns_.Get(n.conn_id);
+      if (rec == nullptr) {
         continue;  // nobody blocked; notification is informational
       }
-      auto& list = it->second;
-      for (auto w = list.begin(); w != list.end();) {
-        if (w->kind == n.kind) {
-          // Waking a blocked thread costs a context switch on the kernel/app
-          // core; the continuation runs after that charge. Attributed to the
-          // pid being woken (this queue's owner).
-          const Nanos cs = nic_->cost().context_switch_ns;
-          const Nanos done = kernel_core_.Serve(sim_->Now(), cs);
-          if (prof_->enabled()) {
-            prof_->ChargeCurrent(prof_core_kernel_, prof_->OwnerSlot(pid), cs);
-          }
-          sim_->ScheduleAt(done, std::move(w->resume));
-          w = list.erase(w);
-          woke_any = true;
-        } else {
-          ++w;
+      uint32_t prev = kNoWaiter;
+      for (uint32_t w = rec->first_waiter; w != kNoWaiter;) {
+        Waiter& waiter = waiters_[w];
+        const uint32_t next = waiter.next;
+        if (waiter.kind != n.kind) {
+          prev = w;
+          w = next;
+          continue;
         }
-      }
-      if (list.empty()) {
-        waiters_.erase(it);
+        // Waking a blocked thread costs a context switch on the kernel/app
+        // core; the continuation runs after that charge. Attributed to the
+        // pid being woken (this queue's owner).
+        const Nanos cs = nic_->cost().context_switch_ns;
+        const Nanos done = kernel_core_.Serve(sim_->Now(), cs);
+        if (prof_->enabled()) {
+          prof_->ChargeCurrent(prof_core_kernel_, prof_->OwnerSlot(pid), cs);
+        }
+        sim_->ScheduleAt(done, std::move(waiter.resume));
+        if (prev == kNoWaiter) {
+          rec->first_waiter = next;
+        } else {
+          waiters_[prev].next = next;
+        }
+        if (rec->last_waiter == w) {
+          rec->last_waiter = prev;
+        }
+        FreeWaiter(w);
+        --*blocked_.Get(rec->pid);
+        w = next;
       }
     }
     if (count < kNotifyDrainBatch) {
@@ -587,16 +631,8 @@ void Kernel::PumpNotifications(Pid pid) {
   }
   // If waiters remain, arm the interrupt so the next Post re-enters here —
   // "enable interrupts for notification queues with low activity" (§4.3).
-  bool have_waiters = false;
-  for (const auto& [conn, list] : waiters_) {
-    const auto owner = conn_owner_pid_.find(conn);
-    if (owner != conn_owner_pid_.end() && owner->second == pid &&
-        !list.empty()) {
-      have_waiters = true;
-      break;
-    }
-  }
-  if (have_waiters) {
+  if (const uint32_t* blocked = blocked_.Get(pid);
+      blocked != nullptr && *blocked > 0) {
     queue->ArmInterrupt([this, pid] {
       // Interrupt dispatch cost, then pump again. The scope opens under
       // whatever context raised the interrupt (often the NIC RX path), so
@@ -612,7 +648,6 @@ void Kernel::PumpNotifications(Pid pid) {
   } else {
     queue->DisarmInterrupt();
   }
-  (void)woke_any;
 }
 
 // ---- Admin configuration ----------------------------------------------------

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "src/common/health.h"
+#include "src/common/slab_map.h"
 #include "src/common/status.h"
 #include "src/common/timeseries.h"
 #include "src/dataplane/arp_service.h"
@@ -122,11 +122,14 @@ class Kernel {
   // ---- Blocking I/O (§4.3) ------------------------------------------------
   // Registers a continuation to run when the next RX-data notification for
   // `conn_id` arrives. Charges a context switch to the kernel core. The
-  // connection must have been opened with notify_rx.
-  Status BlockOnRx(net::ConnectionId conn_id, std::function<void()> resume);
+  // connection must have been opened with notify_rx. The continuation is a
+  // sim::InlineCallback: a capture of up to 64 B (the socket's receive and
+  // send continuations are 40 B and 64 B) is stored inline, and the waiter
+  // it lives in comes from a kernel-wide slab, so a block allocates nothing
+  // once the slab has grown. Waiters on one connection wake in FIFO order.
+  Status BlockOnRx(net::ConnectionId conn_id, sim::InlineCallback resume);
   // Same for TX-ring drain.
-  Status BlockOnTxDrain(net::ConnectionId conn_id,
-                        std::function<void()> resume);
+  Status BlockOnTxDrain(net::ConnectionId conn_id, sim::InlineCallback resume);
 
   // Kernel CPU time spent on wakeups (context switches) — E5's metric.
   const sim::Resource& kernel_core() const { return kernel_core_; }
@@ -258,6 +261,8 @@ class Kernel {
 
   Status RequireRoot(Uid caller) const;
   void InstallPipeline();
+  Status Block(net::ConnectionId conn_id, nic::NotificationKind kind,
+               sim::InlineCallback resume);
   void PumpNotifications(Pid pid);
   void StartMaintenance();
   void StopMaintenance() { maintenance_on_ = false; }
@@ -334,13 +339,30 @@ class Kernel {
   net::ConnectionId next_conn_id_ = 1;
   uint16_t next_ephemeral_port_ = 30000;
 
-  struct Waiter {
-    nic::NotificationKind kind;
-    std::function<void()> resume;
+  // Per-connection record for every live connection, NIC-backed or
+  // software fallback: the owning pid and the connection's FIFO list of
+  // blocked waiters, linked by index through waiters_.
+  static constexpr uint32_t kNoWaiter = ~uint32_t{0};
+  struct ConnRecord {
+    Pid pid = 0;
+    uint32_t first_waiter = kNoWaiter;
+    uint32_t last_waiter = kNoWaiter;
   };
-  // conn -> pending waiters (usually one).
-  std::map<net::ConnectionId, std::vector<Waiter>> waiters_;
-  std::map<net::ConnectionId, Pid> conn_owner_pid_;
+  struct Waiter {
+    nic::NotificationKind kind = nic::NotificationKind::kRxData;
+    sim::InlineCallback resume;
+    uint32_t next = kNoWaiter;  // next in its connection's list, or free
+  };
+  uint32_t AllocWaiter(nic::NotificationKind kind, sim::InlineCallback resume);
+  void FreeWaiter(uint32_t w);
+
+  SlabMap<net::ConnectionId, ConnRecord> conns_;
+  // Kernel-wide waiter slab; free slots are chained from free_waiter_.
+  std::vector<Waiter> waiters_;
+  uint32_t free_waiter_ = kNoWaiter;
+  // pid -> waiters parked on its connections. Non-zero keeps the pid's
+  // notification interrupt armed after a pump.
+  SlabMap<Pid, uint32_t> blocked_;
   std::map<net::ConnectionId, FallbackConn> fallback_conns_;
 
   struct ListenState {

@@ -13,13 +13,16 @@
 // Granularity is one *ring working set* (not individual cache lines): ring
 // access is sequential, so residency is effectively all-or-nothing per ring,
 // and this keeps the model O(1) per DMA.
+//
+// The LRU is one SlabMap keyed by ring id (front = most recently used), so
+// the per-DMA touch and the miss-insert allocate nothing once the slab has
+// grown to the working set; eviction takes the back.
 #ifndef NORMAN_NIC_DDIO_H_
 #define NORMAN_NIC_DDIO_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
+#include "src/common/slab_map.h"
 #include "src/common/units.h"
 
 namespace norman::nic {
@@ -42,10 +45,9 @@ class DdioModel {
   // larger than the whole DDIO share never become resident.
   bool Access(uint64_t ring_id, uint64_t bytes) {
     ++accesses_;
-    const auto it = index_.find(ring_id);
-    if (it != index_.end()) {
-      // Move to MRU position.
-      lru_.splice(lru_.begin(), lru_, it->second.pos);
+    const Lru::Index i = lru_.Find(ring_id);
+    if (i != Lru::kNil) {
+      lru_.Touch(i);  // MRU
       ++hits_;
       return true;
     }
@@ -54,23 +56,22 @@ class DdioModel {
       return false;  // cannot ever be resident
     }
     while (resident_bytes_ + bytes > ddio_capacity_ && !lru_.empty()) {
-      Evict();
+      resident_bytes_ -= lru_.value(lru_.back());
+      lru_.EraseAt(lru_.back());
     }
-    lru_.push_front(ring_id);
-    index_[ring_id] = Entry{bytes, lru_.begin()};
+    lru_.PushFront(ring_id, bytes);
     resident_bytes_ += bytes;
     return false;
   }
 
   // Drops a ring's residency (connection teardown).
   void Invalidate(uint64_t ring_id) {
-    const auto it = index_.find(ring_id);
-    if (it == index_.end()) {
+    const Lru::Index i = lru_.Find(ring_id);
+    if (i == Lru::kNil) {
       return;
     }
-    resident_bytes_ -= it->second.bytes;
-    lru_.erase(it->second.pos);
-    index_.erase(it);
+    resident_bytes_ -= lru_.value(i);
+    lru_.EraseAt(i);
   }
 
   uint64_t hits() const { return hits_; }
@@ -85,23 +86,12 @@ class DdioModel {
   void ResetStats() { hits_ = misses_ = accesses_ = 0; }
 
  private:
-  struct Entry {
-    uint64_t bytes;
-    std::list<uint64_t>::iterator pos;
-  };
-
-  void Evict() {
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    const auto it = index_.find(victim);
-    resident_bytes_ -= it->second.bytes;
-    index_.erase(it);
-  }
+  // ring id -> resident working-set bytes; front = MRU.
+  using Lru = SlabMap<uint64_t, uint64_t>;
 
   uint64_t ddio_capacity_;
   uint64_t resident_bytes_ = 0;
-  std::list<uint64_t> lru_;  // front = MRU
-  std::unordered_map<uint64_t, Entry> index_;
+  Lru lru_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t accesses_ = 0;

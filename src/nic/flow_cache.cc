@@ -34,9 +34,9 @@ FlowCache::FlowCache(SramAllocator* sram, telemetry::MetricsRegistry* registry)
 
 FlowCache::~FlowCache() {
   for (Partition& part : parts_) {
-    for (const auto& [key, entry] : part.lru) {
+    part.map.ForEach([&](const FlowCacheKey&, const FlowCacheEntry& entry) {
       sram_->Free(part.sram_category, kFlowCacheEntryBytes, entry.tenant);
-    }
+    });
   }
 }
 
@@ -64,11 +64,10 @@ void FlowCache::Disable() {
 
 void FlowCache::Flush() {
   for (Partition& part : parts_) {
-    for (const auto& [key, entry] : part.lru) {
+    part.map.ForEach([&](const FlowCacheKey&, const FlowCacheEntry& entry) {
       sram_->Free(part.sram_category, kFlowCacheEntryBytes, entry.tenant);
-    }
-    part.map.clear();
-    part.lru.clear();
+    });
+    part.map.Clear();
   }
   count_ = 0;
   entries_->Set(0);
@@ -120,20 +119,20 @@ const FlowCacheEntry* FlowCache::Lookup(const FlowCacheKey& key,
                                         uint16_t partition) {
   if (!enabled_) return nullptr;
   Partition& part = parts_[partition];
-  const auto it = part.map.find(key);
-  if (it == part.map.end()) {
+  const Table::Index i = part.map.Find(key);
+  if (i == Table::kNil) {
     misses_->Increment();
     return nullptr;
   }
-  if (it->second->second.epoch != epoch_ + part.epoch) {
+  if (part.map.value(i).epoch != epoch_ + part.epoch) {
     // Minted under an older configuration: lazily discard.
-    Erase(part, key);
+    Erase(part, i);
     misses_->Increment();
     return nullptr;
   }
-  part.lru.splice(part.lru.begin(), part.lru, it->second);  // touch: MRU
+  part.map.Touch(i);  // MRU
   hits_->Increment();
-  return &it->second->second;
+  return &part.map.value(i);
 }
 
 void FlowCache::Insert(const FlowCacheKey& key, FlowCacheEntry entry,
@@ -141,9 +140,9 @@ void FlowCache::Insert(const FlowCacheKey& key, FlowCacheEntry entry,
   if (!enabled_) return;
   Partition& part = parts_[partition];
   entry.epoch = epoch_ + part.epoch;
-  if (const auto it = part.map.find(key); it != part.map.end()) {
-    it->second->second = entry;
-    part.lru.splice(part.lru.begin(), part.lru, it->second);
+  if (const Table::Index i = part.map.Find(key); i != Table::kNil) {
+    part.map.value(i) = entry;
+    part.map.Touch(i);
     return;
   }
   while (part.map.size() >= PartitionCapacity() && !part.map.empty()) {
@@ -165,8 +164,7 @@ void FlowCache::Insert(const FlowCacheKey& key, FlowCacheEntry entry,
     if (part.map.empty()) return;  // SRAM cannot cover even one entry
     EvictOne(part);
   }
-  part.lru.emplace_front(key, entry);
-  part.map.emplace(key, part.lru.begin());
+  part.map.PushFront(key, entry);
   ++count_;
   entries_->Set(static_cast<int64_t>(count_));
   sram_gauge_->Set(static_cast<int64_t>(sram_bytes()));
@@ -178,11 +176,11 @@ void FlowCache::Insert(const FlowCacheKey& key, FlowCacheEntry entry,
 }
 
 void FlowCache::EvictOne(Partition& part) {
-  if (part.lru.empty()) return;
-  const telemetry::TraceFlow flow = FlowOf(part.lru.back().first);
-  const uint32_t tenant = part.lru.back().second.tenant;
-  part.map.erase(part.lru.back().first);
-  part.lru.pop_back();
+  const Table::Index victim = part.map.back();
+  if (victim == Table::kNil) return;
+  const telemetry::TraceFlow flow = FlowOf(part.map.key(victim));
+  const uint32_t tenant = part.map.value(victim).tenant;
+  part.map.EraseAt(victim);
   --count_;
   sram_->Free(part.sram_category, kFlowCacheEntryBytes, tenant);
   evictions_->Increment();
@@ -194,12 +192,9 @@ void FlowCache::EvictOne(Partition& part) {
   }
 }
 
-void FlowCache::Erase(Partition& part, const FlowCacheKey& key) {
-  const auto it = part.map.find(key);
-  if (it == part.map.end()) return;
-  const uint32_t tenant = it->second->second.tenant;
-  part.lru.erase(it->second);
-  part.map.erase(it);
+void FlowCache::Erase(Partition& part, Table::Index i) {
+  const uint32_t tenant = part.map.value(i).tenant;
+  part.map.EraseAt(i);
   --count_;
   sram_->Free(part.sram_category, kFlowCacheEntryBytes, tenant);
   entries_->Set(static_cast<int64_t>(count_));

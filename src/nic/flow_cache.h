@@ -18,7 +18,12 @@
 // are treated as misses and lazily discarded. Entries are charged to NIC
 // SRAM (category "flow_cache") and evicted LRU — insertion order breaks
 // ties deterministically — so cache capacity is a resource-exhaustion axis
-// like the flow table itself (§5 of the paper).
+// like the flow table itself (§5 of the paper). Each partition's LRU is one
+// SlabMap (src/common/slab_map.h): a hit moves the entry to the front, a
+// mint reuses a freed slab node, and eviction takes the back, so the cache
+// allocates nothing once its slab has grown — even under connection churn,
+// where every InstallFlow/RemoveFlow invalidates it and almost every lookup
+// misses.
 //
 // Sharded dataplanes partition the cache per RX lane (SetPartitions):
 // each partition owns an LRU segment, a share of the entry budget, its
@@ -32,14 +37,12 @@
 #define NORMAN_NIC_FLOW_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/drop_reason.h"
 #include "src/common/metrics.h"
+#include "src/common/slab_map.h"
 #include "src/net/packet.h"
 #include "src/net/types.h"
 #include "src/nic/sram.h"
@@ -134,9 +137,9 @@ class FlowCache {
   // re-walk the chain, the other lanes keep their fast path.
   void InvalidatePartition(uint16_t partition);
 
-  // Hit: touches the partition LRU and returns the entry. Miss (absent,
-  // stale, or cache disabled): returns nullptr. Stale entries are erased
-  // on the spot.
+  // Hit: touches the partition LRU and returns the entry, valid until the
+  // next Insert. Miss (absent, stale, or cache disabled): returns nullptr.
+  // Stale entries are erased on the spot.
   const FlowCacheEntry* Lookup(const FlowCacheKey& key,
                                uint16_t partition = 0);
 
@@ -173,13 +176,12 @@ class FlowCache {
   void CountCoalescedHit() { hits_->Increment(); }
 
  private:
-  // Most-recently-used at the front; eviction takes the back. The list
-  // order is a pure function of the lookup/insert sequence, so eviction is
-  // deterministic.
-  using LruList = std::list<std::pair<FlowCacheKey, FlowCacheEntry>>;
+  // One SlabMap per partition: most-recently-used at the front, eviction
+  // takes the back. The recency order is a pure function of the
+  // lookup/insert sequence, so eviction is deterministic.
+  using Table = SlabMap<FlowCacheKey, FlowCacheEntry, FlowCacheKeyHash>;
   struct Partition {
-    LruList lru;
-    std::unordered_map<FlowCacheKey, LruList::iterator, FlowCacheKeyHash> map;
+    Table map;
     // Partition-local invalidation generation; an entry is fresh iff it
     // was minted under the current (epoch_ + epoch) sum.
     uint64_t epoch = 0;
@@ -188,7 +190,7 @@ class FlowCache {
   };
 
   void EvictOne(Partition& part);
-  void Erase(Partition& part, const FlowCacheKey& key);
+  void Erase(Partition& part, Table::Index i);
   void Flush();
   size_t PartitionCapacity() const {
     const size_t per = max_entries_ / parts_.size();

@@ -15,6 +15,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/common/slab_map.h"
 #include "src/common/status.h"
 #include "src/net/packet.h"
 #include "src/net/types.h"
@@ -64,7 +65,7 @@ class FlowTable {
                                            entry.owner.owner_pid,
                                            entry.owner.owner_tenant));
     by_conn_.emplace(entry.conn_id, entry);
-    by_tuple_.emplace(entry.tuple, entry.conn_id);
+    by_tuple_.PushFront(entry.tuple, entry.conn_id);
     return OkStatus();
   }
 
@@ -74,7 +75,7 @@ class FlowTable {
       return NotFoundError("flow table: no such connection");
     }
     const uint32_t tenant = it->second.owner.owner_tenant;
-    by_tuple_.erase(it->second.tuple);
+    by_tuple_.Erase(it->second.tuple);
     by_conn_.erase(it);
     sram_->Free("flow_table", kFlowEntryBytes, tenant);
     return OkStatus();
@@ -92,8 +93,8 @@ class FlowTable {
   // RX steering: match an inbound packet's tuple against installed flows.
   // The inbound tuple is the reverse of the TX tuple stored in the entry.
   FlowEntry* LookupByInboundTuple(const net::FiveTuple& inbound) {
-    const auto it = by_tuple_.find(inbound.Reversed());
-    return it == by_tuple_.end() ? nullptr : Lookup(it->second);
+    const net::ConnectionId* conn = by_tuple_.Get(inbound.Reversed());
+    return conn == nullptr ? nullptr : Lookup(*conn);
   }
 
   size_t size() const { return by_conn_.size(); }
@@ -108,9 +109,10 @@ class FlowTable {
 
  private:
   SramAllocator* sram_;
+  // Stays an unordered_map: ForEach's order is the order netstat prints
+  // (Kernel::ListConnections).
   std::unordered_map<net::ConnectionId, FlowEntry> by_conn_;
-  std::unordered_map<net::FiveTuple, net::ConnectionId, net::FiveTupleHash>
-      by_tuple_;
+  SlabMap<net::FiveTuple, net::ConnectionId, net::FiveTupleHash> by_tuple_;
 };
 
 }  // namespace norman::nic

@@ -236,7 +236,7 @@ Status SmartNic::ControlPlane::InstallFlow(const FlowEntry& entry) {
     (void)nic_->flow_table_.Remove(entry.conn_id);
     return s;
   }
-  nic_->rings_.emplace(entry.conn_id, std::move(ring));
+  nic_->rings_.PushFront(entry.conn_id, std::move(ring));
   // Intern the owner pid (ungated: slot numbering does not depend on the
   // profiler's runtime flag) and bill the flow's SRAM footprint — table
   // entry + ring descriptor state — to its ledger.
@@ -258,7 +258,7 @@ Status SmartNic::ControlPlane::RemoveFlow(net::ConnectionId conn_id) {
   NORMAN_RETURN_IF_ERROR(nic_->flow_table_.Remove(conn_id));
   nic_->prof_->ChargeSram(nic_->prof_->OwnerSlot(owner_pid),
                           -static_cast<int64_t>(kFlowEntryBytes + 64));
-  nic_->rings_.erase(conn_id);
+  nic_->rings_.Erase(conn_id);
   nic_->sram_.Free("ring_state", 64, owner_tenant);
   nic_->ddio_.Invalidate(TxRingId(conn_id));
   nic_->ddio_.Invalidate(RxRingId(conn_id));
@@ -271,8 +271,8 @@ FlowEntry* SmartNic::ControlPlane::LookupFlow(net::ConnectionId conn_id) {
 }
 
 RingPair* SmartNic::ControlPlane::GetRings(net::ConnectionId conn_id) {
-  const auto it = nic_->rings_.find(conn_id);
-  return it == nic_->rings_.end() ? nullptr : it->second.get();
+  const auto* ring = nic_->rings_.Get(conn_id);
+  return ring == nullptr ? nullptr : ring->get();
 }
 
 DoorbellWindow SmartNic::ControlPlane::MapDoorbell(net::ConnectionId conn_id) {
@@ -673,14 +673,14 @@ uint32_t SmartNic::ReplayFastPath(const FlowCacheEntry& entry,
 }
 
 Status SmartNic::Doorbell(net::ConnectionId conn_id, Nanos now) {
-  const auto it = rings_.find(conn_id);
-  if (it == rings_.end()) {
+  const auto* found = rings_.Get(conn_id);
+  if (found == nullptr) {
     return NotFoundError("doorbell for unknown connection");
   }
   // The doorbell write starts (or pokes) this connection's descriptor
   // consumer; fetches are paced by the DMA engine, so an application that
   // outruns the NIC observes a full TX ring (backpressure).
-  RingPair& ring = *it->second;
+  RingPair& ring = **found;
   if (!ring.tx_consumer_active()) {
     ring.set_tx_consumer_active(true);
     // The consumer event carries the flow's TX lane so the interleave
@@ -701,15 +701,15 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   // virtual-time trace stays bit-identical to unbatched execution.
   Nanos now = sim_->Now();
   const uint32_t batch = std::max<uint32_t>(1, options_.tx_fetch_batch);
-  const auto it = rings_.find(conn_id);
-  if (it == rings_.end()) {
+  const auto* found = rings_.Get(conn_id);
+  if (found == nullptr) {
     return;  // torn down: the consumer flag died with the ring
   }
   // Hoisted per burst: no other event can run between inline iterations
   // (the continuation check above guarantees it), so the ring and flow
   // entry cannot be torn down or replaced mid-burst — the per-frame hash
   // walks the old loop did were pure overhead.
-  RingPair* ring = it->second.get();
+  RingPair* ring = found->get();
   FlowEntry* entry = flow_table_.Lookup(conn_id);
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
@@ -1372,15 +1372,15 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
       lane.index, dma_done,
       [this, p = std::move(packet), conn_id, queue = lane.index,
        tp_core]() mutable {
-    const auto it = rings_.find(conn_id);
+    const auto* ring = rings_.Get(conn_id);
     FlowEntry* e = flow_table_.Lookup(conn_id);
-    if (it == rings_.end() || e == nullptr) {
+    if (ring == nullptr || e == nullptr) {
       return;  // connection torn down in flight
     }
     p->meta().completed_at = sim_->Now();
     const uint32_t tid = p->meta().trace_id;
     const Nanos ring_at = p->meta().completed_at;
-    if (!it->second->PushRx(std::move(p))) {
+    if (!(*ring)->PushRx(std::move(p))) {
       stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull,
                         e->owner.owner_pid, tp_core, e->owner.owner_tenant);
       return;

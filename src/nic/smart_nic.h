@@ -32,6 +32,7 @@
 #include "src/common/drop_reason.h"
 #include "src/common/metrics.h"
 #include "src/common/profiler.h"
+#include "src/common/slab_map.h"
 #include "src/common/status.h"
 #include "src/common/tracepoint.h"
 #include "src/common/units.h"
@@ -528,7 +529,8 @@ class SmartNic {
   FlowCache flow_cache_;
   std::unique_ptr<TopTalkers> top_talkers_;
 
-  std::unordered_map<net::ConnectionId, std::unique_ptr<RingPair>> rings_;
+  // RingPair stays behind unique_ptr: AppPort holds the raw pointer.
+  SlabMap<net::ConnectionId, std::unique_ptr<RingPair>> rings_;
   std::unordered_map<uint32_t, std::unique_ptr<NotificationQueue>>
       notif_queues_;
 

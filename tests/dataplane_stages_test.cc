@@ -306,6 +306,58 @@ TEST_F(ConntrackTest, SweepRemovesClosedAndIdle) {
   EXPECT_EQ(sram_.UsedBy("conntrack"), 0u);
 }
 
+TEST_F(ConntrackTest, SweepExpiresStrictlyAfterIdleTimeout) {
+  auto udp = MakeUdpContext(5, 6, Direction::kTx);
+  udp->packet.meta().nic_arrival = 1000;
+  ct_.Process(udp->packet, udp->ctx);
+  EXPECT_EQ(ct_.Sweep(1000 + kSecond), 0u);  // exactly the timeout: kept
+  EXPECT_EQ(ct_.size(), 1u);
+  EXPECT_EQ(ct_.Sweep(1000 + kSecond + 1), 1u);
+  EXPECT_EQ(ct_.size(), 0u);
+  EXPECT_EQ(sram_.UsedBy("conntrack"), 0u);
+}
+
+TEST_F(ConntrackTest, RefreshWithOlderArrivalStillExpiresOnTime) {
+  auto udp = MakeUdpContext(5, 6, Direction::kTx);
+  udp->packet.meta().nic_arrival = 5000;
+  ct_.Process(udp->packet, udp->ctx);
+  // A closed entry forces a full scan, which sees only last_seen = 5000.
+  auto rst = MakeTcpContext(1, 2, TcpFlags::kRst, Direction::kTx);
+  rst->packet.meta().nic_arrival = 5000;
+  ct_.Process(rst->packet, rst->ctx);
+  EXPECT_EQ(ct_.Sweep(6000), 1u);
+  // The reply carries an arrival stamp older than anything that scan saw.
+  auto reply = MakeUdpContext(6, 5, Direction::kRx);
+  reply->packet.meta().nic_arrival = 100;
+  ct_.Process(reply->packet, reply->ctx);
+  EXPECT_EQ(ct_.Lookup(*udp->parsed.flow())->last_seen, 100);
+  EXPECT_EQ(ct_.Sweep(100 + kSecond), 0u);
+  EXPECT_EQ(ct_.Sweep(100 + kSecond + 1), 1u);
+  EXPECT_EQ(ct_.size(), 0u);
+  EXPECT_EQ(sram_.UsedBy("conntrack"), 0u);
+}
+
+TEST_F(ConntrackTest, RstClosedEntryGoesAtNextSweepWhileOthersAreFresh) {
+  auto udp = MakeUdpContext(5, 6, Direction::kTx);
+  udp->packet.meta().nic_arrival = 1000;
+  ct_.Process(udp->packet, udp->ctx);
+  auto syn = MakeTcpContext(1000, 80, TcpFlags::kSyn, Direction::kTx);
+  syn->packet.meta().nic_arrival = 1000;
+  ct_.Process(syn->packet, syn->ctx);
+  EXPECT_EQ(ct_.Sweep(1500), 0u);  // nothing closed, nothing idle
+  // The peer resets: the reverse-direction RST closes the tracked flow.
+  auto rst = MakeTcpContext(80, 1000, TcpFlags::kRst, Direction::kRx);
+  rst->packet.meta().nic_arrival = 1500;
+  ct_.Process(rst->packet, rst->ctx);
+  EXPECT_EQ(ct_.Lookup(*syn->parsed.flow())->state, ConnState::kClosed);
+  EXPECT_EQ(ct_.Sweep(1600), 1u);
+  EXPECT_EQ(ct_.Lookup(*syn->parsed.flow()), nullptr);
+  EXPECT_NE(ct_.Lookup(*udp->parsed.flow()), nullptr);
+  EXPECT_EQ(ct_.Sweep(1700), 0u);
+  EXPECT_EQ(ct_.Sweep(1000 + kSecond + 1), 1u);  // the UDP flow idles out
+  EXPECT_EQ(sram_.UsedBy("conntrack"), 0u);
+}
+
 TEST_F(ConntrackTest, SramExhaustionCountsUntracked) {
   nic::SramAllocator tiny(kConntrackEntryBytes);
   Conntrack ct(&tiny);

@@ -94,29 +94,6 @@ TEST(FixedRingTest, MoveOnlyPayload) {
   EXPECT_EQ(**v, 3);
 }
 
-TEST(FixedRingBulkTest, PushNPopNRoundTrip) {
-  FixedRing<int> r(8);
-  std::vector<int> in{1, 2, 3, 4, 5};
-  EXPECT_EQ(r.PushN(std::span<int>(in)), 5u);
-  EXPECT_EQ(r.size(), 5u);
-  std::vector<int> out(8, -1);
-  EXPECT_EQ(r.PopN(std::span<int>(out)), 5u);  // short count: ring drained
-  EXPECT_TRUE(r.empty());
-  EXPECT_EQ((std::vector<int>{out.begin(), out.begin() + 5}), in);
-  EXPECT_EQ(out[5], -1);  // untouched past the count
-}
-
-TEST(FixedRingBulkTest, PushNPartialWhenNearlyFull) {
-  FixedRing<int> r(4);
-  ASSERT_TRUE(r.TryPush(0));
-  std::vector<int> in{1, 2, 3, 4, 5};
-  EXPECT_EQ(r.PushN(std::span<int>(in)), 3u);  // only 3 slots left
-  EXPECT_TRUE(r.full());
-  for (int want = 0; want < 4; ++want) {
-    EXPECT_EQ(*r.TryPop(), want);
-  }
-}
-
 TEST(FixedRingBulkTest, PopNPartialAndEmpty) {
   FixedRing<int> r(4);
   std::vector<int> out(4, -1);
@@ -132,15 +109,14 @@ TEST(FixedRingBulkTest, PopNPartialAndEmpty) {
 TEST(FixedRingBulkTest, EmptySpansAreNoOps) {
   FixedRing<int> r(4);
   r.TryPush(1);
-  EXPECT_EQ(r.PushN(std::span<int>()), 0u);
   EXPECT_EQ(r.PopN(std::span<int>()), 0u);
   EXPECT_EQ(r.size(), 1u);
   EXPECT_EQ(*r.TryPop(), 1);
 }
 
 TEST(FixedRingBulkTest, BulkWrapAroundManyTimes) {
-  // Mixed bulk/scalar traffic across thousands of wraps: FIFO order and
-  // occupancy must match a free-running model exactly.
+  // Scalar pushes against bulk pops across thousands of wraps: FIFO order
+  // and occupancy must match a free-running model exactly.
   FixedRing<uint32_t> r(8);
   uint32_t next_push = 0, next_pop = 0;
   Rng rng(2);
@@ -148,13 +124,11 @@ TEST(FixedRingBulkTest, BulkWrapAroundManyTimes) {
   for (int step = 0; step < 50000; ++step) {
     const uint32_t n = static_cast<uint32_t>(rng.NextInRange(1, 6));
     if (rng.NextBool(0.55)) {
-      buf.resize(n);
+      const uint32_t room = 8u - (next_push - next_pop);
       for (uint32_t i = 0; i < n; ++i) {
-        buf[i] = next_push + i;
+        EXPECT_EQ(r.TryPush(next_push), i < room);
+        if (i < room) ++next_push;
       }
-      const uint32_t pushed = r.PushN(std::span<uint32_t>(buf));
-      EXPECT_EQ(pushed, std::min<uint32_t>(n, 8u - (next_push - next_pop)));
-      next_push += pushed;
     } else {
       buf.assign(n, 0xdeadbeef);
       const uint32_t popped = r.PopN(std::span<uint32_t>(buf));
@@ -168,18 +142,22 @@ TEST(FixedRingBulkTest, BulkWrapAroundManyTimes) {
   }
 }
 
-TEST(FixedRingBulkTest, PushNMovesOutOfSource) {
+TEST(FixedRingBulkTest, PopNMovesOutOfRing) {
   FixedRing<std::unique_ptr<int>> r(4);
-  std::vector<std::unique_ptr<int>> in;
-  in.push_back(std::make_unique<int>(1));
-  in.push_back(std::make_unique<int>(2));
-  EXPECT_EQ(r.PushN(std::span<std::unique_ptr<int>>(in)), 2u);
-  EXPECT_EQ(in[0], nullptr);  // moved-from
-  EXPECT_EQ(in[1], nullptr);
+  ASSERT_TRUE(r.TryPush(std::make_unique<int>(1)));
+  ASSERT_TRUE(r.TryPush(std::make_unique<int>(2)));
   std::vector<std::unique_ptr<int>> out(2);
   EXPECT_EQ(r.PopN(std::span<std::unique_ptr<int>>(out)), 2u);
+  ASSERT_NE(out[0], nullptr);
+  ASSERT_NE(out[1], nullptr);
   EXPECT_EQ(*out[0], 1);
   EXPECT_EQ(*out[1], 2);
+  EXPECT_TRUE(r.empty());
+  // The ring owns nothing after the move: refilling reuses the slots.
+  ASSERT_TRUE(r.TryPush(std::make_unique<int>(3)));
+  std::vector<std::unique_ptr<int>> again(1);
+  EXPECT_EQ(r.PopN(std::span<std::unique_ptr<int>>(again)), 1u);
+  EXPECT_EQ(*again[0], 3);
 }
 
 TEST(FixedRingBulkTest, PeekAtIndexesFifoOrderWithoutConsuming) {

@@ -1,7 +1,9 @@
 // Kernel edge cases: waiter lifecycle across close, multiple concurrent
-// waiters, notification-queue overflow recovery, rate-limit cleanup on
+// waiters and their wake order, notification-queue overflow recovery, rate-limit cleanup on
 // close, ephemeral-port wraparound, and exited-process handling.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/norman/socket.h"
 #include "src/workload/generators.h"
@@ -82,6 +84,51 @@ TEST_F(KernelEdgeTest, TwoWaitersOnOneConnectionBothWake) {
   bed_.sim().Run();
   // One notification wakes all matching waiters (they re-check the ring).
   EXPECT_EQ(wakes, 2);
+}
+
+TEST_F(KernelEdgeTest, WaitersOnOneConnectionWakeInRegistrationOrder) {
+  ConnectOptions opts;
+  opts.notify_rx = true;
+  auto sock = norman::Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 106,
+                                      opts);
+  ASSERT_TRUE(sock.ok());
+  std::vector<int> order;
+  for (int w = 1; w <= 3; ++w) {
+    ASSERT_TRUE(bed_.kernel()
+                    .BlockOnRx(sock->conn_id(), [&order, w] {
+                      order.push_back(w);
+                    })
+                    .ok());
+  }
+  bed_.InjectUdpFromPeer(106, sock->tuple().src_port, 10, 1000);
+  bed_.sim().Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST_F(KernelEdgeTest, ClosingAParkedWaiterStopsRearmingTheInterrupt) {
+  ConnectOptions opts;
+  opts.notify_rx = true;
+  auto parked = norman::Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 107,
+                                        opts);
+  auto busy = norman::Socket::Connect(&bed_.kernel(), pid_, kPeerIp, 108,
+                                      opts);
+  ASSERT_TRUE(parked.ok() && busy.ok());
+  // The block arms the pid's notification interrupt; the close drops the
+  // waiter, so the pid has nothing blocked any more.
+  ASSERT_TRUE(bed_.kernel().BlockOnRx(parked->conn_id(), [] {}).ok());
+  ASSERT_TRUE(bed_.kernel().Close(parked->conn_id()).ok());
+  // RX notifications on the pid's other connection, one at a time, with
+  // the app polling that ring directly.
+  for (int i = 0; i < 5; ++i) {
+    bed_.InjectUdpFromPeer(108, busy->tuple().src_port, 10,
+                           bed_.sim().Now() + 1000);
+    bed_.sim().Run();
+    EXPECT_NE(busy->RecvFrame(), nullptr);
+  }
+  // Only the interrupt armed before the close fires; a blocked count that
+  // leaked the dropped waiter would re-arm (and charge) on every pump.
+  EXPECT_EQ(bed_.kernel().kernel_core().busy_ns(),
+            bed_.nic().cost().context_switch_ns / 2);
 }
 
 TEST_F(KernelEdgeTest, NotificationOverflowIsLossyButRecoverable) {
