@@ -1,8 +1,8 @@
 #include "src/dataplane/filter_engine.h"
 
+#include <utility>
+
 #include "src/common/logging.h"
-#include "src/overlay/interpreter.h"
-#include "src/overlay/verifier.h"
 
 namespace norman::dataplane {
 namespace {
@@ -203,19 +203,22 @@ void FilterEngine::SetDefaultAction(FilterAction action) {
 }
 
 void FilterEngine::Rebuild() const {
-  compiled_ = CompileFilterChain(rules_, default_action_);
-  NORMAN_CHECK(compiled_.size() == chain_length_)
-      << compiled_.size() << " != " << chain_length_;
-  const Status verified = overlay::VerifyProgram(compiled_);
-  NORMAN_CHECK(verified.ok()) << verified;
-  // Per-protocol buckets are subsequences of a chain that just verified,
-  // so their verification cannot fail.
+  // The chain and its per-protocol buckets (subsequences of the chain)
+  // pass the verifier by construction, so decoding cannot fail.
+  const auto decode = [](overlay::Program program) {
+    auto decoded = overlay::DecodedProgram::Decode(std::move(program));
+    NORMAN_CHECK(decoded.ok()) << decoded.status();
+    return std::move(*decoded);
+  };
+  overlay::Program chain = CompileFilterChain(rules_, default_action_);
+  NORMAN_CHECK(chain.size() == chain_length_)
+      << chain.size() << " != " << chain_length_;
+  chain_ = decode(std::move(chain));
   const auto bucket = [&](net::IpProto proto) {
-    overlay::Program p = CompileFilterSubset(
-        rules_, default_action_,
-        [proto](const FilterRule& r) { return !r.proto || *r.proto == proto; });
-    NORMAN_CHECK(overlay::VerifyProgram(p).ok());
-    return p;
+    return decode(CompileFilterSubset(
+        rules_, default_action_, [proto](const FilterRule& r) {
+          return !r.proto || *r.proto == proto;
+        }));
   };
   tcp_program_ = bucket(net::IpProto::kTcp);
   udp_program_ = bucket(net::IpProto::kUdp);
@@ -227,26 +230,27 @@ const overlay::Program& FilterEngine::compiled() const {
   if (stale_) {
     Rebuild();
   }
-  return compiled_;
+  return chain_->source();
 }
 
 const overlay::Program& FilterEngine::compiled_for(net::IpProto proto) const {
   if (stale_) {
     Rebuild();
   }
-  return ProgramFor(proto);
+  return ProgramFor(proto).source();
 }
 
-const overlay::Program& FilterEngine::ProgramFor(net::IpProto proto) const {
+const overlay::DecodedProgram& FilterEngine::ProgramFor(
+    net::IpProto proto) const {
   switch (proto) {
     case net::IpProto::kTcp:
-      return tcp_program_;
+      return *tcp_program_;
     case net::IpProto::kUdp:
-      return udp_program_;
+      return *udp_program_;
     case net::IpProto::kIcmp:
-      return icmp_program_;
+      return *icmp_program_;
   }
-  return compiled_;
+  return *chain_;
 }
 
 nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
@@ -257,14 +261,13 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
   // Bucket dispatch: a parsed IPv4 frame runs only the rules its protocol
   // could match; everything else (ARP, unparsed, exotic protos) runs the
   // full chain, whose kIsIpv4/kIpProto guards keep semantics identical.
-  const overlay::Program& program =
+  const overlay::DecodedProgram& program =
       ctx.parsed != nullptr && ctx.parsed->is_ipv4()
           ? ProgramFor(ctx.parsed->ipv4->protocol)
-          : compiled_;
-  auto exec = overlay::Execute(program, ctx);
-  NORMAN_CHECK(exec.ok()) << exec.status();
-  const auto rule_index = static_cast<uint32_t>(exec->verdict >> 2);
-  const auto action = static_cast<FilterAction>(exec->verdict & 0x3);
+          : *chain_;
+  const overlay::ExecResult exec = program.Run(ctx);
+  const auto rule_index = static_cast<uint32_t>(exec.verdict >> 2);
+  const auto action = static_cast<FilterAction>(exec.verdict & 0x3);
   if (tp_ != nullptr && tp_->armed(telemetry::Probe::kFilterVerdict)) {
     telemetry::TraceFlow flow{};
     flow.dir = ctx.direction == net::Direction::kTx ? telemetry::kDirTx
@@ -283,7 +286,7 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
     }
     tp_->Emit(telemetry::Probe::kFilterVerdict, telemetry::Tracepoints::kCoreNic,
               ctx.conn.owner_pid, static_cast<uint64_t>(action), rule_index,
-              exec->instructions_executed, &flow);
+              exec.instructions_executed, &flow);
   }
   if (rule_index == kDefaultRuleIndex) {
     ++default_hits_;
@@ -291,7 +294,7 @@ nic::StageResult FilterEngine::Process(net::Packet& /*packet*/,
     ++hits_[rule_index];
   }
   nic::StageResult result;
-  result.overlay_instructions = exec->instructions_executed;
+  result.overlay_instructions = exec.instructions_executed;
   switch (action) {
     case FilterAction::kAccept:
       result.verdict = nic::Verdict::kAccept;

@@ -14,8 +14,10 @@
 //
 // Rule changes do not compile anything: they edit the rule list and a
 // running instruction count, and the chain plus its protocol buckets are
-// compiled and verified once, on the first Process() or compiled*() call
-// after a change. Installing N rules therefore costs one compile, not N.
+// compiled, verified and decoded once, on the first Process() or
+// compiled*() call after a change. Installing N rules therefore costs one
+// compile, not N. Process() runs the decoded programs; compiled*() expose
+// their ISA source, which tests run through Execute, the reference model.
 #ifndef NORMAN_DATAPLANE_FILTER_ENGINE_H_
 #define NORMAN_DATAPLANE_FILTER_ENGINE_H_
 
@@ -28,6 +30,7 @@
 #include "src/common/tracepoint.h"
 #include "src/net/types.h"
 #include "src/nic/pipeline.h"
+#include "src/overlay/decoded_program.h"
 #include "src/overlay/isa.h"
 
 namespace norman::dataplane {
@@ -124,11 +127,11 @@ class FilterEngine : public nic::PipelineStage {
   // its compiled block.
   StatusOr<size_t> AdmitRule(const FilterRule& rule) const;
   // The only place that compiles: the full chain and its three buckets,
-  // each verified, then the cache is marked fresh.
+  // each verified and decoded, then the cache is marked fresh.
   void Rebuild() const;
-  // The bucket for `proto` (compiled_ for unbucketed protocols); no
+  // The bucket for `proto` (the full chain for unbucketed protocols); no
   // staleness check.
-  const overlay::Program& ProgramFor(net::IpProto proto) const;
+  const overlay::DecodedProgram& ProgramFor(net::IpProto proto) const;
 
   FilterAction default_action_;
   std::vector<FilterRule> rules_;
@@ -137,21 +140,21 @@ class FilterEngine : public nic::PipelineStage {
   // Length of the compiled full chain: the default tail plus every rule's
   // block. Kept on every mutation so capacity checks never compile.
   size_t chain_length_ = 1;
-  // The compiled programs are a cache of rules_ and default_action_,
+  // The decoded programs are a cache of rules_ and default_action_,
   // rebuilt behind const accessors (Kernel::filter() hands out const
-  // engines).
+  // engines). Empty until the first Rebuild().
   mutable bool stale_ = true;
   // Full chain; also serves frames outside the bucketed protocols (ARP,
   // unparseable, exotic IP protos), where proto-specific rules cannot match
   // anyway thanks to their kIsIpv4/kIpProto guards.
-  mutable overlay::Program compiled_;
+  mutable std::optional<overlay::DecodedProgram> chain_;
   // Protocol buckets: the chain restricted to rules that could match that
   // protocol (proto-unset rules plus proto == P), compiled with *original*
   // rule indices so first-match order and per-rule hit attribution are
   // untouched. TCP traffic never scans UDP-only rules.
-  mutable overlay::Program tcp_program_;
-  mutable overlay::Program udp_program_;
-  mutable overlay::Program icmp_program_;
+  mutable std::optional<overlay::DecodedProgram> tcp_program_;
+  mutable std::optional<overlay::DecodedProgram> udp_program_;
+  mutable std::optional<overlay::DecodedProgram> icmp_program_;
   telemetry::Tracepoints* tp_ = nullptr;
 };
 

@@ -1,22 +1,18 @@
 #include "src/dataplane/overlay_stage.h"
 
-#include "src/common/logging.h"
-#include "src/overlay/interpreter.h"
-
 namespace norman::dataplane {
 
 nic::StageResult OverlayStage::Process(net::Packet& /*packet*/,
                                        const overlay::PacketContext& ctx) {
   nic::StageResult result;
-  const overlay::Program* program = cp_->OverlaySlot(slot_);
+  const overlay::DecodedProgram* program = cp_->OverlaySlot(slot_);
   if (program == nullptr) {
     return result;  // empty slot: pass-through
   }
-  auto exec = overlay::Execute(*program, ctx);
-  NORMAN_CHECK(exec.ok()) << exec.status();  // slot programs are verified
+  const overlay::ExecResult exec = program->Run(ctx);
   ++executions_;
-  result.overlay_instructions = exec->instructions_executed;
-  switch (exec->verdict) {
+  result.overlay_instructions = exec.instructions_executed;
+  switch (exec.verdict) {
     case 0:
       result.verdict = nic::Verdict::kDrop;
       result.drop_reason = DropReason::kPolicy;

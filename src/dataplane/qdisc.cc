@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/overlay/verifier.h"
+#include "src/overlay/decoded_program.h"
 
 namespace norman::dataplane {
 
@@ -32,12 +32,12 @@ Classifier ClassifyByDscp(std::map<uint8_t, uint32_t> dscp_to_class) {
 }
 
 Classifier ClassifyByOverlay(overlay::Program program) {
-  NORMAN_CHECK(overlay::VerifyProgram(program).ok())
-      << "classifier overlay program failed verification";
-  return [prog = std::move(program)](const overlay::PacketContext& ctx) {
-    auto r = overlay::Execute(prog, ctx);
-    NORMAN_CHECK(r.ok()) << r.status();
-    return static_cast<uint32_t>(r->verdict);
+  auto decoded = overlay::DecodedProgram::Decode(std::move(program));
+  NORMAN_CHECK(decoded.ok())
+      << "classifier overlay program failed verification: "
+      << decoded.status();
+  return [prog = std::move(*decoded)](const overlay::PacketContext& ctx) {
+    return static_cast<uint32_t>(prog.Run(ctx).verdict);
   };
 }
 

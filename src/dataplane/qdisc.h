@@ -22,8 +22,8 @@
 #include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/nic/pipeline.h"
-#include "src/overlay/interpreter.h"
 #include "src/overlay/isa.h"
+#include "src/overlay/packet_context.h"
 
 namespace norman::dataplane {
 

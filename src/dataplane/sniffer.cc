@@ -1,8 +1,6 @@
 #include "src/dataplane/sniffer.h"
 
-#include "src/common/logging.h"
-#include "src/overlay/interpreter.h"
-#include "src/overlay/verifier.h"
+#include <utility>
 
 namespace norman::dataplane {
 
@@ -17,10 +15,13 @@ SnifferTap::SnifferTap(sim::Simulator* sim, uint32_t snaplen,
 uint64_t SnifferTap::overflow() const { return overflow_->value(); }
 
 Status SnifferTap::SetFilter(std::optional<overlay::Program> program) {
-  if (program.has_value()) {
-    NORMAN_RETURN_IF_ERROR(overlay::VerifyProgram(*program));
+  if (!program.has_value()) {
+    filter_.reset();
+    return OkStatus();
   }
-  filter_ = std::move(program);
+  NORMAN_ASSIGN_OR_RETURN(overlay::DecodedProgram decoded,
+                          overlay::DecodedProgram::Decode(std::move(*program)));
+  filter_ = std::move(decoded);
   return OkStatus();
 }
 
@@ -36,10 +37,9 @@ nic::StageResult SnifferTap::Process(net::Packet& packet,
     return result;
   }
   if (filter_.has_value()) {
-    auto exec = overlay::Execute(*filter_, ctx);
-    NORMAN_CHECK(exec.ok()) << exec.status();
-    result.overlay_instructions = exec->instructions_executed;
-    if (exec->verdict == 0) {
+    const overlay::ExecResult exec = filter_->Run(ctx);
+    result.overlay_instructions = exec.instructions_executed;
+    if (exec.verdict == 0) {
       return result;
     }
   }

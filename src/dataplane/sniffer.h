@@ -18,6 +18,7 @@
 #include "src/common/status.h"
 #include "src/net/pcap_writer.h"
 #include "src/nic/pipeline.h"
+#include "src/overlay/decoded_program.h"
 #include "src/overlay/isa.h"
 #include "src/sim/simulator.h"
 
@@ -60,8 +61,10 @@ class SnifferTap : public nic::PipelineStage {
   void Stop() { capturing_ = false; }
   bool capturing() const { return capturing_; }
 
-  // Installs a capture filter (verified overlay program; verdict != 0
-  // captures). Pass std::nullopt to capture everything.
+  // Installs a capture filter (verdict != 0 captures), verified and
+  // decoded here; an invalid program fails with the verifier's status and
+  // leaves the current filter in place. Pass std::nullopt to capture
+  // everything.
   Status SetFilter(std::optional<overlay::Program> program);
 
   const std::vector<CaptureRecord>& records() const { return records_; }
@@ -80,7 +83,7 @@ class SnifferTap : public nic::PipelineStage {
   uint32_t snaplen_;
   size_t max_records_;
   bool capturing_ = false;
-  std::optional<overlay::Program> filter_;
+  std::optional<overlay::DecodedProgram> filter_;
   std::vector<CaptureRecord> records_;
   net::PcapWriter pcap_;
   telemetry::Counter* overflow_;  // "sniffer.overflow"

@@ -13,9 +13,10 @@
 #ifndef NORMAN_NIC_MMIO_H_
 #define NORMAN_NIC_MMIO_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
+#include "src/common/slab_map.h"
 #include "src/common/status.h"
 
 namespace norman::nic {
@@ -51,14 +52,31 @@ inline MmioAddr DoorbellAddr(uint32_t conn_id, MmioAddr reg) {
 }
 
 // The backing register file. The SmartNic owns one; capabilities reference
-// it. Reads/writes of unmapped registers read-as-zero / allocate.
+// it. Unwritten registers read as zero; the first write to a register
+// takes a slot, and ClearDoorbell frees a connection's block when its flow
+// is removed, so the file holds only live registers and a new connection
+// reuses a closed one's slots.
 class RegisterFile {
  public:
   uint32_t Read(MmioAddr addr) const {
-    const auto it = regs_.find(addr);
-    return it == regs_.end() ? 0 : it->second;
+    const uint32_t* value = regs_.Get(addr);
+    return value == nullptr ? 0 : *value;
   }
-  void Write(MmioAddr addr, uint32_t value) { regs_[addr] = value; }
+  void Write(MmioAddr addr, uint32_t value) {
+    if (uint32_t* reg = regs_.Get(addr); reg != nullptr) {
+      *reg = value;
+    } else {
+      regs_.PushFront(addr, value);
+    }
+  }
+  // Frees the connection's four doorbell words; they read 0 afterwards.
+  void ClearDoorbell(uint32_t conn_id) {
+    for (MmioAddr reg = kRegTxHead; reg <= kRegRxTail; ++reg) {
+      regs_.Erase(DoorbellAddr(conn_id, reg));
+    }
+  }
+  // Registers currently holding a written value.
+  size_t size() const { return regs_.size(); }
 
   uint64_t read_count() const { return read_count_; }
   uint64_t write_count() const { return write_count_; }
@@ -66,7 +84,7 @@ class RegisterFile {
   void CountWrite() { ++write_count_; }
 
  private:
-  std::unordered_map<MmioAddr, uint32_t> regs_;
+  SlabMap<MmioAddr, uint32_t> regs_;
   mutable uint64_t read_count_ = 0;
   uint64_t write_count_ = 0;
 };
@@ -84,6 +102,8 @@ class PrivilegedMmio {
     regs_->CountWrite();
     regs_->Write(addr, value);
   }
+  // Registers currently holding a written value (not an MMIO access).
+  size_t register_count() const { return regs_->size(); }
 
  private:
   RegisterFile* regs_;

@@ -9,7 +9,6 @@
 #include "src/net/frame_checksum.h"
 #include "src/net/packet_builder.h"
 #include "src/nic/fifo_scheduler.h"
-#include "src/overlay/verifier.h"
 
 namespace norman::nic {
 
@@ -259,6 +258,7 @@ Status SmartNic::ControlPlane::RemoveFlow(net::ConnectionId conn_id) {
   nic_->prof_->ChargeSram(nic_->prof_->OwnerSlot(owner_pid),
                           -static_cast<int64_t>(kFlowEntryBytes + 64));
   nic_->rings_.Erase(conn_id);
+  nic_->regs_.ClearDoorbell(conn_id);
   nic_->sram_.Free("ring_state", 64, owner_tenant);
   nic_->ddio_.Invalidate(TxRingId(conn_id));
   nic_->ddio_.Invalidate(RxRingId(conn_id));
@@ -331,24 +331,25 @@ StatusOr<Nanos> SmartNic::ControlPlane::LoadOverlay(
   if (slot >= kNumOverlaySlots) {
     return InvalidArgumentError("overlay slot out of range");
   }
-  NORMAN_RETURN_IF_ERROR(overlay::VerifyProgram(program));
+  NORMAN_ASSIGN_OR_RETURN(overlay::DecodedProgram decoded,
+                          overlay::DecodedProgram::Decode(program));
   const auto& cost = nic_->options_.cost;
   const Nanos load_time =
       static_cast<Nanos>(program.size()) * cost.overlay_load_per_instr_ns +
       cost.overlay_activate_ns;
-  nic_->overlay_slots_[slot].program = program;
+  nic_->overlay_slots_[slot].program = std::move(decoded);
   ++nic_->overlay_slots_[slot].generation;
   InvalidateFastPath();
   return load_time;
 }
 
-const overlay::Program* SmartNic::ControlPlane::OverlaySlot(
+const overlay::DecodedProgram* SmartNic::ControlPlane::OverlaySlot(
     size_t slot) const {
   if (slot >= kNumOverlaySlots ||
-      nic_->overlay_slots_[slot].program.empty()) {
+      !nic_->overlay_slots_[slot].program.has_value()) {
     return nullptr;
   }
-  return &nic_->overlay_slots_[slot].program;
+  return &*nic_->overlay_slots_[slot].program;
 }
 
 uint64_t SmartNic::ControlPlane::overlay_generation(size_t slot) const {
@@ -359,7 +360,7 @@ Nanos SmartNic::ControlPlane::ReloadBitstream() {
   // A bitstream reload wipes loaded overlay programs — "the equivalent to
   // upgrading the kernel itself" (§4.4).
   for (auto& slot : nic_->overlay_slots_) {
-    slot.program.clear();
+    slot.program.reset();
     ++slot.generation;
   }
   InvalidateFastPath();

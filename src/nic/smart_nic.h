@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -49,6 +50,7 @@
 #include "src/nic/sram.h"
 #include "src/nic/tenant_table.h"
 #include "src/nic/top_talkers.h"
+#include "src/overlay/decoded_program.h"
 #include "src/overlay/isa.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/resource.h"
@@ -218,11 +220,13 @@ class SmartNic {
     Status SetScheduler(std::unique_ptr<Scheduler> scheduler);
     Scheduler* scheduler() { return nic_->scheduler_.get(); }
 
-    // Overlay management (§4.4). LoadOverlay verifies the program, charges
-    // the MMIO-load reconfiguration time, and returns when the new program
-    // becomes active. ReloadBitstream models a full FPGA reprogram.
+    // Overlay management (§4.4). LoadOverlay verifies and decodes the
+    // program, charges the MMIO-load reconfiguration time, and returns when
+    // the new program becomes active. OverlaySlot is null for an empty
+    // slot; its source() is the loaded ISA program. ReloadBitstream models
+    // a full FPGA reprogram.
     StatusOr<Nanos> LoadOverlay(size_t slot, const overlay::Program& program);
-    const overlay::Program* OverlaySlot(size_t slot) const;
+    const overlay::DecodedProgram* OverlaySlot(size_t slot) const;
     uint64_t overlay_generation(size_t slot) const;
     Nanos ReloadBitstream();
 
@@ -546,7 +550,7 @@ class SmartNic {
   void RebuildStageSites();
 
   struct SlotState {
-    overlay::Program program;
+    std::optional<overlay::DecodedProgram> program;  // empty slot: nullopt
     uint64_t generation = 0;
   };
   std::array<SlotState, kNumOverlaySlots> overlay_slots_;

@@ -1,11 +1,12 @@
-// Overlay program interpreter — the functional model of the soft processor.
+// Overlay program interpreter — the reference model of the soft processor.
 //
-// Programs must pass VerifyProgram before execution; the interpreter still
-// carries cheap runtime guards — register bounds, a step budget, falling off
-// the end — that fail an unverified program with InternalError (it is the
-// reference model the hardware is checked against). Execution reports the
-// instruction count so the NIC model can charge overlay_instr_ns per
-// instruction.
+// Execute runs an ISA program one instruction at a time and carries runtime
+// guards — register bounds, a step budget, falling off the end — that fail
+// an unverified program with InternalError. The dataplane does not call it:
+// every verified program it runs is a DecodedProgram (decoded_program.h),
+// and Execute is the model the decoded form is checked against, verdict and
+// instruction count alike. The count is what the NIC model charges
+// overlay_instr_ns for.
 #ifndef NORMAN_OVERLAY_INTERPRETER_H_
 #define NORMAN_OVERLAY_INTERPRETER_H_
 

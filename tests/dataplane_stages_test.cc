@@ -1,11 +1,13 @@
-// Sniffer, NAT, conntrack, and ARP service tests.
+// Sniffer, overlay stage, NAT, conntrack, and ARP service tests.
 #include <gtest/gtest.h>
 
 #include "src/dataplane/arp_service.h"
 #include "src/dataplane/conntrack.h"
 #include "src/dataplane/nat.h"
+#include "src/dataplane/overlay_stage.h"
 #include "src/dataplane/sniffer.h"
 #include "src/net/pcap_writer.h"
+#include "src/overlay/interpreter.h"
 #include "tests/test_util.h"
 
 namespace norman::dataplane {
@@ -90,6 +92,34 @@ TEST(SnifferTest, OverlayFilterSelectsTraffic) {
   EXPECT_TRUE(tap.records()[0].is_arp_request);
 }
 
+TEST(SnifferTest, FilterChargesTheReferenceInstructionCount) {
+  sim::Simulator sim;
+  SnifferTap tap(&sim);
+  tap.Start();
+  // "tcpdump port 80": two fused ldf/jeq pairs.
+  const overlay::Program port_80{
+      overlay::Instruction::Ldf(1, overlay::Field::kDstPort),
+      overlay::Instruction::JmpCmpImm(overlay::Opcode::kJeq, 1, 80, 5),
+      overlay::Instruction::Ldf(1, overlay::Field::kSrcPort),
+      overlay::Instruction::JmpCmpImm(overlay::Opcode::kJeq, 1, 80, 5),
+      overlay::Instruction::RetImm(0),
+      overlay::Instruction::RetImm(1),
+  };
+  ASSERT_TRUE(tap.SetFilter(port_80).ok());
+  size_t captured = 0;
+  for (const auto& pkt : {MakeUdpContext(5, 80, Direction::kTx),
+                          MakeUdpContext(80, 5, Direction::kRx),
+                          MakeUdpContext(5, 6, Direction::kTx)}) {
+    const auto reference = overlay::Execute(port_80, pkt->ctx);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    const auto result = tap.Process(pkt->packet, pkt->ctx);
+    EXPECT_EQ(result.overlay_instructions, reference->instructions_executed);
+    captured += reference->verdict != 0;
+    EXPECT_EQ(tap.captured(), captured);
+  }
+  EXPECT_EQ(captured, 2u);
+}
+
 TEST(SnifferTest, RejectsInvalidFilter) {
   sim::Simulator sim;
   SnifferTap tap(&sim);
@@ -108,6 +138,35 @@ TEST(SnifferTest, ClearResetsCapture) {
   auto records = net::ParsePcap(tap.pcap().buffer());
   ASSERT_TRUE(records.ok());
   EXPECT_TRUE(records->empty());
+}
+
+// --- OverlayStage ---
+
+TEST(OverlayStageTest, LoadedSlotChargesTheReferenceInstructionCount) {
+  sim::Simulator sim;
+  nic::SmartNic nic(&sim, nic::SmartNic::Options{});
+  auto cp = nic.TakeControlPlane();
+  OverlayStage stage(cp.get(), 0);
+  // Drop TX IPv4 with TTL < 5 (fused pairs, one of them a jlt).
+  const overlay::Program low_ttl{
+      overlay::Instruction::Ldf(1, overlay::Field::kIsIpv4),
+      overlay::Instruction::JmpCmpImm(overlay::Opcode::kJeq, 1, 0, 4),
+      overlay::Instruction::Ldf(2, overlay::Field::kIpTtl),
+      overlay::Instruction::JmpCmpImm(overlay::Opcode::kJlt, 2, 5, 5),
+      overlay::Instruction::RetImm(1),
+      overlay::Instruction::RetImm(0),
+  };
+  ASSERT_TRUE(cp->LoadOverlay(0, low_ttl).ok());
+  auto udp = MakeUdpContext(1, 2, Direction::kTx);
+  auto arp = test::MakeArpContext(Direction::kTx);
+  for (test::ContextBundle* pkt : {udp.get(), arp.get()}) {
+    const auto reference = overlay::Execute(low_ttl, pkt->ctx);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    const auto result = stage.Process(pkt->packet, pkt->ctx);
+    EXPECT_EQ(result.overlay_instructions, reference->instructions_executed);
+    EXPECT_EQ(result.verdict, nic::Verdict::kAccept);
+  }
+  EXPECT_EQ(stage.executions(), 2u);
 }
 
 // --- NatEngine ---

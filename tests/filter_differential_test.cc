@@ -4,11 +4,13 @@
 // random inserts, deletes and default-policy changes between packets.
 //
 // This is the compiler's correctness argument: CompileFilterChain and the
-// overlay interpreter on one side; a direct, obviously-correct C++ matcher
-// on the other. Any divergence in match semantics (prefix arithmetic, port
-// ranges, owner fields, direction, first-match ordering, default policy)
-// fails here with the full rule and packet dump, and so does a compiled
-// program left stale by a rule change.
+// decoded programs the engine runs on one side; a direct, obviously-correct
+// C++ matcher on the other. Any divergence in match semantics (prefix
+// arithmetic, port ranges, owner fields, direction, first-match ordering,
+// default policy) fails here with the full rule and packet dump, and so
+// does a compiled program left stale by a rule change. Every packet's
+// instruction count is also pinned to the reference interpreter's
+// (overlay::Execute) on the ISA program the engine exposes.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,6 +18,7 @@
 
 #include "src/common/rng.h"
 #include "src/dataplane/filter_engine.h"
+#include "src/overlay/interpreter.h"
 #include "tests/test_util.h"
 
 namespace norman::dataplane {
@@ -242,6 +245,18 @@ void MutateBoth(Rng& rng, FilterEngine& engine,
   }
 }
 
+nic::Verdict VerdictOf(FilterAction action) {
+  switch (action) {
+    case FilterAction::kAccept:
+      return nic::Verdict::kAccept;
+    case FilterAction::kDrop:
+      return nic::Verdict::kDrop;
+    case FilterAction::kSoftwareFallback:
+      return nic::Verdict::kSoftwareFallback;
+  }
+  return nic::Verdict::kAccept;
+}
+
 class FilterDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
@@ -264,20 +279,8 @@ TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
       auto pkt = RandomPacket(rng);
       const FilterAction expected =
           RefEvaluate(rules, engine.default_action(), pkt->ctx);
-      const nic::Verdict got = engine.Process(pkt->packet, pkt->ctx).verdict;
-      nic::Verdict want = nic::Verdict::kAccept;
-      switch (expected) {
-        case FilterAction::kAccept:
-          want = nic::Verdict::kAccept;
-          break;
-        case FilterAction::kDrop:
-          want = nic::Verdict::kDrop;
-          break;
-        case FilterAction::kSoftwareFallback:
-          want = nic::Verdict::kSoftwareFallback;
-          break;
-      }
-      if (got != want) {
+      const nic::StageResult result = engine.Process(pkt->packet, pkt->ctx);
+      if (result.verdict != VerdictOf(expected)) {
         std::ostringstream dump;
         for (size_t i = 0; i < rules.size(); ++i) {
           dump << DumpRule(rules[i], i) << "\n";
@@ -293,6 +296,28 @@ TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
         FAIL() << "divergence (world " << world << " trial " << trial
                << "):\n"
                << dump.str();
+      }
+      // The instruction count sets the virtual time the NIC charges: it
+      // must be the reference interpreter's count on the bucket the engine
+      // ran.
+      const auto reference = overlay::Execute(
+          engine.compiled_for(pkt->parsed.ipv4->protocol), pkt->ctx);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      ASSERT_EQ(result.overlay_instructions, reference->instructions_executed)
+          << "world " << world << " trial " << trial;
+      // ARP and unparsed frames run the full chain: verdict and count
+      // against the reference interpreter on compiled().
+      for (const auto& other :
+           {test::MakeArpContext(pkt->ctx.direction, pkt->ctx.conn),
+            test::MakeUnparsedContext(std::vector<uint8_t>(40, 0xab),
+                                      pkt->ctx.direction, pkt->ctx.conn)}) {
+        const nic::StageResult r = engine.Process(other->packet, other->ctx);
+        const auto ref = overlay::Execute(engine.compiled(), other->ctx);
+        ASSERT_TRUE(ref.ok()) << ref.status();
+        ASSERT_EQ(r.verdict,
+                  VerdictOf(static_cast<FilterAction>(ref->verdict & 0x3)));
+        ASSERT_EQ(r.overlay_instructions, ref->instructions_executed)
+            << "world " << world << " trial " << trial;
       }
     }
   }

@@ -7,6 +7,7 @@
 #include "src/common/rng.h"
 #include "src/net/parsed_packet.h"
 #include "src/norman/socket.h"
+#include "src/overlay/decoded_program.h"
 #include "src/overlay/interpreter.h"
 #include "src/overlay/verifier.h"
 #include "src/workload/testbed.h"
@@ -84,71 +85,170 @@ TEST(FuzzTest, GarbageThroughNicRxPathIsSafe) {
   test::ExpectNicConservation(stats);
 }
 
+// A random program over every opcode: nop, ldi/ldf/ldb, the eight ALU ops
+// with register and immediate operands, jmp, the six compares against a
+// register and an immediate, and ret. About a quarter of the draws are an
+// ldf followed by a compare, mostly on the loaded register (a pair the
+// decoder fuses), otherwise on another one (a pair it must not). Jump
+// targets are drawn once the body is laid out; half of them land on the
+// compare half of an ldf/compare pair ahead when there is one. A few shift
+// immediates are out of range, so some programs fail verification.
+overlay::Program RandomOverlayProgram(Rng& rng) {
+  using overlay::Instruction;
+  using overlay::Opcode;
+  const auto reg = [&] {
+    return static_cast<uint8_t>(rng.NextBounded(overlay::kNumRegisters));
+  };
+  const auto offset = [](Opcode first, uint64_t i) {
+    return static_cast<Opcode>(static_cast<uint64_t>(first) + i);
+  };
+  // Comparands that field values actually take, and now and then any value.
+  const auto comparand = [&]() -> int64_t {
+    constexpr int64_t kValues[] = {0, 1, 2, 6, 17, 80, 443, 1000, 4242, 0x0800};
+    return rng.NextBool(0.8) ? kValues[rng.NextBounded(std::size(kValues))]
+                             : static_cast<int64_t>(rng.NextU64());
+  };
+  const auto compare = [&](uint8_t lhs) {
+    const Opcode op = offset(Opcode::kJeq, rng.NextBounded(6));
+    return rng.NextBool(0.5) ? Instruction::JmpCmpImm(op, lhs, comparand(), 0)
+                             : Instruction::JmpCmpReg(op, lhs, reg(), 0);
+  };
+  const auto field = [&] {
+    return static_cast<overlay::Field>(rng.NextBounded(20));
+  };
+  const auto ret = [&] {
+    return rng.NextBool(0.5) ? Instruction::RetImm(comparand())
+                             : Instruction::RetReg(reg());
+  };
+
+  overlay::Program prog;
+  const size_t body = rng.NextBounded(24);
+  while (prog.size() < body) {
+    const uint8_t rd = reg();
+    switch (rng.NextBounded(9)) {
+      case 0:
+      case 1:
+        prog.push_back(Instruction::Ldf(rd, field()));
+        prog.push_back(compare(rng.NextBool(0.7) ? rd : reg()));
+        break;
+      case 2:
+        prog.push_back(compare(rd));
+        break;
+      case 3: {
+        const Opcode op = offset(Opcode::kAdd, rng.NextBounded(8));
+        const bool shift = op == Opcode::kShl || op == Opcode::kShr;
+        const int64_t imm =
+            shift ? static_cast<int64_t>(rng.NextBounded(66))
+                  : (rng.NextBool(0.8)
+                         ? static_cast<int64_t>(rng.NextInRange(0, 2000)) - 1000
+                         : static_cast<int64_t>(rng.NextU64()));
+        prog.push_back(Instruction::AluImm(op, rd, imm));
+        break;
+      }
+      case 4:
+        prog.push_back(Instruction::AluReg(
+            offset(Opcode::kAdd, rng.NextBounded(8)), rd, reg()));
+        break;
+      case 5:
+        prog.push_back(rng.NextBool(0.5)
+                           ? Instruction::Ldi(rd, comparand())
+                           : Instruction::Ldf(rd, field()));
+        break;
+      case 6:
+        prog.push_back(rng.NextBool(0.5)
+                           ? Instruction::Ldb(rd, static_cast<int64_t>(
+                                                      rng.NextBounded(256)))
+                           : Instruction{});  // nop
+        break;
+      case 7:
+        prog.push_back(Instruction::Jmp(0));
+        break;
+      default:
+        prog.push_back(ret());
+        break;
+    }
+  }
+  prog.push_back(ret());
+
+  const auto is_compare_half = [&](size_t i) {
+    return i > 0 && prog[i - 1].op == Opcode::kLdf &&
+           overlay::IsJump(prog[i].op) && prog[i].op != Opcode::kJmp;
+  };
+  for (size_t pc = 0; pc + 1 < prog.size(); ++pc) {
+    if (!overlay::IsJump(prog[pc].op)) {
+      continue;
+    }
+    std::vector<size_t> halves;
+    for (size_t t = pc + 1; t < prog.size(); ++t) {
+      if (is_compare_half(t)) {
+        halves.push_back(t);
+      }
+    }
+    prog[pc].jump_target = static_cast<int64_t>(
+        !halves.empty() && rng.NextBool(0.5)
+            ? halves[rng.NextBounded(halves.size())]
+            : rng.NextInRange(pc + 1, prog.size() - 1));
+  }
+  return prog;
+}
+
 TEST(FuzzTest, OverlayInterpreterSafeOnRandomVerifiedPrograms) {
-  // Random instruction streams that pass the verifier must execute without
-  // error on arbitrary contexts.
+  // Random programs that pass the verifier must execute without error, and
+  // their decoded form must agree with Execute on the verdict and the
+  // instruction count, on UDP, TCP, ARP and unparsed frames in both
+  // directions, with owner metadata attached.
   Rng rng(0xabcd);
-  const std::vector<uint8_t> frame = SemiValidFrame(rng);
-  auto parsed = net::ParseFrame(frame);
-  overlay::PacketContext ctx;
-  ctx.frame = frame;
-  ctx.parsed = parsed ? &*parsed : nullptr;
+  const overlay::ConnMetadata owner{42, 1000, 4242, 3, 7, 2};
+  std::vector<std::unique_ptr<test::ContextBundle>> contexts;
+  for (const auto dir : {net::Direction::kTx, net::Direction::kRx}) {
+    contexts.push_back(test::MakeUdpContext(5555, 80, dir, owner));
+    contexts.push_back(test::MakeTcpContext(
+        443, 6000, net::TcpFlags::kSyn | net::TcpFlags::kAck, dir, owner, 20));
+    contexts.push_back(test::MakeArpContext(dir, owner));
+    contexts.push_back(
+        test::MakeUnparsedContext(RandomBytes(rng, 200), dir, owner));
+  }
 
   int verified = 0;
+  int onto_compare_half = 0;  // a jump lands on the compare after an ldf
+  int other_register = 0;     // an ldf followed by a compare on another reg
   for (int trial = 0; trial < 5000; ++trial) {
-    overlay::Program prog;
-    const size_t len = 1 + rng.NextBounded(20);
-    for (size_t i = 0; i + 1 < len; ++i) {
-      overlay::Instruction ins;
-      switch (rng.NextBounded(6)) {
-        case 0:
-          ins = overlay::Instruction::Ldi(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(1000)));
-          break;
-        case 1:
-          ins = overlay::Instruction::Ldf(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<overlay::Field>(rng.NextBounded(20)));
-          break;
-        case 2:
-          ins = overlay::Instruction::Ldb(
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(256)));
-          break;
-        case 3:
-          ins = overlay::Instruction::AluImm(
-              overlay::Opcode::kAdd,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(100)));
-          break;
-        case 4:
-          ins = overlay::Instruction::AluImm(
-              overlay::Opcode::kShr,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(64)));
-          break;
-        default:
-          ins = overlay::Instruction::JmpCmpImm(
-              overlay::Opcode::kJeq,
-              static_cast<uint8_t>(rng.NextBounded(16)),
-              static_cast<int64_t>(rng.NextBounded(10)),
-              static_cast<int64_t>(i + 1 + rng.NextBounded(len - i - 1)));
-          break;
-      }
-      prog.push_back(ins);
-    }
-    prog.push_back(overlay::Instruction::RetReg(
-        static_cast<uint8_t>(rng.NextBounded(16))));
-    if (!overlay::VerifyProgram(prog).ok()) {
+    const overlay::Program prog = RandomOverlayProgram(rng);
+    const Status status = overlay::VerifyProgram(prog);
+    auto decoded = overlay::DecodedProgram::Decode(prog);
+    ASSERT_EQ(decoded.ok(), status.ok()) << status;
+    if (!status.ok()) {
       continue;
     }
     ++verified;
-    auto result = overlay::Execute(prog, ctx);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_LE(result->instructions_executed, prog.size());
+    for (size_t pc = 0; pc + 1 < prog.size(); ++pc) {
+      const overlay::Instruction& next = prog[pc + 1];
+      if (prog[pc].op != overlay::Opcode::kLdf || !overlay::IsJump(next.op) ||
+          next.op == overlay::Opcode::kJmp) {
+        continue;
+      }
+      other_register += next.dst != prog[pc].dst;
+      for (const overlay::Instruction& ins : prog) {
+        if (overlay::IsJump(ins.op) &&
+            ins.jump_target == static_cast<int64_t>(pc + 1)) {
+          ++onto_compare_half;
+          break;
+        }
+      }
+    }
+    for (const auto& bundle : contexts) {
+      const auto result = overlay::Execute(prog, bundle->ctx);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_LE(result->instructions_executed, prog.size());
+      const overlay::ExecResult fast = decoded->Run(bundle->ctx);
+      ASSERT_EQ(fast.verdict, result->verdict) << "trial " << trial;
+      ASSERT_EQ(fast.instructions_executed, result->instructions_executed)
+          << "trial " << trial;
+    }
   }
   EXPECT_GT(verified, 1000);  // the generator mostly emits valid programs
+  EXPECT_GT(onto_compare_half, 500);
+  EXPECT_GT(other_register, 500);
 }
 
 TEST(InvariantTest, TxPacketConservationUnderRandomWorkload) {

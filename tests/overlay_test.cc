@@ -3,6 +3,7 @@
 #include "src/net/packet_builder.h"
 #include "src/net/parsed_packet.h"
 #include "src/overlay/assembler.h"
+#include "src/overlay/decoded_program.h"
 #include "src/overlay/interpreter.h"
 #include "src/overlay/verifier.h"
 
@@ -37,11 +38,37 @@ TestPacket MakeUdpPacket(uint16_t src_port, uint16_t dst_port,
   return tp;
 }
 
+// Runs `prog` on the reference interpreter and on its decoded form, which
+// must agree on the verdict and the instruction count.
 int64_t MustRun(const Program& prog, const PacketContext& ctx) {
   EXPECT_TRUE(VerifyProgram(prog).ok()) << VerifyProgram(prog);
   auto r = Execute(prog, ctx);
   EXPECT_TRUE(r.ok()) << r.status();
+  auto decoded = DecodedProgram::Decode(prog);
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  const ExecResult d = decoded->Run(ctx);
+  EXPECT_EQ(d.verdict, r->verdict);
+  EXPECT_EQ(d.instructions_executed, r->instructions_executed);
   return r->verdict;
+}
+
+// The decoded form's result, checked against Execute like MustRun.
+ExecResult MustRunDecoded(const DecodedProgram& prog,
+                          const PacketContext& ctx) {
+  const ExecResult d = prog.Run(ctx);
+  auto r = Execute(prog.source(), ctx);
+  EXPECT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(d.verdict, r->verdict);
+  EXPECT_EQ(d.instructions_executed, r->instructions_executed);
+  return d;
+}
+
+DecodedProgram MustDecode(std::string_view source) {
+  auto prog = Assemble(source);
+  EXPECT_TRUE(prog.ok()) << prog.status();
+  auto decoded = DecodedProgram::Decode(*prog);
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  return std::move(*decoded);
 }
 
 TEST(InterpreterTest, RetImmediate) {
@@ -199,6 +226,113 @@ TEST(InterpreterTest, UnverifiedRegisterOutOfRangeFails) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   }
+}
+
+// --- Decoded programs ---
+
+TEST(DecodedProgramTest, DecodeRunsTheVerifier) {
+  const Program bad{Instruction::Ldi(1, 0)};  // falls off the end
+  const auto decoded = DecodedProgram::Decode(bad);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status(), VerifyProgram(bad));
+}
+
+TEST(DecodedProgramTest, FusedLoadAndCompareCountsTwoInstructions) {
+  const DecodedProgram prog = MustDecode(R"(
+      ldf r1, dst_port
+      jeq r1, 80, hit
+      ret 0
+  hit:
+      ret 1
+  )");
+  EXPECT_EQ(prog.source().size(), 4u);
+  EXPECT_EQ(prog.op_count(), 3u);  // ldf+jeq fused
+  const auto hit = MakeUdpPacket(5, 80);
+  const auto miss = MakeUdpPacket(5, 81);
+  EXPECT_EQ(MustRunDecoded(prog, hit.ctx).verdict, 1);
+  EXPECT_EQ(MustRunDecoded(prog, hit.ctx).instructions_executed, 3u);
+  EXPECT_EQ(MustRunDecoded(prog, miss.ctx).verdict, 0);
+  EXPECT_EQ(MustRunDecoded(prog, miss.ctx).instructions_executed, 3u);
+}
+
+TEST(DecodedProgramTest, JumpOntoACompareKeepsItsLoadSeparate) {
+  // The first jump lands on the compare of the second ldf/jeq pair, so a
+  // path can reach that compare without the load: the pair is not fused.
+  const DecodedProgram prog = MustDecode(R"(
+      ldf r2, src_port
+      jeq r2, 7, cmp
+      ldf r1, dst_port
+  cmp:
+      jeq r1, 80, hit
+      ret 0
+  hit:
+      ret 1
+  )");
+  EXPECT_EQ(prog.op_count(), 5u);  // only the first pair fused
+  const auto skip_load = MakeUdpPacket(7, 80);
+  const auto via_load = MakeUdpPacket(8, 80);
+  EXPECT_EQ(MustRunDecoded(prog, skip_load.ctx).verdict, 0);  // r1 still 0
+  EXPECT_EQ(MustRunDecoded(prog, skip_load.ctx).instructions_executed, 4u);
+  EXPECT_EQ(MustRunDecoded(prog, via_load.ctx).verdict, 1);
+  EXPECT_EQ(MustRunDecoded(prog, via_load.ctx).instructions_executed, 5u);
+}
+
+TEST(DecodedProgramTest, CompareOnAnotherRegisterIsNotFused) {
+  const DecodedProgram prog = MustDecode(R"(
+      ldi r2, 5
+      ldf r1, dst_port
+      jeq r2, 5, hit
+      ret 0
+  hit:
+      ret r1
+  )");
+  EXPECT_EQ(prog.op_count(), 5u);
+  const auto pkt = MakeUdpPacket(1, 80);
+  EXPECT_EQ(MustRunDecoded(prog, pkt.ctx).verdict, 80);
+  EXPECT_EQ(MustRunDecoded(prog, pkt.ctx).instructions_executed, 4u);
+}
+
+TEST(DecodedProgramTest, FusedRegisterCompareReadsTheLoadedValue) {
+  // The comparand is the loaded register itself, or one set before.
+  const DecodedProgram self = MustDecode(R"(
+      ldf r1, dst_port
+      jeq r1, r1, hit
+      ret 0
+  hit:
+      ret r1
+  )");
+  const DecodedProgram other = MustDecode(R"(
+      ldi r2, 80
+      ldf r1, dst_port
+      jge r1, r2, hit
+      ret 0
+  hit:
+      ret 1
+  )");
+  EXPECT_EQ(self.op_count(), 3u);
+  EXPECT_EQ(other.op_count(), 4u);
+  const auto pkt = MakeUdpPacket(1, 443);
+  EXPECT_EQ(MustRunDecoded(self, pkt.ctx).verdict, 443);
+  EXPECT_EQ(MustRunDecoded(other, pkt.ctx).verdict, 1);
+  const auto low = MakeUdpPacket(1, 79);
+  EXPECT_EQ(MustRunDecoded(other, low.ctx).verdict, 0);
+}
+
+TEST(DecodedProgramTest, FieldLoadedTwiceReadsTheSameValue) {
+  // One field-vector slot serves every ldf of a field, fused or not.
+  const DecodedProgram prog = MustDecode(R"(
+      ldf r1, owner_uid
+      ldf r2, owner_uid
+      jne r2, 1000, out
+      add r1, r2
+      ret r1
+  out:
+      ret 0
+  )");
+  const auto pkt = MakeUdpPacket(1, 2, /*owner_uid=*/1000);
+  EXPECT_EQ(MustRunDecoded(prog, pkt.ctx).verdict, 2000);
+  const auto other = MakeUdpPacket(1, 2, /*owner_uid=*/1001);
+  EXPECT_EQ(MustRunDecoded(prog, other.ctx).verdict, 0);
 }
 
 // --- Verifier ---

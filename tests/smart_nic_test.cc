@@ -266,7 +266,7 @@ TEST_F(SmartNicTest, OverlaySlotLoadAndGenerations) {
   EXPECT_GT(*t, 0);
   EXPECT_EQ(cp_->overlay_generation(0), 1u);
   ASSERT_NE(cp_->OverlaySlot(0), nullptr);
-  EXPECT_EQ(cp_->OverlaySlot(0)->size(), 1u);
+  EXPECT_EQ(cp_->OverlaySlot(0)->source().size(), 1u);
 
   // Larger program costs more to load.
   overlay::Program big(100, overlay::Instruction::Ldi(1, 0));
@@ -359,6 +359,30 @@ TEST_F(SmartNicTest, MmioDoorbellWindowMapsToConnection) {
   DoorbellWindow win = cp_->MapDoorbell(5);
   ASSERT_TRUE(win.Write(kRegTxHead, 42).ok());
   EXPECT_EQ(cp_->mmio().Read(DoorbellAddr(5, kRegTxHead)), 42u);
+}
+
+TEST_F(SmartNicTest, RemoveFlowFreesDoorbellRegisters) {
+  // Connect/close cycles must not grow the register file: a flow's
+  // doorbell block goes with the flow, and the next connection reuses it.
+  ASSERT_TRUE(cp_->InstallFlow(MakeFlow(100, 999)).ok());
+  ASSERT_TRUE(cp_->MapDoorbell(100).Write(kRegTxHead, 42).ok());
+  const size_t before = cp_->mmio().register_count();
+  for (ConnectionId conn = 1; conn <= 50; ++conn) {
+    ASSERT_TRUE(
+        cp_->InstallFlow(MakeFlow(conn, static_cast<uint16_t>(1000 + conn)))
+            .ok());
+    DoorbellWindow win = cp_->MapDoorbell(conn);
+    ASSERT_TRUE(win.Write(kRegTxHead, 7).ok());
+    ASSERT_TRUE(win.Write(kRegRxTail, 9).ok());
+    EXPECT_EQ(cp_->mmio().register_count(), before + 2);
+    ASSERT_TRUE(cp_->RemoveFlow(conn).ok());
+    EXPECT_EQ(cp_->mmio().register_count(), before);
+    for (MmioAddr reg = kRegTxHead; reg <= kRegRxTail; ++reg) {
+      EXPECT_EQ(cp_->mmio().Read(DoorbellAddr(conn, reg)), 0u);
+    }
+  }
+  // The live connection's block is untouched.
+  EXPECT_EQ(cp_->mmio().Read(DoorbellAddr(100, kRegTxHead)), 42u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -69,6 +70,40 @@ inline std::unique_ptr<ContextBundle> MakeTcpContext(
   b->parsed = *net::ParseFrame(b->packet.bytes());
   b->ctx.frame = b->packet.bytes();
   b->ctx.parsed = &b->parsed;
+  b->ctx.conn = owner;
+  b->ctx.direction = dir;
+  b->packet.meta().direction = dir;
+  return b;
+}
+
+// An ARP request from the local host (TX) or the remote one (RX).
+inline std::unique_ptr<ContextBundle> MakeArpContext(
+    net::Direction dir, overlay::ConnMetadata owner = {}) {
+  auto b = std::make_unique<ContextBundle>();
+  b->frame = dir == net::Direction::kTx
+                 ? net::BuildArpRequest(net::MacAddress::ForHost(1), kLocalIp,
+                                        kRemoteIp)
+                 : net::BuildArpRequest(net::MacAddress::ForHost(2),
+                                        kRemoteIp, kLocalIp);
+  b->packet = net::Packet(b->frame);
+  b->parsed = *net::ParseFrame(b->packet.bytes());
+  b->ctx.frame = b->packet.bytes();
+  b->ctx.parsed = &b->parsed;
+  b->ctx.conn = owner;
+  b->ctx.direction = dir;
+  b->packet.meta().direction = dir;
+  return b;
+}
+
+// A frame the parser frontend could not parse: ctx.parsed is null.
+inline std::unique_ptr<ContextBundle> MakeUnparsedContext(
+    std::vector<uint8_t> bytes, net::Direction dir,
+    overlay::ConnMetadata owner = {}) {
+  auto b = std::make_unique<ContextBundle>();
+  b->frame = std::move(bytes);
+  b->packet = net::Packet(b->frame);
+  b->ctx.frame = b->packet.bytes();
+  b->ctx.parsed = nullptr;
   b->ctx.conn = owner;
   b->ctx.direction = dir;
   b->packet.meta().direction = dir;
