@@ -101,7 +101,7 @@ RunResult RunStorm(uint16_t queues) {
   for (size_t i = 0; i < kFlows; ++i) {
     auto* rings = cp->GetRings(static_cast<net::ConnectionId>(i + 1));
     if (rings == nullptr) continue;
-    while (rings->PopRx().has_value()) ++r.delivered;
+    while (rings->rx().TryPop().has_value()) ++r.delivered;
   }
   r.frames_per_virtual_s =
       r.virtual_ns > 0

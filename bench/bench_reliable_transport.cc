@@ -26,8 +26,7 @@ struct TransportResult {
 TransportResult RunTransfer(double loss, uint32_t window,
                             int messages = 400) {
   workload::DuplexOptions opts;
-  opts.loss_probability = 0.0;  // connect cleanly first
-  opts.fault_seed = 1234;
+  opts.fault_seed = 1234;  // the wire starts clean: connect first
   workload::DuplexTestBed bed(opts);
   bed.a().kernel->processes().AddUser(1, "a");
   bed.b().kernel->processes().AddUser(2, "b");
@@ -54,7 +53,10 @@ TransportResult RunTransfer(double loss, uint32_t window,
   }
   while (server->RecvFrame() != nullptr) {
   }
-  bed.set_loss_probability(loss);  // now degrade the link
+  // Now degrade the link, both directions.
+  const sim::FaultProfile lossy{.loss = loss};
+  bed.fault().SetProfile(workload::DuplexTestBed::kLinkAtoB, lossy);
+  bed.fault().SetProfile(workload::DuplexTestBed::kLinkBtoA, lossy);
 
   ReliableOptions ropts;
   ropts.window = window;

@@ -5,6 +5,13 @@
 // ring is full when head - tail == capacity. The same discipline is exposed
 // to applications through MMIO in the NIC model, so keeping it here lets
 // tests exercise the wrap/overflow arithmetic in isolation.
+//
+// A ring may report its occupancy into a queue-depth gauge pair
+// ("queue.<name>.depth" / ".high_water"): once attached, every push and pop
+// moves the depth by what it changed, and the destructor settles whatever
+// still occupies the ring. Several rings may share one gauge pair, which
+// then aggregates them (every connection's TX ring feeds
+// "queue.nic.tx_ring").
 #ifndef NORMAN_COMMON_FIXED_RING_H_
 #define NORMAN_COMMON_FIXED_RING_H_
 
@@ -14,6 +21,8 @@
 #include <optional>
 #include <span>
 #include <vector>
+
+#include "src/common/metrics.h"
 
 namespace norman {
 
@@ -26,6 +35,16 @@ class FixedRing {
     assert(capacity != 0 && (capacity & (capacity - 1)) == 0 &&
            "capacity must be a power of two");
   }
+
+  // Occupants die with the ring; the shared gauges must not keep them.
+  ~FixedRing() { Report(-static_cast<int64_t>(size())); }
+
+  FixedRing(const FixedRing&) = delete;
+  FixedRing& operator=(const FixedRing&) = delete;
+
+  // Starts occupancy reporting into `gauges`, which must outlive the ring.
+  // Attach while the ring is empty.
+  void AttachGauges(telemetry::QueueDepthGauges* gauges) { gauges_ = gauges; }
 
   uint32_t capacity() const { return capacity_; }
   uint32_t size() const { return head_ - tail_; }
@@ -42,6 +61,7 @@ class FixedRing {
     }
     slots_[head_ & mask_] = std::move(value);
     ++head_;
+    Report(1);
     return true;
   }
 
@@ -51,12 +71,14 @@ class FixedRing {
     }
     T value = std::move(slots_[tail_ & mask_]);
     ++tail_;
+    Report(-1);
     return value;
   }
 
-  // Bulk consumer: move up to dst.size() oldest elements out (FIFO order).
-  // Returns the number popped — min(dst.size(), size()). dst elements past
-  // the returned count are untouched.
+  // Bulk consumer: move up to dst.size() oldest elements out (FIFO order),
+  // with one gauge update for the burst. Returns the number popped —
+  // min(dst.size(), size()). dst elements past the returned count are
+  // untouched.
   uint32_t PopN(std::span<T> dst) {
     const uint32_t n = std::min(
         static_cast<uint32_t>(std::min<size_t>(dst.size(), ~uint32_t{0})),
@@ -65,6 +87,7 @@ class FixedRing {
       dst[i] = std::move(slots_[(tail_ + i) & mask_]);
     }
     tail_ += n;
+    Report(-static_cast<int64_t>(n));
     return n;
   }
 
@@ -82,14 +105,17 @@ class FixedRing {
     return i < size() ? &slots_[(tail_ + i) & mask_] : nullptr;
   }
 
-  void Clear() { tail_ = head_; }
-
  private:
+  void Report(int64_t delta) {
+    if (gauges_ != nullptr && delta != 0) gauges_->Add(delta);
+  }
+
   uint32_t capacity_;
   uint32_t mask_;
   std::vector<T> slots_;
   uint32_t head_ = 0;
   uint32_t tail_ = 0;
+  telemetry::QueueDepthGauges* gauges_ = nullptr;
 };
 
 }  // namespace norman

@@ -36,10 +36,6 @@ void SetLogThreshold(LogLevel level) {
   g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogThreshold() {
-  return static_cast<LogLevel>(g_threshold.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, std::string_view file, int line)

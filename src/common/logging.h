@@ -19,7 +19,6 @@ enum class LogLevel : int {
 
 // Messages strictly below the threshold are discarded.
 void SetLogThreshold(LogLevel level);
-LogLevel GetLogThreshold();
 
 namespace internal {
 

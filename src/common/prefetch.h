@@ -18,14 +18,6 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
-inline void PrefetchWrite(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/1, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
 }  // namespace norman
 
 #endif  // NORMAN_COMMON_PREFETCH_H_

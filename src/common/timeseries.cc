@@ -91,15 +91,6 @@ const TimeSeries* TimeSeriesSampler::Find(std::string_view name) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> TimeSeriesSampler::SeriesNames() const {
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, s] : series_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 std::string TimeSeriesSampler::JsonReport() const {
   std::string out = "{\"samples\":";
   char buf[64];

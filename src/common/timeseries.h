@@ -83,7 +83,6 @@ class TimeSeriesSampler {
   // Lookup by derived series name ("nic.tx.seen.rate", "queue.nic.qdisc.
   // depth", "trace.stage.tx.qdisc.p99"); nullptr when never sampled.
   const TimeSeries* Find(std::string_view name) const;
-  std::vector<std::string> SeriesNames() const;
 
   // Sorted, byte-stable export:
   // {"samples":N,"series":{"<name>":[[t,v],...],...}}

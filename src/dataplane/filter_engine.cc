@@ -20,7 +20,11 @@ int64_t EncodeVerdict(uint32_t rule_index, FilterAction action) {
 
 // Emits the match block for one rule. Instructions with jump_target ==
 // kNextPlaceholder are patched to the next rule's block start afterwards.
-void EmitRule(const FilterRule& r, uint32_t index, overlay::Program* out) {
+// `ipv4_only` marks a block that only IPv4 frames run (a protocol bucket);
+// elsewhere an address match is guarded by is_ipv4, because ARP and
+// unparsed frames read 0 in the address fields and pass a short prefix.
+void EmitRule(const FilterRule& r, uint32_t index, bool ipv4_only,
+              overlay::Program* out) {
   auto mismatch_if = [out](Opcode cmp, uint8_t reg, int64_t value) {
     Instruction ins = Instruction::JmpCmpImm(cmp, reg, value,
                                              kNextPlaceholder);
@@ -59,6 +63,12 @@ void EmitRule(const FilterRule& r, uint32_t index, overlay::Program* out) {
   if (r.dst_ip) {
     emit_prefix_match(Field::kIpDst, *r.dst_ip, r.dst_ip_prefix.value_or(32));
   }
+  if ((r.src_ip || r.dst_ip) && !r.proto && !ipv4_only) {
+    // Only IPv4 frames may match an address (a proto rule already starts
+    // with this guard). It follows the prefix tests, which reject most
+    // frames, so a frame the prefix rejects pays nothing for it.
+    load_and_mismatch_ne(Field::kIsIpv4, 1);
+  }
   auto emit_port_match = [&](Field f, const PortRange& range) {
     out->push_back(Instruction::Ldf(1, f));
     if (range.lo == range.hi) {
@@ -90,11 +100,12 @@ void EmitRule(const FilterRule& r, uint32_t index, overlay::Program* out) {
   out->push_back(Instruction::RetImm(EncodeVerdict(index, r.action)));
 }
 
-// Instructions EmitRule produces for `r`. The rule's chain index only
-// changes the `ret` immediate, so the length is the same at every position.
+// Instructions EmitRule produces for `r` in the full chain. The rule's
+// chain index only changes the `ret` immediate, so the length is the same
+// at every position.
 size_t BlockLength(const FilterRule& r) {
   overlay::Program block;
-  EmitRule(r, 0, &block);
+  EmitRule(r, 0, /*ipv4_only=*/false, &block);
   return block.size();
 }
 
@@ -105,17 +116,18 @@ namespace {
 // Compiles the subsequence of `rules` selected by `pred` into one
 // first-match program, preserving each rule's original chain index in the
 // encoded verdict (hit attribution stays index-aligned with rules()).
+// `ipv4_only` as for EmitRule.
 template <typename Pred>
 overlay::Program CompileFilterSubset(const std::vector<FilterRule>& rules,
                                      FilterAction default_action,
-                                     Pred&& pred) {
+                                     bool ipv4_only, Pred&& pred) {
   overlay::Program program;
   for (size_t i = 0; i < rules.size(); ++i) {
     if (!pred(rules[i])) {
       continue;
     }
     const size_t block_start = program.size();
-    EmitRule(rules[i], static_cast<uint32_t>(i), &program);
+    EmitRule(rules[i], static_cast<uint32_t>(i), ipv4_only, &program);
     // Patch this block's "mismatch -> next rule" placeholders to the index
     // just past the block (start of the next rule / default tail).
     const int64_t next = static_cast<int64_t>(program.size());
@@ -135,7 +147,7 @@ overlay::Program CompileFilterSubset(const std::vector<FilterRule>& rules,
 
 overlay::Program CompileFilterChain(const std::vector<FilterRule>& rules,
                                     FilterAction default_action) {
-  return CompileFilterSubset(rules, default_action,
+  return CompileFilterSubset(rules, default_action, /*ipv4_only=*/false,
                              [](const FilterRule&) { return true; });
 }
 
@@ -214,9 +226,11 @@ void FilterEngine::Rebuild() const {
   NORMAN_CHECK(chain.size() == chain_length_)
       << chain.size() << " != " << chain_length_;
   chain_ = decode(std::move(chain));
+  // A bucket only ever runs IPv4 frames of its protocol (see Process).
   const auto bucket = [&](net::IpProto proto) {
     return decode(CompileFilterSubset(
-        rules_, default_action_, [proto](const FilterRule& r) {
+        rules_, default_action_, /*ipv4_only=*/true,
+        [proto](const FilterRule& r) {
           return !r.proto || *r.proto == proto;
         }));
   };

@@ -89,22 +89,8 @@ size_t PrioQdisc::backlog_packets() const {
 TokenBucketQdisc::TokenBucketQdisc(BitsPerSecond rate_bps,
                                    uint64_t burst_bytes,
                                    size_t capacity_packets)
-    : rate_bps_(rate_bps),
-      burst_bytes_(burst_bytes),
-      capacity_(capacity_packets),
-      tokens_bytes_(static_cast<double>(burst_bytes)) {}
-
-void TokenBucketQdisc::Refill(Nanos now) {
-  if (now <= last_refill_) {
-    return;
-  }
-  const double elapsed_s =
-      static_cast<double>(now - last_refill_) / 1e9;
-  tokens_bytes_ = std::min(
-      static_cast<double>(burst_bytes_),
-      tokens_bytes_ + elapsed_s * static_cast<double>(rate_bps_) / 8.0);
-  last_refill_ = now;
-}
+    : bucket_{rate_bps, burst_bytes, static_cast<double>(burst_bytes)},
+      capacity_(capacity_packets) {}
 
 bool TokenBucketQdisc::Enqueue(net::PacketPtr packet,
                                const overlay::PacketContext& /*ctx*/) {
@@ -120,37 +106,20 @@ net::PacketPtr TokenBucketQdisc::Dequeue(Nanos now) {
   if (queue_.empty()) {
     return nullptr;
   }
-  Refill(now);
-  const double need = static_cast<double>(queue_.front()->size());
-  if (tokens_bytes_ + 1e-9 < need) {
+  bucket_.Refill(now);
+  if (!bucket_.TryConsume(queue_.front()->size())) {
     return nullptr;  // not yet conformant
   }
-  tokens_bytes_ -= need;
   net::PacketPtr p = std::move(queue_.front());
   queue_.pop_front();
   return p;
 }
 
 Nanos TokenBucketQdisc::NextEligibleTime(Nanos now) const {
-  if (queue_.empty() || rate_bps_ == 0) {
+  if (queue_.empty() || bucket_.rate_bps == 0) {
     return -1;
   }
-  // Tokens as of `now` (mirror of Refill without mutation).
-  double tokens = tokens_bytes_;
-  if (now > last_refill_) {
-    const double elapsed_s = static_cast<double>(now - last_refill_) / 1e9;
-    tokens = std::min(
-        static_cast<double>(burst_bytes_),
-        tokens + elapsed_s * static_cast<double>(rate_bps_) / 8.0);
-  }
-  const double need = static_cast<double>(queue_.front()->size());
-  if (tokens + 1e-9 >= need) {
-    return now;
-  }
-  const double deficit_bytes = need - tokens;
-  const double wait_ns =
-      deficit_bytes * 8.0 * 1e9 / static_cast<double>(rate_bps_);
-  return now + static_cast<Nanos>(std::ceil(wait_ns));
+  return bucket_.EligibleAt(now, queue_.front()->size());
 }
 
 // ---- DrrQdisc ---------------------------------------------------------------

@@ -21,6 +21,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/status.h"
+#include "src/dataplane/token_bucket.h"
 #include "src/nic/pipeline.h"
 #include "src/overlay/isa.h"
 #include "src/overlay/packet_context.h"
@@ -84,14 +85,9 @@ class TokenBucketQdisc : public nic::Scheduler {
   uint64_t drops() const { return drops_; }
 
  private:
-  void Refill(Nanos now);
-
-  BitsPerSecond rate_bps_;
-  uint64_t burst_bytes_;
+  TokenBucket bucket_;
   size_t capacity_;
   std::deque<net::PacketPtr> queue_;
-  double tokens_bytes_;
-  Nanos last_refill_ = 0;
   uint64_t drops_ = 0;
 };
 

@@ -1,42 +1,12 @@
 #include "src/dataplane/rate_limiter.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace norman::dataplane {
 
 PacedScheduler::PacedScheduler(std::unique_ptr<nic::Scheduler> inner,
                                size_t per_conn_capacity)
     : inner_(std::move(inner)), per_conn_capacity_(per_conn_capacity) {}
-
-void PacedScheduler::FlowPacer::Refill(Nanos now) {
-  if (now <= last_refill) {
-    return;
-  }
-  const double elapsed_s = static_cast<double>(now - last_refill) / 1e9;
-  tokens = std::min(static_cast<double>(burst_bytes),
-                    tokens + elapsed_s * static_cast<double>(rate_bps) / 8.0);
-  last_refill = now;
-}
-
-Nanos PacedScheduler::FlowPacer::HeadEligibleAt(Nanos now) const {
-  if (queue.empty()) {
-    return -1;
-  }
-  double t = tokens;
-  if (now > last_refill) {
-    const double elapsed_s = static_cast<double>(now - last_refill) / 1e9;
-    t = std::min(static_cast<double>(burst_bytes),
-                 t + elapsed_s * static_cast<double>(rate_bps) / 8.0);
-  }
-  const double need = static_cast<double>(queue.front()->size());
-  if (t + 1e-9 >= need) {
-    return now;
-  }
-  const double wait_ns =
-      (need - t) * 8.0 * 1e9 / static_cast<double>(rate_bps);
-  return now + static_cast<Nanos>(std::ceil(wait_ns));
-}
 
 void PacedScheduler::SetRate(net::ConnectionId conn, BitsPerSecond rate_bps,
                              uint64_t burst_bytes) {
@@ -45,16 +15,16 @@ void PacedScheduler::SetRate(net::ConnectionId conn, BitsPerSecond rate_bps,
     return;
   }
   const bool existed = flows_.contains(conn);
-  FlowPacer& pacer = flows_[conn];
-  pacer.rate_bps = rate_bps;
-  pacer.burst_bytes = std::max<uint64_t>(burst_bytes, 1);
+  TokenBucket& bucket = flows_[conn].bucket;
+  bucket.rate_bps = rate_bps;
+  bucket.burst_bytes = std::max<uint64_t>(burst_bytes, 1);
   if (existed) {
     // Rate adjustment must not grant a fresh burst (a controller updating
     // the rate every tick would otherwise leak burst_bytes per tick).
-    pacer.tokens =
-        std::min(pacer.tokens, static_cast<double>(pacer.burst_bytes));
+    bucket.tokens =
+        std::min(bucket.tokens, static_cast<double>(bucket.burst_bytes));
   } else {
-    pacer.tokens = static_cast<double>(pacer.burst_bytes);
+    bucket.tokens = static_cast<double>(bucket.burst_bytes);
   }
 }
 
@@ -101,14 +71,9 @@ bool PacedScheduler::Enqueue(net::PacketPtr packet,
 
 void PacedScheduler::ReleaseConformant(Nanos now) {
   for (auto& [conn, pacer] : flows_) {
-    pacer.Refill(now);
-    while (!pacer.queue.empty()) {
-      const double need =
-          static_cast<double>(pacer.queue.front()->size());
-      if (pacer.tokens + 1e-9 < need) {
-        break;
-      }
-      pacer.tokens -= need;
+    pacer.bucket.Refill(now);
+    while (!pacer.queue.empty() &&
+           pacer.bucket.TryConsume(pacer.queue.front()->size())) {
       net::PacketPtr p = std::move(pacer.queue.front());
       pacer.queue.pop_front();
       overlay::PacketContext ctx;
@@ -139,8 +104,11 @@ Nanos PacedScheduler::NextEligibleTime(Nanos now) const {
     best = now;
   }
   for (const auto& [conn, pacer] : flows_) {
-    const Nanos t = pacer.HeadEligibleAt(now);
-    if (t >= 0 && (best < 0 || t < best)) {
+    if (pacer.queue.empty()) {
+      continue;
+    }
+    const Nanos t = pacer.bucket.EligibleAt(now, pacer.queue.front()->size());
+    if (best < 0 || t < best) {
       best = t;
     }
   }

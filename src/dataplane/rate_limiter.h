@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 
+#include "src/dataplane/token_bucket.h"
 #include "src/nic/fifo_scheduler.h"
 #include "src/nic/pipeline.h"
 
@@ -32,12 +33,6 @@ class PacedScheduler : public nic::Scheduler {
   // Transparent to tooling: reports the inner discipline's name (tc shows
   // "wfq", not the pacing shim). Pacing state is queried via HasRate.
   std::string_view name() const override { return inner_->name(); }
-
-  // The pacer itself keys on ctx.conn only; whether parsed headers are
-  // needed is the inner discipline's call.
-  bool NeedsClassification() const override {
-    return inner_->NeedsClassification();
-  }
 
   // Kernel-facing configuration. rate 0 removes the limit.
   void SetRate(net::ConnectionId conn, BitsPerSecond rate_bps,
@@ -68,15 +63,8 @@ class PacedScheduler : public nic::Scheduler {
 
  private:
   struct FlowPacer {
-    BitsPerSecond rate_bps = 0;
-    uint64_t burst_bytes = 0;
-    double tokens = 0;
-    Nanos last_refill = 0;
+    TokenBucket bucket;
     std::deque<net::PacketPtr> queue;
-
-    void Refill(Nanos now);
-    // Time at which the head packet becomes conformant (now if already).
-    Nanos HeadEligibleAt(Nanos now) const;
   };
 
   // Moves every conformant head packet into the inner discipline.

@@ -38,7 +38,7 @@ class AppPort {
   // Publishes one TX descriptor. Returns false when the ring is full (the
   // app should back off or block on the TX-drain notification).
   bool PushTx(net::PacketPtr packet) {
-    return rings_ != nullptr && rings_->PushTx(std::move(packet));
+    return rings_ != nullptr && rings_->tx().TryPush(std::move(packet));
   }
 
   // Rings the TX doorbell: one posted MMIO write; the NIC starts fetching.
@@ -56,7 +56,7 @@ class AppPort {
     if (rings_ == nullptr) {
       return nullptr;
     }
-    auto p = rings_->PopRx();
+    auto p = rings_->rx().TryPop();
     return p.has_value() ? std::move(*p) : nullptr;
   }
 
@@ -64,13 +64,8 @@ class AppPort {
   // occupancy-gauge update for the whole burst. Returns the count popped;
   // a short count means the ring is now empty.
   uint32_t PopRxN(std::span<net::PacketPtr> out) {
-    return rings_ == nullptr ? 0 : rings_->PopRxN(out);
+    return rings_ == nullptr ? 0 : rings_->rx().PopN(out);
   }
-
-  size_t TxSpace() const {
-    return rings_ == nullptr ? 0 : rings_->tx().capacity() - rings_->tx().size();
-  }
-  size_t RxPending() const { return rings_ == nullptr ? 0 : rings_->rx().size(); }
 
  private:
   friend class Kernel;

@@ -469,7 +469,7 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
   packet->meta().connection = conn_id;
   nic::RingPair* rings = nic_cp_->GetRings(conn_id);
   if (rings != nullptr) {
-    (void)rings->PushRx(std::move(packet));
+    (void)rings->rx().TryPush(std::move(packet));
   }
   if (nic::FlowEntry* installed = nic_cp_->LookupFlow(conn_id);
       installed != nullptr) {
@@ -692,8 +692,10 @@ Status Kernel::SetQdisc(Uid caller, std::unique_ptr<nic::Scheduler> qdisc) {
   if (qdisc == nullptr) {
     return InvalidArgumentError("qdisc must not be null");
   }
-  // Wrap in the transparent pacer and re-apply configured rate limits so
-  // they survive discipline swaps.
+  return InstallPacedQdisc(std::move(qdisc));
+}
+
+Status Kernel::InstallPacedQdisc(std::unique_ptr<nic::Scheduler> qdisc) {
   auto paced = std::make_unique<dataplane::PacedScheduler>(std::move(qdisc));
   dataplane::PacedScheduler* raw = paced.get();
   NORMAN_RETURN_IF_ERROR(nic_cp_->SetScheduler(std::move(paced)));
@@ -830,13 +832,8 @@ Status Kernel::Configure(Uid caller, const NicConfig& config) {
       InstallTenantQdisc();
     } else {
       // Back to the boot discipline: FIFO behind the transparent pacer.
-      auto paced = std::make_unique<dataplane::PacedScheduler>();
-      dataplane::PacedScheduler* raw = paced.get();
-      NORMAN_CHECK(nic_cp_->SetScheduler(std::move(paced)).ok());
-      pacer_ = raw;
-      for (const auto& [conn, limit] : rate_limits_) {
-        pacer_->SetRate(conn, limit.first, limit.second);
-      }
+      NORMAN_CHECK(
+          InstallPacedQdisc(std::make_unique<nic::FifoScheduler>()).ok());
     }
   }
   if (config.maintenance) {
@@ -864,15 +861,8 @@ void Kernel::InstallTenantQdisc() {
   for (const auto& [id, state] : tenants_) {
     wfq->SetWeight(id, static_cast<double>(state.spec.cycle_weight));
   }
-  // Same wrap-and-swap path as SetQdisc: rate limits survive the swap.
   // Callers validated the empty-backlog precondition, so the swap holds.
-  auto paced = std::make_unique<dataplane::PacedScheduler>(std::move(wfq));
-  dataplane::PacedScheduler* raw = paced.get();
-  NORMAN_CHECK(nic_cp_->SetScheduler(std::move(paced)).ok());
-  pacer_ = raw;
-  for (const auto& [conn, limit] : rate_limits_) {
-    pacer_->SetRate(conn, limit.first, limit.second);
-  }
+  NORMAN_CHECK(InstallPacedQdisc(std::move(wfq)).ok());
 }
 
 StatusOr<Tenant> Kernel::CreateTenant(Uid caller, Uid tenant_uid,

@@ -272,6 +272,10 @@ class Kernel {
   // with the registered cycle weights — the wire-side half of tenant
   // isolation (the pipeline half lives in the NIC's TenantTable).
   void InstallTenantQdisc();
+  // Swaps `qdisc`, wrapped in a new transparent per-connection pacer, into
+  // the NIC and re-applies the configured rate limits, so they survive
+  // every discipline swap.
+  Status InstallPacedQdisc(std::unique_ptr<nic::Scheduler> qdisc);
 
   sim::Simulator* sim_;
   nic::SmartNic* nic_;

@@ -11,8 +11,6 @@
 
 namespace norman::net {
 
-inline uint8_t LoadU8(const uint8_t* p) { return p[0]; }
-
 inline uint16_t LoadBe16(const uint8_t* p) {
   return static_cast<uint16_t>((uint16_t{p[0]} << 8) | p[1]);
 }
@@ -21,8 +19,6 @@ inline uint32_t LoadBe32(const uint8_t* p) {
   return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
          (uint32_t{p[2]} << 8) | uint32_t{p[3]};
 }
-
-inline void StoreU8(uint8_t* p, uint8_t v) { p[0] = v; }
 
 inline void StoreBe16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v >> 8);

@@ -16,8 +16,6 @@ class FifoScheduler : public Scheduler {
 
   std::string_view name() const override { return "fifo"; }
 
-  bool NeedsClassification() const override { return false; }
-
   bool Enqueue(net::PacketPtr packet,
                const overlay::PacketContext& /*ctx*/) override {
     if (queue_.size() >= capacity_) {

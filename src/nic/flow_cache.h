@@ -139,7 +139,8 @@ class FlowCache {
 
   // Hit: touches the partition LRU and returns the entry, valid until the
   // next Insert. Miss (absent, stale, or cache disabled): returns nullptr.
-  // Stale entries are erased on the spot.
+  // Stale entries are erased on the spot. Every NIC lookup, TX and RX, goes
+  // through here, so the hit/miss counters and the LRU order are exact.
   const FlowCacheEntry* Lookup(const FlowCacheKey& key,
                                uint16_t partition = 0);
 
@@ -168,12 +169,6 @@ class FlowCache {
 
   // "flowcache.{install,evict,invalidate}" probe hookup.
   void AttachTracepoints(telemetry::Tracepoints* tp) { tp_ = tp; }
-
-  // Accounting for a burst drain that replays the entry its previous packet
-  // just hit, without re-walking the map (see SmartNic::ConsumeTxRing). The
-  // hit counter stays exact; the LRU touch coalesces away, which is
-  // order-preserving because the entry is already most-recently-used.
-  void CountCoalescedHit() { hits_->Increment(); }
 
  private:
   // One SlabMap per partition: most-recently-used at the front, eviction

@@ -47,8 +47,6 @@ class NotificationQueue {
     const bool ok = ring_.TryPush(n);
     if (!ok) {
       ++overflows_;
-    } else if (gauges_ != nullptr) {
-      gauges_->Add(1);
     }
     if (interrupts_armed_ && on_interrupt_) {
       interrupts_armed_ = false;
@@ -57,20 +55,12 @@ class NotificationQueue {
     return ok;
   }
 
-  std::optional<Notification> Poll() {
-    auto n = ring_.TryPop();
-    if (n.has_value() && gauges_ != nullptr) gauges_->Add(-1);
-    return n;
-  }
+  std::optional<Notification> Poll() { return ring_.TryPop(); }
 
   // Bulk drain: pops up to out.size() notifications in FIFO order with a
   // single gauge update for the whole burst. Returns the count popped; a
   // short count means the queue is now empty.
-  uint32_t PollN(std::span<Notification> out) {
-    const uint32_t n = ring_.PopN(out);
-    if (n != 0 && gauges_ != nullptr) gauges_->Add(-static_cast<int64_t>(n));
-    return n;
-  }
+  uint32_t PollN(std::span<Notification> out) { return ring_.PopN(out); }
   bool empty() const { return ring_.empty(); }
   uint32_t size() const { return ring_.size(); }
   uint64_t overflows() const { return overflows_; }
@@ -85,12 +75,14 @@ class NotificationQueue {
   void DisarmInterrupt() { interrupts_armed_ = false; }
   bool interrupts_armed() const { return interrupts_armed_; }
 
-  // Aggregate occupancy across every process's queue ("queue.nic.notify").
-  void AttachGauges(telemetry::QueueDepthGauges* gauges) { gauges_ = gauges; }
+  // Aggregate occupancy across every process's queue ("queue.nic.notify");
+  // the ring reports its own depth (FixedRing::AttachGauges).
+  void AttachGauges(telemetry::QueueDepthGauges* gauges) {
+    ring_.AttachGauges(gauges);
+  }
 
  private:
   FixedRing<Notification> ring_;
-  telemetry::QueueDepthGauges* gauges_ = nullptr;
   uint64_t overflows_ = 0;
   bool interrupts_armed_ = false;
   std::function<void()> on_interrupt_;

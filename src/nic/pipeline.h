@@ -43,13 +43,6 @@ struct StageResult {
 // How a stage interacts with the flow verdict cache (megaflow-style fast
 // path). The cache replays a flow's aggregate verdict without re-running
 // the chain, so each stage must declare what a cache hit may skip.
-//
-// This contract also underwrites the NIC's batched TX drain: a burst that
-// replays one cached entry for consecutive same-flow packets (see
-// SmartNic::ConsumeTxRing) still calls Process() on every kObserver stage
-// for every packet, and never batches flows that touched a kUncacheable
-// stage — so per-packet state evolves identically whether the chain walk,
-// the cache, or the burst memo resolved the verdict.
 enum class StageCacheClass : uint8_t {
   // Pure function of the flow key under a fixed configuration: verdict and
   // instruction cost can be cached and the stage skipped entirely on hits
@@ -86,10 +79,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string_view name() const = 0;
-  // True if Enqueue reads ctx.parsed to classify packets. Disciplines that
-  // ignore the packet contents (FIFO) return false, letting the NIC skip
-  // re-parsing the (possibly stage-rewritten) frame before enqueue.
-  virtual bool NeedsClassification() const { return true; }
   // May drop (returns false) when its queues are full.
   virtual bool Enqueue(net::PacketPtr packet,
                        const overlay::PacketContext& ctx) = 0;

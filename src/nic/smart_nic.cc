@@ -280,35 +280,19 @@ DoorbellWindow SmartNic::ControlPlane::MapDoorbell(net::ConnectionId conn_id) {
 }
 
 void SmartNic::ControlPlane::AddTxStage(PipelineStage* stage) {
-  nic_->tx_stages_.push_back(stage);
-  nic_->RebuildStageSites();
+  nic_->tx_.Add(stage);
   InvalidateFastPath();
 }
 
 void SmartNic::ControlPlane::AddRxStage(PipelineStage* stage) {
-  nic_->rx_stages_.push_back(stage);
-  nic_->RebuildStageSites();
+  nic_->rx_.Add(stage);
   InvalidateFastPath();
 }
 
 void SmartNic::ControlPlane::ClearStages() {
-  nic_->tx_stages_.clear();
-  nic_->rx_stages_.clear();
-  nic_->RebuildStageSites();
+  nic_->tx_.Clear();
+  nic_->rx_.Clear();
   InvalidateFastPath();
-}
-
-void SmartNic::RebuildStageSites() {
-  // Fresh sites (empty memos) per chain mutation: stage indices — and
-  // therefore the site a given chain position charges — may have shifted.
-  tx_stage_sites_.assign(tx_stages_.size(), telemetry::ProfSite{});
-  for (size_t i = 0; i < tx_stages_.size(); ++i) {
-    tx_stage_sites_[i].name = tx_stages_[i]->name();
-  }
-  rx_stage_sites_.assign(rx_stages_.size(), telemetry::ProfSite{});
-  for (size_t i = 0; i < rx_stages_.size(); ++i) {
-    rx_stage_sites_[i].name = rx_stages_[i]->name();
-  }
 }
 
 Status SmartNic::ControlPlane::SetScheduler(
@@ -549,14 +533,79 @@ bool IsDestinationRewrite(const net::FiveTuple& from,
 
 }  // namespace
 
-StageResult SmartNic::RunStages(Lane& lane,
-                                const std::vector<PipelineStage*>& stages,
-                                net::Packet& packet,
+Nanos SmartNic::ServePipeline(Lane& lane, Chain& chain, uint32_t tenant,
+                              Nanos arrival, uint32_t owner_slot,
+                              uint32_t trace_id) {
+  const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
+  Nanos pipe_done;
+  if (tenant_table_.Gated(tenant)) {
+    const Nanos start =
+        tenant_table_.Admit(tenant, lane.index, arrival, pipe_cost);
+    lane.pipeline.AddBusy(pipe_cost);
+    pipe_done = start + pipe_cost;
+  } else {
+    pipe_done = lane.pipeline.Serve(arrival, pipe_cost);
+  }
+  prof_->Charge(chain.pipeline_site, lane.core_pipe, owner_slot, pipe_cost);
+  sim_->tracepoints().Span(trace_id, chain.pipeline_span, arrival, pipe_done,
+                           TpCore(lane));
+  return pipe_done;
+}
+
+SmartNic::ChainOutcome SmartNic::ResolveChain(
+    Lane& lane, Chain& chain, net::Packet& packet,
+    overlay::PacketContext& ctx, const std::optional<FlowCacheKey>& key,
+    Nanos start, uint32_t trace_id, uint32_t owner_slot) {
+  const sim::CostModel& cost = options_.cost;
+  if (key) {
+    if (const FlowCacheEntry* e = flow_cache_.Lookup(*key, lane.index)) {
+      // One exact-match lookup replays the whole chain's verdict.
+      telemetry::ProfScope fp_scope(prof_, chain.fastpath_site);
+      const uint32_t observer_instructions =
+          ReplayFastPath(*e, chain.stages, packet, ctx);
+      stats_.overlay_instructions_->Increment(e->pure_instructions +
+                                              observer_instructions);
+      const Nanos fp_cost =
+          cost.flow_cache_hit_ns +
+          static_cast<Nanos>(observer_instructions) * cost.overlay_instr_ns;
+      lane.stages.AddBusy(fp_cost);
+      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
+      const Nanos done = start + fp_cost;
+      sim_->tracepoints().Span(trace_id, "fastpath", start, done,
+                               TpCore(lane));
+      return {static_cast<Verdict>(e->verdict), e->drop_reason, done};
+    }
+  }
+  telemetry::ProfScope stages_scope(prof_, chain.stages_site);
+  FlowCacheMint mint;
+  const StageResult result = RunStages(lane, chain, packet, ctx, start,
+                                       trace_id, key ? &mint : nullptr,
+                                       owner_slot);
+  stats_.overlay_instructions_->Increment(result.overlay_instructions);
+  const Nanos done =
+      start +
+      static_cast<Nanos>(chain.stages.size()) * cost.nic_stage_latency_ns +
+      static_cast<Nanos>(result.overlay_instructions) * cost.overlay_instr_ns;
+  if (key) {
+    // Fallback verdicts are never cached: the TX divert-loop rule depends
+    // on per-packet state the cache cannot see.
+    if (mint.cacheable && result.verdict != Verdict::kSoftwareFallback) {
+      mint.entry.verdict = static_cast<uint8_t>(result.verdict);
+      mint.entry.drop_reason = result.drop_reason;
+      mint.entry.tenant = ctx.conn.owner_tenant;
+      flow_cache_.Insert(*key, mint.entry, lane.index);
+    } else {
+      flow_cache_.RecordUncacheable();
+    }
+  }
+  return {result.verdict, result.drop_reason, done};
+}
+
+StageResult SmartNic::RunStages(Lane& lane, Chain& chain, net::Packet& packet,
                                 overlay::PacketContext& ctx,
                                 Nanos stage_start, uint32_t trace_id,
-                                FlowCacheMint* mint,
-                                std::vector<telemetry::ProfSite>& stage_sites,
-                                uint32_t owner_slot) {
+                                FlowCacheMint* mint, uint32_t owner_slot) {
+  const std::vector<PipelineStage*>& stages = chain.stages;
   StageResult aggregate;
   for (size_t i = 0; i < stages.size(); ++i) {
     PipelineStage* stage = stages[i];
@@ -627,7 +676,8 @@ StageResult SmartNic::RunStages(Lane& lane,
         static_cast<Nanos>(r.overlay_instructions) *
             options_.cost.overlay_instr_ns;
     lane.stages.AddBusy(stage_cost);
-    prof_->Charge(stage_sites[i], lane.core_stages, owner_slot, stage_cost);
+    prof_->Charge(chain.stage_sites[i], lane.core_stages, owner_slot,
+                  stage_cost);
     if (trace_id != 0) {
       // Spans are laid end to end from `stage_start` so the chain tiles
       // exactly onto the cost model's stage window.
@@ -701,7 +751,6 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   // run — so eliding it cannot reorder resource serialization and the
   // virtual-time trace stays bit-identical to unbatched execution.
   Nanos now = sim_->Now();
-  const uint32_t batch = std::max<uint32_t>(1, options_.tx_fetch_batch);
   const auto* found = rings_.Get(conn_id);
   if (found == nullptr) {
     return;  // torn down: the consumer flag died with the ring
@@ -711,13 +760,13 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   // entry cannot be torn down or replaced mid-burst — the per-frame hash
   // walks the old loop did were pure overhead.
   RingPair* ring = found->get();
+  FixedRing<net::PacketPtr>& tx = ring->tx();
   FlowEntry* entry = flow_table_.Lookup(conn_id);
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
   Lane& lane = *lanes_[TxLaneOf(entry)];
-  FastPathMemo memo;
   for (uint32_t fetched = 0;;) {
-    auto pkt = ring->PopTx();
+    auto pkt = tx.TryPop();
     if (!pkt.has_value()) {
       // Ring drained: stop the consumer and post the drain notification if
       // the connection asked for it (blocking send support, §4.3).
@@ -729,14 +778,14 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       return;
     }
     // Warm the next descriptor while this one runs the pipeline.
-    if (const net::PacketPtr* next_pkt = ring->PeekTx();
+    if (const net::PacketPtr* next_pkt = tx.Peek();
         next_pkt != nullptr && *next_pkt != nullptr) {
       PrefetchRead(next_pkt->get());
     }
-    ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, &memo, lane);
+    ProcessTxDescriptor(std::move(*pkt), conn_id, entry, now, lane);
     // Next descriptor fetch when the lane's DMA engine frees up.
     const Nanos next = std::max(lane.dma.next_free(), now + 1);
-    if (++fetched >= batch || sim_->HasEventAtOrBefore(next)) {
+    if (++fetched >= kTxFetchBatch || sim_->HasEventAtOrBefore(next)) {
       sim_->ScheduleAtLane(lane.index, next,
                            [this, conn_id] { ConsumeTxRing(conn_id); });
       return;
@@ -747,14 +796,14 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
 
 void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                                    net::ConnectionId conn_id, FlowEntry* entry,
-                                   Nanos now, FastPathMemo* memo, Lane& lane) {
+                                   Nanos now, Lane& lane) {
   stats_.tx_seen_->Increment();
 
   // Attribution context for the whole descriptor: everything below charges
   // under dispatch;nic.tx for the flow's owning pid (resolved through the
   // flow entry the kernel installed — the interposition layer's flow→pid
   // map). Host-injected frames carry their owner in packet metadata.
-  telemetry::ProfScope tx_scope(prof_, prof_tx_site_);
+  telemetry::ProfScope tx_scope(prof_, tx_.scope_site);
   const uint32_t owner_pid = entry != nullptr ? entry->owner.owner_pid
                                               : packet->meta().owner_pid;
   const uint32_t tenant = entry != nullptr ? entry->owner.owner_tenant
@@ -778,29 +827,13 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const bool ddio_hit = ddio_.Access(TxRingId(conn_id), ring_ws);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(now, dma_cost);
-  prof_->Charge(prof_tx_dma_site_, lane.core_dma, owner_slot, dma_cost);
+  prof_->Charge(tx_.dma_site, lane.core_dma, owner_slot, dma_cost);
   stats_.dma_transfers_->Increment();
   sim_->tracepoints().Span(trace_id, "tx.dma", now, dma_done, tp_core);
 
-  // 2) Pipeline occupancy (line-rate cap) + per-stage latency. Tenants with
-  // a configured cycle share are gated through their own WFQ virtual server
-  // instead of the lane's FIFO cursor: a quota'd aggressor queues behind its
-  // *own* stretched horizon, never in front of the victim. The lane's
-  // resource still accrues the busy time so utilization accounting
-  // (profiler attributed + unaccounted == busy) is unchanged.
-  const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
-  Nanos pipe_done;
-  if (tenant_table_.Gated(tenant)) {
-    const Nanos start = tenant_table_.Admit(tenant, lane.index, dma_done,
-                                            pipe_cost);
-    lane.pipeline.AddBusy(pipe_cost);
-    pipe_done = start + pipe_cost;
-  } else {
-    pipe_done = lane.pipeline.Serve(dma_done, pipe_cost);
-  }
-  prof_->Charge(prof_tx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
-  sim_->tracepoints().Span(trace_id, "tx.pipeline", dma_done, pipe_done,
-                           tp_core);
+  // 2) Pipeline occupancy (line-rate cap), then the chain below.
+  const Nanos pipe_done =
+      ServePipeline(lane, tx_, tenant, dma_done, owner_slot, trace_id);
 
   // Single-pass parse: stored on the packet, refreshed only if a stage
   // mutates the frame. Everything downstream reads this copy.
@@ -824,85 +857,19 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   packet->meta().nic_arrival = now;
   packet->meta().trace_id = trace_id;
 
-  // Flow fast path: one exact-match lookup replays the whole chain's
-  // verdict. Re-diverted software-fallback packets bypass the cache (their
-  // chain semantics differ: repeat FALLBACK converts to accept).
-  const bool fp_eligible = flow_cache_.enabled() && flow.has_value() &&
-                           !packet->meta().software_fallback;
-  FlowCacheKey fp_key;
-  Verdict verdict = Verdict::kAccept;
-  DropReason drop_reason = DropReason::kNone;
-  Nanos stages_done = 0;
-  bool fp_hit = false;
-  if (fp_eligible) {
-    fp_key = FlowCacheKey{net::Direction::kTx, *flow, conn_id};
-    const FlowCacheEntry* e = nullptr;
-    if (memo != nullptr && memo->entry != nullptr && memo->key == fp_key) {
-      // Same flow as the previous packet of this burst: replay its entry
-      // without re-walking the hash map. Hit accounting stays exact; the
-      // LRU touch coalesces (the entry is already most-recently-used).
-      e = memo->entry;
-      flow_cache_.CountCoalescedHit();
-    } else {
-      e = flow_cache_.Lookup(fp_key, lane.index);
-      if (memo != nullptr) {
-        memo->entry = e;  // null on miss: the memo never outlives a miss
-        if (e != nullptr) {
-          memo->key = fp_key;
-        }
-      }
-    }
-    if (e != nullptr) {
-      telemetry::ProfScope fp_scope(prof_, prof_tx_fastpath_site_);
-      const uint32_t observer_instructions =
-          ReplayFastPath(*e, tx_stages_, *packet, ctx);
-      stats_.overlay_instructions_->Increment(e->pure_instructions +
-                                              observer_instructions);
-      const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
-                            static_cast<Nanos>(observer_instructions) *
-                                options_.cost.overlay_instr_ns;
-      lane.stages.AddBusy(fp_cost);
-      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
-      stages_done = pipe_done + fp_cost;
-      sim_->tracepoints().Span(trace_id, "fastpath", pipe_done, stages_done,
-                               tp_core);
-      verdict = static_cast<Verdict>(e->verdict);
-      drop_reason = e->drop_reason;
-      fp_hit = true;
-    }
+  // Re-diverted software-fallback packets bypass the cache: their chain
+  // semantics differ (repeat FALLBACK converts to accept, below).
+  std::optional<FlowCacheKey> key;
+  if (flow_cache_.enabled() && flow && !packet->meta().software_fallback) {
+    key = FlowCacheKey{net::Direction::kTx, *flow, conn_id};
   }
-  if (!fp_hit) {
-    telemetry::ProfScope stages_scope(prof_, prof_tx_stages_site_);
-    FlowCacheMint mint;
-    StageResult result = RunStages(lane, tx_stages_, *packet, ctx, pipe_done,
-                                   trace_id, fp_eligible ? &mint : nullptr,
-                                   tx_stage_sites_, owner_slot);
-    // A packet already diverted once (software path) is not diverted again
-    // — repeat FALLBACK verdicts pass through, preventing divert loops.
-    if (result.verdict == Verdict::kSoftwareFallback &&
-        packet->meta().software_fallback) {
-      result.verdict = Verdict::kAccept;
-    }
-    stats_.overlay_instructions_->Increment(result.overlay_instructions);
-    stages_done = pipe_done +
-                  static_cast<Nanos>(tx_stages_.size()) *
-                      options_.cost.nic_stage_latency_ns +
-                  static_cast<Nanos>(result.overlay_instructions) *
-                      options_.cost.overlay_instr_ns;
-    verdict = result.verdict;
-    drop_reason = result.drop_reason;
-    if (fp_eligible) {
-      // Fallback verdicts are never cached: the divert-loop conversion
-      // above depends on per-packet state the cache cannot see.
-      if (mint.cacheable && verdict != Verdict::kSoftwareFallback) {
-        mint.entry.verdict = static_cast<uint8_t>(verdict);
-        mint.entry.drop_reason = drop_reason;
-        mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lane.index);
-      } else {
-        flow_cache_.RecordUncacheable();
-      }
-    }
+  ChainOutcome out = ResolveChain(lane, tx_, *packet, ctx, key, pipe_done,
+                                  trace_id, owner_slot);
+  // A packet already diverted once (software path) is not diverted again
+  // — repeat FALLBACK verdicts pass through, preventing divert loops.
+  if (out.verdict == Verdict::kSoftwareFallback &&
+      packet->meta().software_fallback) {
+    out.verdict = Verdict::kAccept;
   }
 
   if (entry != nullptr) {
@@ -910,15 +877,16 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
     entry->tx_bytes += packet->size();
   }
 
-  switch (verdict) {
+  switch (out.verdict) {
     case Verdict::kDrop:
-      stats_.RecordDrop(net::Direction::kTx, NormalizeDropReason(drop_reason),
+      stats_.RecordDrop(net::Direction::kTx,
+                        NormalizeDropReason(out.drop_reason),
                         ctx.conn.owner_pid, tp_core, ctx.conn.owner_tenant);
       return;
     case Verdict::kSoftwareFallback: {
       stats_.tx_fallback_->Increment();
       packet->meta().software_fallback = true;
-      sim_->ScheduleAt(stages_done, [this, p = std::move(packet)]() mutable {
+      sim_->ScheduleAt(out.done, [this, p = std::move(packet)]() mutable {
         if (fallback_sink_) {
           fallback_sink_(std::move(p), net::Direction::kTx);
         }
@@ -935,7 +903,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   // handoffs across lanes follow the interleave schedule.
   const overlay::ConnMetadata conn_meta = ctx.conn;
   sim_->ScheduleAtLane(
-      lane.index, stages_done,
+      lane.index, out.done,
       [this, p = std::move(packet), conn_meta, tp_core]() mutable {
     // Rebuild a minimal context for the scheduler (classification inputs).
     // The packet's cached parse is already fresh — RunStages re-parsed in
@@ -970,9 +938,8 @@ void SmartNic::InjectHostPacket(net::PacketPtr packet, Nanos now) {
   Lane& lane = *lanes_[q];
   if (lanes_.size() == 1) {
     // One lane has nothing to interleave with: run the frame inside this
-    // event. No memo — host-injected packets have no burst neighbor to
-    // share a flow with.
-    ProcessTxDescriptor(std::move(packet), conn, entry, now, nullptr, lane);
+    // event.
+    ProcessTxDescriptor(std::move(packet), conn, entry, now, lane);
     return;
   }
   // Several lanes: stage the frame in its lane's TX ring and let the lane's
@@ -981,7 +948,7 @@ void SmartNic::InjectHostPacket(net::PacketPtr packet, Nanos now) {
   // that lane.
   const uint32_t owner_pid = packet->meta().owner_pid;
   const uint32_t owner_tenant = packet->meta().tenant;
-  if (!lane.rings.PushTx(std::move(packet))) {
+  if (!lane.rings.tx().TryPush(std::move(packet))) {
     stats_.RecordDrop(net::Direction::kTx, DropReason::kRingFull, owner_pid,
                       TpCore(lane), owner_tenant);
     return;
@@ -997,14 +964,15 @@ void SmartNic::DrainTxLane(uint16_t queue) {
   Lane& lane = *lanes_[queue];
   lane.tx_drain_scheduled = false;
   const Nanos now = sim_->Now();
-  const uint32_t n = lane.rings.PopTxN(std::span<net::PacketPtr>(lane.burst));
+  const uint32_t n =
+      lane.rings.tx().PopN(std::span<net::PacketPtr>(lane.burst));
   for (uint32_t i = 0; i < n; ++i) {
     net::PacketPtr pkt = std::move(lane.burst[i]);
     const net::ConnectionId conn = pkt->meta().connection;
     // Per-frame flow lookup (unlike the doorbell consumer's hoist): staged
     // frames on one lane can belong to different connections.
     ProcessTxDescriptor(std::move(pkt), conn, flow_table_.Lookup(conn), now,
-                        nullptr, lane);
+                        lane);
   }
   if (!lane.rings.tx().empty() && !lane.tx_drain_scheduled) {
     lane.tx_drain_scheduled = true;
@@ -1170,7 +1138,7 @@ void SmartNic::DeliverFromWire(net::PacketPtr packet, Nanos now) {
     ProcessRxFrame(lane, std::move(packet), entry, now);
     return;
   }
-  if (!lane.rings.PushRx(std::move(packet))) {
+  if (!lane.rings.rx().TryPush(std::move(packet))) {
     stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull,
                       entry != nullptr ? entry->owner.owner_pid : 0,
                       TpCore(lane),
@@ -1188,7 +1156,7 @@ void SmartNic::DrainRxLane(uint16_t queue) {
   lane.rx_drain_scheduled = false;
   const Nanos now = sim_->Now();
   const uint32_t n =
-      lane.rings.PopRxN(std::span<net::PacketPtr>(lane.burst));
+      lane.rings.rx().PopN(std::span<net::PacketPtr>(lane.burst));
   for (uint32_t i = 0; i < n; ++i) {
     net::PacketPtr pkt = std::move(lane.burst[i]);
     // Re-match: the flow may have been torn down while the frame queued.
@@ -1203,7 +1171,7 @@ void SmartNic::DrainRxLane(uint16_t queue) {
 
 void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
                               FlowEntry* entry, Nanos now) {
-  telemetry::ProfScope rx_scope(prof_, prof_rx_site_);
+  telemetry::ProfScope rx_scope(prof_, rx_.scope_site);
   packet->meta().direction = net::Direction::kRx;
   packet->meta().nic_arrival = now;
   const uint32_t trace_id = sim_->tracepoints().SampleArrival();
@@ -1211,34 +1179,19 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   packet->meta().trace_id = trace_id;
 
   // Ingress already parsed the pristine frame and nothing between there
-  // and here touches the bytes. Parse and flow match happen before the
-  // pipeline serve — both are pure (no virtual time), and the match result
-  // names the owning tenant whose cycle share gates the pipeline below.
+  // and here touches the bytes.
   std::optional<net::FiveTuple> flow;
   if (packet->parsed() != nullptr) {
     flow = packet->parsed()->flow();
   }
-  const uint32_t tenant = entry != nullptr ? entry->owner.owner_tenant : 0;
-
-  // Pipeline occupancy. Unmatched wire frames belong to tenant 0 (the
-  // system share, never gated); quota'd tenants go through their WFQ
-  // virtual server — see the TX-side comment in ProcessTxDescriptor.
-  const Nanos pipe_cost = options_.cost.NicPipelineOccupancy();
-  Nanos pipe_done;
-  if (tenant_table_.Gated(tenant)) {
-    const Nanos start =
-        tenant_table_.Admit(tenant, lane.index, now, pipe_cost);
-    lane.pipeline.AddBusy(pipe_cost);
-    pipe_done = start + pipe_cost;
-  } else {
-    pipe_done = lane.pipeline.Serve(now, pipe_cost);
-  }
-  sim_->tracepoints().Span(trace_id, "rx.pipeline", now, pipe_done, tp_core);
 
   // RX ownership: the receiving connection's pid (flow-table owner), or
   // "unowned" for unmatched frames bound for the host slow path. Restamp the
   // metadata — the TX-side pid from the sending NIC is not this side's owner.
+  // Unmatched wire frames belong to tenant 0 (the system share, never
+  // gated by the pipeline below).
   const uint32_t owner_pid = entry != nullptr ? entry->owner.owner_pid : 0;
+  const uint32_t tenant = entry != nullptr ? entry->owner.owner_tenant : 0;
   packet->meta().owner_pid = owner_pid;
   packet->meta().tenant = tenant;
   uint32_t owner_slot = 0;
@@ -1246,7 +1199,8 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
     owner_slot = prof_->OwnerSlot(owner_pid);
     prof_->CountPacket(owner_slot, packet->size());
   }
-  prof_->Charge(prof_rx_pipe_site_, lane.core_pipe, owner_slot, pipe_cost);
+  const Nanos pipe_done =
+      ServePipeline(lane, rx_, tenant, now, owner_slot, trace_id);
 
   // Graceful degradation under wire faults: frames whose IPv4 or L4
   // checksum no longer verifies were damaged in flight and are dropped here,
@@ -1256,8 +1210,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   // line rate.
   if (packet->parsed() != nullptr &&
       !net::FrameChecksumsValid(packet->bytes(), *packet->parsed())) {
-    stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt,
-                      entry != nullptr ? entry->owner.owner_pid : 0,
+    stats_.RecordDrop(net::Direction::kRx, DropReason::kCorrupt, owner_pid,
                       tp_core, tenant);
     return;
   }
@@ -1270,70 +1223,26 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
                          ctx.conn.owner_tenant);
   }
 
-  // Flow fast path (RX). Keyed on the wire tuple as seen *before* any
-  // stage rewrite, matching the ingress flow-table match; unmatched frames
-  // head to the host slow path and are never cached.
-  const bool fp_eligible = flow_cache_.enabled() && flow.has_value() &&
-                           entry != nullptr &&
-                           !packet->meta().software_fallback;
-  FlowCacheKey fp_key;
-  Verdict verdict = Verdict::kAccept;
-  DropReason drop_reason = DropReason::kNone;
-  Nanos ready = 0;
-  bool fp_hit = false;
-  if (fp_eligible) {
-    fp_key = FlowCacheKey{net::Direction::kRx, *flow, entry->conn_id};
-    if (const FlowCacheEntry* e = flow_cache_.Lookup(fp_key, lane.index)) {
-      telemetry::ProfScope fp_scope(prof_, prof_rx_fastpath_site_);
-      const uint32_t observer_instructions =
-          ReplayFastPath(*e, rx_stages_, *packet, ctx);
-      stats_.overlay_instructions_->Increment(e->pure_instructions +
-                                              observer_instructions);
-      const Nanos fp_cost = options_.cost.flow_cache_hit_ns +
-                            static_cast<Nanos>(observer_instructions) *
-                                options_.cost.overlay_instr_ns;
-      lane.stages.AddBusy(fp_cost);
-      prof_->ChargeCurrent(lane.core_stages, owner_slot, fp_cost);
-      ready = pipe_done + fp_cost;
-      sim_->tracepoints().Span(trace_id, "fastpath", pipe_done, ready, tp_core);
-      verdict = static_cast<Verdict>(e->verdict);
-      drop_reason = e->drop_reason;
-      fp_hit = true;
-    }
+  // Keyed on the wire tuple as seen *before* any stage rewrite, matching
+  // the ingress flow-table match; unmatched frames head to the host slow
+  // path and are never cached.
+  std::optional<FlowCacheKey> key;
+  if (flow_cache_.enabled() && flow && entry != nullptr &&
+      !packet->meta().software_fallback) {
+    key = FlowCacheKey{net::Direction::kRx, *flow, entry->conn_id};
   }
-  if (!fp_hit) {
-    telemetry::ProfScope stages_scope(prof_, prof_rx_stages_site_);
-    FlowCacheMint mint;
-    StageResult result = RunStages(lane, rx_stages_, *packet, ctx, pipe_done,
-                                   trace_id, fp_eligible ? &mint : nullptr,
-                                   rx_stage_sites_, owner_slot);
-    stats_.overlay_instructions_->Increment(result.overlay_instructions);
-    ready = pipe_done +
-            static_cast<Nanos>(rx_stages_.size()) *
-                options_.cost.nic_stage_latency_ns +
-            static_cast<Nanos>(result.overlay_instructions) *
-                options_.cost.overlay_instr_ns;
-    verdict = result.verdict;
-    drop_reason = result.drop_reason;
-    if (fp_eligible) {
-      if (mint.cacheable && verdict != Verdict::kSoftwareFallback) {
-        mint.entry.verdict = static_cast<uint8_t>(verdict);
-        mint.entry.drop_reason = drop_reason;
-        mint.entry.tenant = ctx.conn.owner_tenant;
-        flow_cache_.Insert(fp_key, mint.entry, lane.index);
-      } else {
-        flow_cache_.RecordUncacheable();
-      }
-    }
-  }
+  const ChainOutcome out = ResolveChain(lane, rx_, *packet, ctx, key,
+                                        pipe_done, trace_id, owner_slot);
+  const Nanos ready = out.done;
 
-  if (verdict == Verdict::kDrop) {
-    stats_.RecordDrop(net::Direction::kRx, NormalizeDropReason(drop_reason),
+  if (out.verdict == Verdict::kDrop) {
+    stats_.RecordDrop(net::Direction::kRx,
+                      NormalizeDropReason(out.drop_reason),
                       ctx.conn.owner_pid, tp_core, ctx.conn.owner_tenant);
     return;
   }
 
-  if (entry == nullptr || verdict == Verdict::kSoftwareFallback) {
+  if (entry == nullptr || out.verdict == Verdict::kSoftwareFallback) {
     // No registered connection (or explicitly diverted): host slow path.
     if (entry == nullptr) {
       stats_.rx_unmatched_->Increment();
@@ -1364,7 +1273,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
                                          : kHotWorkingSetBytes);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
-  prof_->Charge(prof_rx_dma_site_, lane.core_dma, owner_slot, dma_cost);
+  prof_->Charge(rx_.dma_site, lane.core_dma, owner_slot, dma_cost);
   stats_.dma_transfers_->Increment();
   sim_->tracepoints().Span(trace_id, "rx.dma", ready, dma_done, tp_core);
 
@@ -1381,7 +1290,7 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
     p->meta().completed_at = sim_->Now();
     const uint32_t tid = p->meta().trace_id;
     const Nanos ring_at = p->meta().completed_at;
-    if (!(*ring)->PushRx(std::move(p))) {
+    if (!(*ring)->rx().TryPush(std::move(p))) {
       stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull,
                         e->owner.owner_pid, tp_core, e->owner.owner_tenant);
       return;

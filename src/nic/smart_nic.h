@@ -9,6 +9,14 @@
 // DMA into the connection's RX ring -> notification. Every packet is served
 // by exactly one of the NIC's lanes (one until EnableSharding adds more).
 //
+// Both directions share one interposition body: ServePipeline (the tenant
+// WFQ gate or the lane's FIFO) and ResolveChain (a flow-cache hit replays
+// the cached verdict and its observer stages; a miss walks the stages and
+// mints an entry). The TX and RX paths around it keep only what differs:
+// TX fetches by DMA first, passes a repeat FALLBACK and hands off to the
+// qdisc; RX quarantines bad checksums, diverts unmatched frames and DMAs
+// into the connection's ring.
+//
 // Privilege separation follows the paper: the *kernel* obtains the single
 // ControlPlane capability (TakeControlPlane) and is the only agent that can
 // install flows, load overlay programs, change the scheduler, or attach
@@ -175,11 +183,6 @@ class SmartNic {
     sim::CostModel cost;
     uint64_t sram_bytes = 8 * kMiB;
     uint32_t ring_entries = kDefaultRingEntries;
-    // Max TX descriptors fetched per consumer wake-up. Batching elides the
-    // per-descriptor re-arm event when (and only when) no other event could
-    // run in between, so virtual-time behavior is bit-identical to
-    // unbatched runs while host-time event dispatch amortizes per batch.
-    uint32_t tx_fetch_batch = 16;
     // Entries per lane's ingress/staging ring pair (power of two). The
     // rings only carry frames once EnableSharding adds a second lane.
     uint32_t lane_ring_entries = 1024;
@@ -190,6 +193,11 @@ class SmartNic {
   static constexpr uint16_t kMaxShardQueues = 8;
   // Frames a lane drain pops per event through the span APIs.
   static constexpr uint32_t kLaneDrainBatch = 16;
+  // Max TX descriptors fetched per consumer wake-up. Batching elides the
+  // per-descriptor re-arm event when (and only when) no other event could
+  // run in between, so virtual-time behavior is bit-identical to unbatched
+  // runs while host-time event dispatch amortizes per batch.
+  static constexpr uint32_t kTxFetchBatch = 16;
 
   SmartNic(sim::Simulator* sim, Options options);
   ~SmartNic();
@@ -431,6 +439,61 @@ class SmartNic {
   double MeanLaneUtilization(sim::Resource Lane::*resource,
                              Nanos horizon) const;
 
+  // One direction's interposition chain: the installed stages, their
+  // attribution sites (parallel to `stages`; names alias the stages' own
+  // name() storage, which outlives the registration), and the direction's
+  // profiler scope and charge sites. TX and RX keep separate sites for the
+  // shared frame names (dma/pipeline/...) so each memo sees a constant
+  // parent and the steady state never re-resolves.
+  struct Chain {
+    Chain(const char* scope_name, const char* pipeline_span_name)
+        : scope_site{scope_name}, pipeline_span(pipeline_span_name) {}
+    void Add(PipelineStage* stage) {
+      stages.push_back(stage);
+      stage_sites.push_back(telemetry::ProfSite{stage->name()});
+    }
+    void Clear() {
+      stages.clear();
+      stage_sites.clear();
+    }
+
+    std::vector<PipelineStage*> stages;
+    std::vector<telemetry::ProfSite> stage_sites;
+    telemetry::ProfSite scope_site;  // "nic.tx" / "nic.rx"
+    telemetry::ProfSite dma_site{"dma"};
+    telemetry::ProfSite pipeline_site{"pipeline"};
+    telemetry::ProfSite stages_site{"stages"};
+    telemetry::ProfSite fastpath_site{"fastpath"};
+    const char* pipeline_span;  // "tx.pipeline" / "rx.pipeline"
+  };
+
+  // What a frame's pass through its chain decided, and when it finished.
+  struct ChainOutcome {
+    Verdict verdict = Verdict::kAccept;
+    DropReason drop_reason = DropReason::kNone;
+    Nanos done = 0;
+  };
+
+  // Occupies `lane`'s pipeline (the line-rate cap) for one frame arriving
+  // at `arrival` and returns when it leaves. Tenants with a configured cycle
+  // share are gated through their own WFQ virtual server instead of the
+  // lane's FIFO cursor: a quota'd aggressor queues behind its *own*
+  // stretched horizon, never in front of the victim. The lane's resource
+  // still accrues the busy time so utilization accounting (profiler
+  // attributed + unaccounted == busy) is unchanged.
+  Nanos ServePipeline(Lane& lane, Chain& chain, uint32_t tenant,
+                      Nanos arrival, uint32_t owner_slot, uint32_t trace_id);
+
+  // Resolves the chain's verdict for a frame leaving the pipeline at
+  // `start`. With a `key` (the frame may use the flow cache), a hit replays
+  // the cached entry and its observer stages; a miss walks the chain and
+  // mints an entry from it. Without one, the chain is walked uncached.
+  ChainOutcome ResolveChain(Lane& lane, Chain& chain, net::Packet& packet,
+                            overlay::PacketContext& ctx,
+                            const std::optional<FlowCacheKey>& key,
+                            Nanos start, uint32_t trace_id,
+                            uint32_t owner_slot);
+
   // Runs the chain, aggregating overlay instruction counts and stopping at
   // the first non-Accept verdict. Stages that report `mutated` trigger an
   // in-place re-parse, so `ctx.parsed` (and the packet's cached parse) is
@@ -440,15 +503,12 @@ class SmartNic {
   // For traced packets (trace_id != 0) emits one span per executed stage
   // starting at `stage_start`, each charged stage latency + its overlay
   // instructions, so the spans tile exactly onto the pipeline's cost-model
-  // time. `stage_sites` is the per-stage attribution-site vector parallel
-  // to `stages` (tx_stage_sites_/rx_stage_sites_); each executed stage's
-  // cost is charged to `lane`'s stage engine and, when profiling, to the
-  // stage's own node under the enclosing scope for `owner_slot`.
-  StageResult RunStages(Lane& lane, const std::vector<PipelineStage*>& stages,
-                        net::Packet& packet, overlay::PacketContext& ctx,
-                        Nanos stage_start, uint32_t trace_id,
-                        FlowCacheMint* mint,
-                        std::vector<telemetry::ProfSite>& stage_sites,
+  // time. Each executed stage's cost is charged to `lane`'s stage engine
+  // and, when profiling, to the stage's own node under the enclosing scope
+  // for `owner_slot`.
+  StageResult RunStages(Lane& lane, Chain& chain, net::Packet& packet,
+                        overlay::PacketContext& ctx, Nanos stage_start,
+                        uint32_t trace_id, FlowCacheMint* mint,
                         uint32_t owner_slot);
 
   // Replays a cached entry instead of walking the chain: applies the cached
@@ -460,27 +520,15 @@ class SmartNic {
                           const std::vector<PipelineStage*>& stages,
                           net::Packet& packet, overlay::PacketContext& ctx);
 
-  // Consecutive-packet flow-cache memo for one TX burst. A burst serves a
-  // single connection, so back-to-back packets almost always share the
-  // cache key; the memo replays the previous packet's hit without the hash
-  // walk. `entry` is non-null only immediately after a successful Lookup
-  // and is dropped on any other cache path (miss, insert, uncacheable) —
-  // those can evict or rehash and would dangle it. LRU order is unchanged:
-  // only consecutive hits on the already-most-recent entry coalesce.
-  struct FastPathMemo {
-    FlowCacheKey key;
-    const FlowCacheEntry* entry = nullptr;
-  };
-
-  // `entry` is the burst-hoisted flow-table entry for conn_id (nullable);
-  // `memo` may be null (host-injected packets bypass burst memoization).
+  // The TX datapath for one descriptor: DMA fetch, pipeline, chain, then
+  // the qdisc. `entry` is the flow-table entry for conn_id (nullable; the
+  // doorbell consumer hoists it per burst).
   void ProcessTxDescriptor(net::PacketPtr packet, net::ConnectionId conn_id,
-                           FlowEntry* entry, Nanos now, FastPathMemo* memo,
-                           Lane& lane);
+                           FlowEntry* entry, Nanos now, Lane& lane);
   void ConsumeTxRing(net::ConnectionId conn_id);
-  // The RX datapath body (pipeline → stages/fast path → DMA → ring push →
-  // notify) for one frame that ingress already parsed and steered to
-  // `lane`. `entry` is the frame's flow-table match (nullable).
+  // The RX datapath body (pipeline → chain → DMA → ring push → notify) for
+  // one frame that ingress already parsed and steered to `lane`. `entry`
+  // is the frame's flow-table match (nullable).
   void ProcessRxFrame(Lane& lane, net::PacketPtr packet, FlowEntry* entry,
                       Nanos now);
   // Flow-table match for a parsed inbound frame (null when unmatched).
@@ -538,16 +586,9 @@ class SmartNic {
   std::unordered_map<uint32_t, std::unique_ptr<NotificationQueue>>
       notif_queues_;
 
-  std::vector<PipelineStage*> tx_stages_;
-  std::vector<PipelineStage*> rx_stages_;
+  Chain tx_{"nic.tx", "tx.pipeline"};
+  Chain rx_{"nic.rx", "rx.pipeline"};
   std::unique_ptr<Scheduler> scheduler_;
-
-  // Per-stage attribution sites, kept parallel to tx_stages_/rx_stages_
-  // (rebuilt on every chain mutation). Site names alias the stages' own
-  // name() storage, which outlives the chain registration.
-  std::vector<telemetry::ProfSite> tx_stage_sites_;
-  std::vector<telemetry::ProfSite> rx_stage_sites_;
-  void RebuildStageSites();
 
   struct SlotState {
     std::optional<overlay::DecodedProgram> program;  // empty slot: nullopt
@@ -565,19 +606,6 @@ class SmartNic {
   // ---- Cycle attribution (telemetry::Profiler, owned by the simulator) --
   telemetry::Profiler* prof_;
   uint32_t prof_core_wire_ = 0;
-  // Scope/charge sites. TX and RX keep separate sites for the shared frame
-  // names (dma/pipeline/...) so each memo sees a constant parent and the
-  // steady state never re-resolves.
-  telemetry::ProfSite prof_tx_site_{"nic.tx"};
-  telemetry::ProfSite prof_tx_dma_site_{"dma"};
-  telemetry::ProfSite prof_tx_pipe_site_{"pipeline"};
-  telemetry::ProfSite prof_tx_stages_site_{"stages"};
-  telemetry::ProfSite prof_tx_fastpath_site_{"fastpath"};
-  telemetry::ProfSite prof_rx_site_{"nic.rx"};
-  telemetry::ProfSite prof_rx_dma_site_{"dma"};
-  telemetry::ProfSite prof_rx_pipe_site_{"pipeline"};
-  telemetry::ProfSite prof_rx_stages_site_{"stages"};
-  telemetry::ProfSite prof_rx_fastpath_site_{"fastpath"};
   telemetry::ProfSite prof_wire_site_{"nic.wire"};
 
   std::function<void(net::PacketPtr)> wire_sink_;

@@ -19,22 +19,6 @@ bool IsJump(Opcode op) {
   }
 }
 
-bool IsAlu(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kMul:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::string_view OpcodeName(Opcode op) {
   switch (op) {
     case Opcode::kNop:

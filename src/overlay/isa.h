@@ -145,7 +145,6 @@ struct Instruction {
 using Program = std::vector<Instruction>;
 
 bool IsJump(Opcode op);
-bool IsAlu(Opcode op);
 std::string_view OpcodeName(Opcode op);
 std::string_view FieldName(Field f);
 

@@ -18,12 +18,6 @@ DuplexTestBed::DuplexTestBed(Options options)
   b_.nic = std::make_unique<nic::SmartNic>(&sim_, options_.nic_b);
   b_.kernel = std::make_unique<kernel::Kernel>(&sim_, b_.nic.get(), kb);
 
-  sim::FaultProfile profile;
-  profile.loss = options_.loss_probability;
-  profile.jitter = options_.jitter_ns;
-  fault_.SetProfile(kLinkAtoB, profile);
-  fault_.SetProfile(kLinkBtoA, profile);
-
   Wire(&a_, &b_, kLinkAtoB);
   Wire(&b_, &a_, kLinkBtoA);
 }
@@ -38,24 +32,6 @@ void DuplexTestBed::Wire(Host* from, Host* to, size_t link) {
     fault_.Transmit(link, std::move(packet),
                     sim_.Now() + options_.propagation_delay);
   });
-}
-
-void DuplexTestBed::set_loss_probability(double p) {
-  options_.loss_probability = p;
-  for (size_t link : {kLinkAtoB, kLinkBtoA}) {
-    sim::FaultProfile profile = fault_.profile(link);
-    profile.loss = p;
-    fault_.SetProfile(link, profile);
-  }
-}
-
-void DuplexTestBed::set_jitter(Nanos j) {
-  options_.jitter_ns = j;
-  for (size_t link : {kLinkAtoB, kLinkBtoA}) {
-    sim::FaultProfile profile = fault_.profile(link);
-    profile.jitter = j;
-    fault_.SetProfile(link, profile);
-  }
 }
 
 }  // namespace norman::workload

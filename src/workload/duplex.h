@@ -10,8 +10,8 @@
 // The wire between the hosts is a sim::FaultInjector with one simplex link
 // per direction, so chaos tests can lose, duplicate, corrupt, jitter or
 // reorder frames — or take the link down — deterministically from
-// `fault_seed`. The legacy loss_probability/jitter_ns options map onto a
-// symmetric profile on both links.
+// `fault_seed`. Faults are configured per link through fault(); the wire
+// starts clean.
 #ifndef NORMAN_WORKLOAD_DUPLEX_H_
 #define NORMAN_WORKLOAD_DUPLEX_H_
 
@@ -28,12 +28,7 @@ struct DuplexOptions {
   nic::SmartNic::Options nic_a;
   nic::SmartNic::Options nic_b;
   Nanos propagation_delay = 2 * kMicrosecond;
-  // Fault injection on the wire (seeded, deterministic): each frame is
-  // dropped with `loss_probability`, and delayed by an extra uniform
-  // [0, jitter_ns] (jitter > propagation spacing reorders frames). Richer
-  // profiles (corruption, duplication, link flaps) go through fault().
-  double loss_probability = 0.0;
-  Nanos jitter_ns = 0;
+  // Seeds the wire's fault plane (see fault()).
   uint64_t fault_seed = 0x5eed;
 };
 
@@ -61,17 +56,12 @@ class DuplexTestBed {
   net::Ipv4Address ip_a() const { return a_.kernel->options().host_ip; }
   net::Ipv4Address ip_b() const { return b_.kernel->options().host_ip; }
 
-  // The wire fault plane (both directions). Profiles set here compose with
-  // the legacy knobs below.
+  // The wire fault plane: one link per direction (kLinkAtoB, kLinkBtoA).
+  // Profiles may change at any time, e.g. connect cleanly, then degrade the
+  // link mid-test.
   sim::FaultInjector& fault() { return fault_; }
 
   uint64_t frames_lost() const { return fault_.frames_lost(); }
-
-  // Adjust fault injection at runtime (e.g. connect cleanly, then degrade
-  // the link mid-test). Applies symmetrically to both directions,
-  // preserving any other profile fields configured through fault().
-  void set_loss_probability(double p);
-  void set_jitter(Nanos j);
 
  private:
   void Wire(Host* from, Host* to, size_t link);

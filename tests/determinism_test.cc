@@ -193,8 +193,9 @@ TEST(DeterminismTest, GoldenTraceIdenticalAtEveryDispatchBatchSize) {
   }
 }
 
-// Same pinning for the fast-path trajectory: the TX burst memo and
-// per-burst lookup hoisting must not shift a single completion timestamp.
+// Same pinning for the fast-path trajectory: the verdict cache and the TX
+// consumer's per-burst lookup hoisting must not shift a single completion
+// timestamp.
 TEST(DeterminismTest, FastPathGoldenIdenticalAtEveryDispatchBatchSize) {
   for (const uint32_t batch : {1u, 8u, 64u}) {
     SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));

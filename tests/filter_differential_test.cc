@@ -305,13 +305,18 @@ TEST_P(FilterDifferentialTest, CompiledChainAgreesWithReference) {
       ASSERT_TRUE(reference.ok()) << reference.status();
       ASSERT_EQ(result.overlay_instructions, reference->instructions_executed)
           << "world " << world << " trial " << trial;
-      // ARP and unparsed frames run the full chain: verdict and count
-      // against the reference interpreter on compiled().
+      // ARP and unparsed frames run the full chain: the verdict against
+      // the reference matcher (address rules match IPv4 only), verdict and
+      // count against the reference interpreter on compiled().
       for (const auto& other :
            {test::MakeArpContext(pkt->ctx.direction, pkt->ctx.conn),
             test::MakeUnparsedContext(std::vector<uint8_t>(40, 0xab),
                                       pkt->ctx.direction, pkt->ctx.conn)}) {
         const nic::StageResult r = engine.Process(other->packet, other->ctx);
+        ASSERT_EQ(r.verdict, VerdictOf(RefEvaluate(
+                                 rules, engine.default_action(), other->ctx)))
+            << "world " << world << " trial " << trial << " "
+            << (other->ctx.parsed != nullptr ? "arp" : "unparsed");
         const auto ref = overlay::Execute(engine.compiled(), other->ctx);
         ASSERT_TRUE(ref.ok()) << ref.status();
         ASSERT_EQ(r.verdict,

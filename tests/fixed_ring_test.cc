@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/common/rng.h"
 
 namespace norman {
@@ -77,13 +78,48 @@ TEST(FixedRingTest, FreeRunningCountersWrapAt32Bits) {
   EXPECT_EQ(r.tail(), 2000u);
 }
 
-TEST(FixedRingTest, ClearDiscardsContents) {
-  FixedRing<int> r(4);
-  r.TryPush(1);
-  r.TryPush(2);
-  r.Clear();
-  EXPECT_TRUE(r.empty());
-  EXPECT_EQ(r.TryPop(), std::nullopt);
+TEST(FixedRingTest, GaugesFollowEveryPushAndPop) {
+  telemetry::MetricsRegistry registry;
+  telemetry::QueueDepthGauges gauges(&registry, "test.ring");
+  {
+    FixedRing<int> r(4);
+    r.AttachGauges(&gauges);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(r.TryPush(i));
+      EXPECT_EQ(gauges.depth(), i + 1);
+    }
+    EXPECT_FALSE(r.TryPush(99));  // refused: no change
+    EXPECT_EQ(gauges.depth(), 4);
+    ASSERT_TRUE(r.TryPop().has_value());
+    EXPECT_EQ(gauges.depth(), 3);
+    std::vector<int> out(2);
+    EXPECT_EQ(r.PopN(std::span<int>(out)), 2u);
+    EXPECT_EQ(gauges.depth(), 1);
+    // Draining never lowers the latched high water.
+    EXPECT_EQ(gauges.high_water(), 4);
+    ASSERT_TRUE(r.TryPush(5));
+    EXPECT_EQ(gauges.depth(), 2);
+  }
+  // Destroyed with two occupants: the depth settles to zero.
+  EXPECT_EQ(gauges.depth(), 0);
+  EXPECT_EQ(gauges.high_water(), 4);
+}
+
+TEST(FixedRingTest, RingsSharingGaugesAggregate) {
+  telemetry::MetricsRegistry registry;
+  telemetry::QueueDepthGauges gauges(&registry, "test.rings");
+  FixedRing<int> a(4);
+  a.AttachGauges(&gauges);
+  ASSERT_TRUE(a.TryPush(1));
+  {
+    FixedRing<int> b(4);
+    b.AttachGauges(&gauges);
+    ASSERT_TRUE(b.TryPush(2));
+    ASSERT_TRUE(b.TryPush(3));
+    EXPECT_EQ(gauges.depth(), 3);
+  }
+  EXPECT_EQ(gauges.depth(), 1);  // only `b`'s occupants left with it
+  EXPECT_EQ(gauges.high_water(), 3);
 }
 
 TEST(FixedRingTest, MoveOnlyPayload) {

@@ -16,16 +16,22 @@ struct Endpoints {
   Socket server;
 };
 
+// Runs `profile` on both directions of the duplex wire.
+void SetWireProfile(workload::DuplexTestBed& bed,
+                    const sim::FaultProfile& profile) {
+  bed.fault().SetProfile(workload::DuplexTestBed::kLinkAtoB, profile);
+  bed.fault().SetProfile(workload::DuplexTestBed::kLinkBtoA, profile);
+}
+
 class ReliableTest : public ::testing::Test {
  protected:
-  // Builds a duplex world with the given fault profile and a connected
-  // client/server socket pair with RX notifications enabled.
-  void BuildWorld(double loss, Nanos jitter, uint64_t seed = 0x5eed) {
+  // Builds a duplex world whose wire runs `profile` from the start, and a
+  // connected client/server socket pair with RX notifications enabled.
+  void BuildWorld(const sim::FaultProfile& profile, uint64_t seed = 0x5eed) {
     workload::DuplexOptions opts;
-    opts.loss_probability = loss;
-    opts.jitter_ns = jitter;
     opts.fault_seed = seed;
     bed_ = std::make_unique<workload::DuplexTestBed>(opts);
+    SetWireProfile(*bed_, profile);
     bed_->a().kernel->processes().AddUser(1, "a");
     bed_->b().kernel->processes().AddUser(2, "b");
     const auto pid_a = *bed_->a().kernel->processes().Spawn(1, "client");
@@ -59,7 +65,7 @@ class ReliableTest : public ::testing::Test {
 };
 
 TEST_F(ReliableTest, LosslessInOrderDelivery) {
-  BuildWorld(0.0, 0);
+  BuildWorld({});
   ReliableChannel tx(&bed_->sim(), bed_->a().kernel.get(),
                      &endpoints_->client);
   ReliableChannel rx(&bed_->sim(), bed_->b().kernel.get(),
@@ -95,9 +101,9 @@ class ReliableLossTest : public ::testing::TestWithParam<LossCase> {};
 TEST_P(ReliableLossTest, ExactlyOnceInOrderUnderLoss) {
   const auto param = GetParam();
   workload::DuplexOptions opts;
-  opts.loss_probability = param.loss;
   opts.fault_seed = param.seed;
   workload::DuplexTestBed bed(opts);
+  SetWireProfile(bed, {.loss = param.loss});
   bed.a().kernel->processes().AddUser(1, "a");
   bed.b().kernel->processes().AddUser(2, "b");
   const auto pid_a = *bed.a().kernel->processes().Spawn(1, "client");
@@ -153,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_F(ReliableTest, ReorderingJitterHandled) {
   // Jitter larger than frame spacing reorders frames on the wire.
-  BuildWorld(0.0, /*jitter=*/200 * kMicrosecond);
+  BuildWorld({.jitter = 200 * kMicrosecond});
   ReliableChannel tx(&bed_->sim(), bed_->a().kernel.get(),
                      &endpoints_->client);
   ReliableChannel rx(&bed_->sim(), bed_->b().kernel.get(),
@@ -176,7 +182,7 @@ TEST_F(ReliableTest, ReorderingJitterHandled) {
 }
 
 TEST_F(ReliableTest, WindowNeverExceeded) {
-  BuildWorld(0.0, 0);
+  BuildWorld({});
   ReliableOptions ropts;
   ropts.window = 8;
   ReliableChannel tx(&bed_->sim(), bed_->a().kernel.get(),
@@ -196,7 +202,7 @@ TEST_F(ReliableTest, WindowNeverExceeded) {
 }
 
 TEST_F(ReliableTest, BidirectionalChannels) {
-  BuildWorld(0.10, 50 * kMicrosecond, /*seed=*/7);
+  BuildWorld({.loss = 0.10, .jitter = 50 * kMicrosecond}, /*seed=*/7);
   ReliableChannel a(&bed_->sim(), bed_->a().kernel.get(),
                     &endpoints_->client);
   ReliableChannel b(&bed_->sim(), bed_->b().kernel.get(),
@@ -216,8 +222,8 @@ TEST_F(ReliableTest, BidirectionalChannels) {
 }
 
 TEST_F(ReliableTest, TotalLossEventuallyFailsTheChannel) {
-  BuildWorld(0.0, 0);                // connect over a clean link...
-  bed_->set_loss_probability(1.0);   // ...then the link goes dark
+  BuildWorld({});                        // connect over a clean link...
+  SetWireProfile(*bed_, {.loss = 1.0});  // ...then the link goes dark
   ReliableOptions ropts;
   ropts.max_retries = 5;
   ropts.initial_rto = 100 * kMicrosecond;
@@ -234,7 +240,7 @@ TEST_F(ReliableTest, TotalLossEventuallyFailsTheChannel) {
 }
 
 TEST_F(ReliableTest, DoubleStartRejected) {
-  BuildWorld(0.0, 0);
+  BuildWorld({});
   ReliableChannel tx(&bed_->sim(), bed_->a().kernel.get(),
                      &endpoints_->client);
   ASSERT_TRUE(tx.Start().ok());

@@ -259,6 +259,47 @@ TEST_F(SmartNicTest, FallbackVerdictDivertsTx) {
   EXPECT_EQ(nic_.stats().tx_fallback(), 1u);
 }
 
+TEST_F(SmartNicTest, ReinjectedFallbackFrameIsNotDivertedAgain) {
+  // Diverts everything; declared pure so the walk of a frame that may use
+  // the flow cache could be summarized into an entry.
+  class DivertAll : public PipelineStage {
+   public:
+    std::string_view name() const override { return "divert"; }
+    StageCacheClass cache_class() const override {
+      return StageCacheClass::kPure;
+    }
+    StageResult Process(Packet&, const overlay::PacketContext&) override {
+      return StageResult{Verdict::kSoftwareFallback, 0};
+    }
+  };
+  DivertAll stage;
+  cp_->AddTxStage(&stage);
+  FlowCache* cache = cp_->EnableFlowCache();
+  ASSERT_TRUE(cp_->InstallFlow(MakeFlow(1, 1234)).ok());
+  SendOne(1, 1234);
+  sim_.Run();
+  ASSERT_EQ(fallback_.size(), 1u);
+  EXPECT_EQ(nic_.stats().tx_fallback(), 1u);
+  EXPECT_EQ(cache->size(), 0u);  // fallback verdicts are never cached
+
+  // The host slow path sends the diverted frame back out: the repeat
+  // FALLBACK passes to the wire instead of looping back to the host.
+  PacketPtr diverted = std::move(fallback_[0].first);
+  fallback_.clear();
+  ASSERT_TRUE(diverted->meta().software_fallback);
+  const uint64_t lookups = cache->hits() + cache->misses();
+  nic_.InjectHostPacket(std::move(diverted), sim_.Now());
+  sim_.Run();
+  ASSERT_EQ(wire_out_.size(), 1u);
+  EXPECT_TRUE(fallback_.empty());
+  EXPECT_EQ(nic_.stats().tx_seen(), 2u);
+  EXPECT_EQ(nic_.stats().tx_accepted(), 1u);
+  EXPECT_EQ(nic_.stats().tx_fallback(), 1u);  // the first pass only
+  // The re-injected frame bypasses the cache: no lookup, no entry.
+  EXPECT_EQ(cache->hits() + cache->misses(), lookups);
+  EXPECT_EQ(cache->size(), 0u);
+}
+
 TEST_F(SmartNicTest, OverlaySlotLoadAndGenerations) {
   overlay::Program prog{overlay::Instruction::RetImm(1)};
   auto t = cp_->LoadOverlay(0, prog);
