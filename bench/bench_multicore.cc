@@ -66,7 +66,6 @@ RunResult RunStorm(uint16_t queues) {
                              static_cast<uint16_t>(4000 + i),
                              net::IpProto::kUdp};
     e.owner = overlay::ConnMetadata{e.conn_id, 1000, 100, 1};
-    e.comm = "storm";
     e.tx_ring_bytes = nic::kHotWorkingSetBytes;
     e.rx_ring_bytes = nic::kHotWorkingSetBytes;
     if (!cp->InstallFlow(e).ok()) {

@@ -1,12 +1,12 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace norman {
 namespace {
 
-std::atomic<int> g_threshold{static_cast<int>(LogLevel::kWarning)};
+// Messages strictly below the threshold are discarded.
+constexpr LogLevel kThreshold = LogLevel::kWarning;
 
 std::string_view LevelName(LogLevel level) {
   switch (level) {
@@ -32,16 +32,10 @@ std::string_view Basename(std::string_view path) {
 
 }  // namespace
 
-void SetLogThreshold(LogLevel level) {
-  g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, std::string_view file, int line)
-    : level_(level),
-      enabled_(static_cast<int>(level) >=
-               g_threshold.load(std::memory_order_relaxed)) {
+    : level_(level), enabled_(level >= kThreshold) {
   if (enabled_) {
     stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line
             << "] ";

@@ -1,5 +1,5 @@
-// Minimal leveled logger. Off by default above kWarning so benchmarks stay
-// quiet; tests can raise verbosity via SetLogThreshold.
+// Minimal leveled logger. Messages below kWarning are discarded, so
+// benchmarks stay quiet.
 #ifndef NORMAN_COMMON_LOGGING_H_
 #define NORMAN_COMMON_LOGGING_H_
 
@@ -16,9 +16,6 @@ enum class LogLevel : int {
   kError = 3,
   kFatal = 4,
 };
-
-// Messages strictly below the threshold are discarded.
-void SetLogThreshold(LogLevel level);
 
 namespace internal {
 

@@ -9,28 +9,6 @@
 
 namespace norman {
 
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::Reset() { *this = RunningStats(); }
-
 double PoolCounters::HitRate() const {
   const uint64_t total = acquisitions();
   return total == 0 ? 0.0
@@ -64,19 +42,6 @@ void PoolCounters::Merge(const PoolCounters& other) {
   dropped += other.dropped;
   outstanding += other.outstanding;
   high_water += other.high_water;
-}
-
-std::string PoolCounters::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "hits=%llu misses=%llu hit_rate=%.1f%% dropped=%llu "
-                "outstanding=%llu high_water=%llu",
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses), HitRate() * 100.0,
-                static_cast<unsigned long long>(dropped),
-                static_cast<unsigned long long>(outstanding),
-                static_cast<unsigned long long>(high_water));
-  return buf;
 }
 
 LatencyHistogram::LatencyHistogram()
@@ -121,24 +86,6 @@ void LatencyHistogram::Add(int64_t value_ns) {
   }
   ++count_;
   sum_ += static_cast<double>(value_ns);
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  NORMAN_CHECK(buckets_.size() == other.buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
 }
 
 int64_t LatencyHistogram::min() const { return count_ > 0 ? min_ : 0; }

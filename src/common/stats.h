@@ -1,5 +1,5 @@
-// Statistics helpers: running moments and an HdrHistogram-style
-// log-linear latency histogram with percentile queries.
+// Statistics helpers: an HdrHistogram-style log-linear latency histogram
+// with percentile queries, and the object pools' recycling counters.
 #ifndef NORMAN_COMMON_STATS_H_
 #define NORMAN_COMMON_STATS_H_
 
@@ -9,30 +9,6 @@
 
 namespace norman {
 
-// Single-pass mean/variance/min/max (Welford's algorithm).
-class RunningStats {
- public:
-  void Add(double x);
-
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  void Reset();
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 // Log-linear histogram over non-negative integer samples (latency in ns).
 // Buckets: for each power-of-two decade there are `kSubBuckets` linear
 // sub-buckets, giving a bounded relative error (~1/kSubBuckets) at any scale.
@@ -41,7 +17,6 @@ class LatencyHistogram {
   LatencyHistogram();
 
   void Add(int64_t value_ns);
-  void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
   int64_t min() const;
@@ -107,9 +82,6 @@ struct PoolCounters {
   // the capacity-planning figure for "all pools together"). `name` is
   // kept, so an aggregate like PoolCounters{"all"} keeps its own key.
   void Merge(const PoolCounters& other);
-
-  // "hits=120 misses=8 hit_rate=93.8% outstanding=4 high_water=12"
-  std::string Summary() const;
 };
 
 // Pretty-print a nanosecond quantity with an adaptive unit ("1.25us").

@@ -223,15 +223,23 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
       next_ephemeral_port_ = 30000;
     }
   }
+  const net::FiveTuple tuple{options_.host_ip, remote_ip, local_port,
+                            remote_port, opts.proto};
+  NORMAN_RETURN_IF_ERROR(AdmitConnection(*proc, conn_id, tuple, opts,
+                                         opts.allow_software_fallback));
+  return PortFor(conn_id, tuple);
+}
 
+Status Kernel::AdmitConnection(const Process& proc, net::ConnectionId conn_id,
+                               const net::FiveTuple& tuple,
+                               const ConnectOptions& opts,
+                               bool allow_fallback) {
   nic::FlowEntry entry;
   entry.conn_id = conn_id;
-  entry.tuple = net::FiveTuple{options_.host_ip, remote_ip, local_port,
-                               remote_port, opts.proto};
-  entry.owner = overlay::ConnMetadata{conn_id, proc->uid, proc->pid,
-                                      proc->cgroup, proc->comm_id};
-  entry.owner.owner_tenant = TenantOf(proc->uid);
-  entry.comm = proc->comm;
+  entry.tuple = tuple;
+  entry.owner = overlay::ConnMetadata{conn_id, proc.uid, proc.pid,
+                                      proc.cgroup, proc.comm_id};
+  entry.owner.owner_tenant = TenantOf(proc.uid);
   entry.tx_ring_bytes = nic::kHotWorkingSetBytes;
   entry.rx_ring_bytes = nic::kHotWorkingSetBytes;
   entry.notify_rx = opts.notify_rx;
@@ -240,10 +248,12 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
   // Tenant ring-memory admission: each NIC connection pins a TX and an RX
   // ring working set. A tenant whose ring budget is spent is refused before
   // any NIC state is touched (kResourceExhausted — release a connection and
-  // retry). Fallback connections have no NIC rings and are never charged.
+  // retry), and the refusal never falls back. An accepted connection
+  // charges the listener's tenant, so a flood of new peers cannot grow a
+  // tenant's ring footprint past its envelope either.
   const uint64_t ring_cost = entry.tx_ring_bytes + entry.rx_ring_bytes;
-  if (const auto t = tenants_.find(entry.owner.owner_tenant);
-      t != tenants_.end() && t->second.spec.ring_bytes != 0 &&
+  const auto t = tenants_.find(entry.owner.owner_tenant);
+  if (t != tenants_.end() && t->second.spec.ring_bytes != 0 &&
       t->second.ring_bytes_used + ring_cost > t->second.spec.ring_bytes) {
     nic_cp_->tenants().CountDenied(entry.owner.owner_tenant);
     return ResourceExhaustedError(
@@ -253,77 +263,79 @@ StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
         std::to_string(t->second.spec.ring_bytes) + " bytes in use)");
   }
 
+  ConnRecord rec{.owner = entry.owner, .tuple = tuple};
   const Status install = nic_cp_->InstallFlow(entry);
-  if (!install.ok()) {
-    if (install.code() == StatusCode::kResourceExhausted &&
-        opts.allow_software_fallback) {
-      // NIC memory is full: register a host-software connection (§5).
-      // Intern the owner even without a NIC flow: slow-path cycles for this
-      // connection are still attributed to the pid.
-      prof_->RegisterOwner(pid);
-      fallback_conns_.emplace(conn_id,
-                              FallbackConn{entry.tuple, entry.owner});
-      conns_.PushFront(conn_id, ConnRecord{pid});
-      return AppPort(conn_id, entry.tuple, options_.host_mac,
-                     options_.gateway_mac, nullptr, nic::DoorbellWindow(),
-                     nullptr);
+  if (install.ok()) {
+    if (opts.notify_rx || opts.notify_tx_drain) {
+      nic_cp_->RegisterNotificationQueue(proc.pid);
     }
+    rec.ring_charged = t != tenants_.end();
+    if (rec.ring_charged) {
+      t->second.ring_bytes_used += ring_cost;
+    }
+  } else if (install.code() == StatusCode::kResourceExhausted &&
+             allow_fallback) {
+    // NIC memory is full: register a host-software connection (§5).
+    // Intern the owner even without a NIC flow: slow-path cycles for this
+    // connection are still attributed to the pid.
+    prof_->RegisterOwner(proc.pid);
+    rec.software_fallback = true;
+  } else {
     return install;
   }
+  conns_.PushFront(conn_id, rec);
+  return OkStatus();
+}
 
-  // Ensure the process has a notification queue and a pump if it blocks.
-  if (opts.notify_rx || opts.notify_tx_drain) {
-    nic_cp_->RegisterNotificationQueue(pid);
-  }
-  conns_.PushFront(conn_id, ConnRecord{pid});
-  if (const auto t = tenants_.find(entry.owner.owner_tenant);
-      t != tenants_.end()) {
-    t->second.ring_bytes_used += ring_cost;
-    conn_tenant_.emplace(conn_id, entry.owner.owner_tenant);
-  }
-
-  return AppPort(conn_id, entry.tuple, options_.host_mac,
-                 options_.gateway_mac, nic_cp_->GetRings(conn_id),
-                 nic_cp_->MapDoorbell(conn_id), nic_);
+AppPort Kernel::PortFor(net::ConnectionId conn_id,
+                        const net::FiveTuple& tuple) {
+  // A fallback connection has no rings, which makes its port inert.
+  return AppPort(conn_id, tuple, options_.host_mac, options_.gateway_mac,
+                 nic_cp_->GetRings(conn_id), nic_cp_->MapDoorbell(conn_id),
+                 nic_);
 }
 
 Status Kernel::Close(net::ConnectionId conn_id) {
-  const ConnRecord* rec = conns_.Get(conn_id);
+  const ConnRecord* found = conns_.Get(conn_id);
   sim_->tracepoints().Emit(
       telemetry::Probe::kSocketCall, telemetry::Tracepoints::kCoreHost,
-      rec == nullptr ? 0 : rec->pid,
+      found == nullptr ? 0 : found->owner.owner_pid,
       static_cast<uint64_t>(telemetry::SocketOp::kClose),
       static_cast<uint64_t>(conn_id));
-  if (rec != nullptr) {
-    // Parked waiters are dropped unrun; their pid's blocked count follows.
-    uint32_t dropped = 0;
-    for (uint32_t w = rec->first_waiter; w != kNoWaiter;) {
-      const uint32_t next = waiters_[w].next;
-      FreeWaiter(w);
-      ++dropped;
-      w = next;
-    }
-    if (dropped > 0) {
-      *blocked_.Get(rec->pid) -= dropped;
-    }
-    conns_.Erase(conn_id);
+  if (found == nullptr) {
+    return NotFoundError("close: no such connection");
   }
-  if (const auto ct = conn_tenant_.find(conn_id); ct != conn_tenant_.end()) {
+  const ConnRecord rec = *found;
+  conns_.Erase(conn_id);
+  // Parked waiters are dropped unrun; their pid's blocked count follows.
+  uint32_t dropped = 0;
+  for (uint32_t w = rec.first_waiter; w != kNoWaiter;) {
+    const uint32_t next = waiters_[w].next;
+    FreeWaiter(w);
+    ++dropped;
+    w = next;
+  }
+  if (dropped > 0) {
+    *blocked_.Get(rec.owner.owner_pid) -= dropped;
+  }
+  if (rec.pending_accept) {
+    // Never accepted: take it off its listener's queue.
+    std::erase(listeners_
+                   .at({rec.tuple.src_port,
+                        static_cast<uint8_t>(rec.tuple.proto)})
+                   .accept_queue,
+               conn_id);
+    accept_gauges_.Add(-1);
+  }
+  if (rec.ring_charged) {
     // Refund the connection's ring working sets to its tenant's budget.
-    if (const auto t = tenants_.find(ct->second); t != tenants_.end()) {
-      const uint64_t ring_cost = 2 * nic::kHotWorkingSetBytes;
-      t->second.ring_bytes_used -= std::min(t->second.ring_bytes_used,
-                                            ring_cost);
-    }
-    conn_tenant_.erase(ct);
+    tenants_.at(rec.owner.owner_tenant).ring_bytes_used -=
+        2 * nic::kHotWorkingSetBytes;
   }
-  if (rate_limits_.erase(conn_id) > 0) {
+  if (rec.rate_bps != 0) {
     pacer_->ClearRate(conn_id);  // releases any paced backlog for the wire
   }
-  if (fallback_conns_.erase(conn_id) > 0) {
-    return OkStatus();
-  }
-  return nic_cp_->RemoveFlow(conn_id);
+  return rec.software_fallback ? OkStatus() : nic_cp_->RemoveFlow(conn_id);
 }
 
 Status Kernel::Listen(Pid pid, uint16_t local_port, net::IpProto proto,
@@ -366,13 +378,10 @@ StatusOr<AppPort> Kernel::Accept(Pid pid, uint16_t local_port) {
     const net::ConnectionId conn_id = state.accept_queue.front();
     state.accept_queue.pop_front();
     accept_gauges_.Add(-1);
-    const nic::FlowEntry* entry = nic_cp_->LookupFlow(conn_id);
-    if (entry == nullptr) {
-      return InternalError("accept: pending connection vanished");
-    }
-    return AppPort(conn_id, entry->tuple, options_.host_mac,
-                   options_.gateway_mac, nic_cp_->GetRings(conn_id),
-                   nic_cp_->MapDoorbell(conn_id), nic_);
+    // Close takes a connection off the queue, so a queued one is live.
+    ConnRecord& rec = *conns_.Get(conn_id);
+    rec.pending_accept = false;
+    return PortFor(conn_id, rec.tuple);
   }
   return NotFoundError("accept: not listening on that port");
 }
@@ -380,8 +389,11 @@ StatusOr<AppPort> Kernel::Accept(Pid pid, uint16_t local_port) {
 Status Kernel::StopListening(Pid pid, uint16_t local_port) {
   for (auto it = listeners_.begin(); it != listeners_.end(); ++it) {
     if (it->first.first == local_port && it->second.pid == pid) {
-      accept_gauges_.Add(
-          -static_cast<int64_t>(it->second.accept_queue.size()));
+      // Nobody can accept them any more: close the queued connections
+      // (each Close takes itself off the queue).
+      while (!it->second.accept_queue.empty()) {
+        (void)Close(it->second.accept_queue.front());
+      }
       listeners_.erase(it);
       return OkStatus();
     }
@@ -425,44 +437,16 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
   }
 
   // Auto-install the connection (local = the listening endpoint, remote =
-  // the peer that just spoke), stamped with the listener's identity.
+  // the peer that just spoke), stamped with the listener's identity. A
+  // refusal drops the trigger packet: there is no server-side fallback.
   const net::ConnectionId conn_id = next_conn_id_++;
-  nic::FlowEntry entry;
-  entry.conn_id = conn_id;
-  entry.tuple = inbound.Reversed();
-  entry.owner = overlay::ConnMetadata{conn_id, proc->uid, proc->pid,
-                                      proc->cgroup, proc->comm_id};
-  entry.owner.owner_tenant = TenantOf(proc->uid);
-  entry.comm = proc->comm;
-  entry.tx_ring_bytes = nic::kHotWorkingSetBytes;
-  entry.rx_ring_bytes = nic::kHotWorkingSetBytes;
-  entry.notify_rx = listener.accept_opts.notify_rx;
-  entry.notify_tx_drain = listener.accept_opts.notify_tx_drain;
-  // Same ring-memory admission as Connect: an accepted connection charges
-  // the *listener's* tenant, so a flood of new peers cannot grow a tenant's
-  // ring footprint past its envelope (the trigger packet is dropped).
-  const uint64_t ring_cost = entry.tx_ring_bytes + entry.rx_ring_bytes;
-  if (const auto t = tenants_.find(entry.owner.owner_tenant);
-      t != tenants_.end() && t->second.spec.ring_bytes != 0 &&
-      t->second.ring_bytes_used + ring_cost > t->second.spec.ring_bytes) {
-    nic_cp_->tenants().CountDenied(entry.owner.owner_tenant);
+  if (!AdmitConnection(*proc, conn_id, inbound.Reversed(),
+                       listener.accept_opts, /*allow_fallback=*/false)
+           .ok()) {
     drop_sram_exhausted_->Increment();
     return;
   }
-  const Status install = nic_cp_->InstallFlow(entry);
-  if (!install.ok()) {
-    drop_sram_exhausted_->Increment();  // NIC full, no server fallback (yet)
-    return;
-  }
-  if (entry.notify_rx || entry.notify_tx_drain) {
-    nic_cp_->RegisterNotificationQueue(listener.pid);
-  }
-  conns_.PushFront(conn_id, ConnRecord{listener.pid});
-  if (const auto t = tenants_.find(entry.owner.owner_tenant);
-      t != tenants_.end()) {
-    t->second.ring_bytes_used += ring_cost;
-    conn_tenant_.emplace(conn_id, entry.owner.owner_tenant);
-  }
+  conns_.Get(conn_id)->pending_accept = true;
 
   // Deliver the trigger packet into the new connection's RX ring so the
   // first request is not lost, then queue the accept event.
@@ -481,29 +465,22 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
 
 std::vector<ConnectionInfo> Kernel::ListConnections() const {
   std::vector<ConnectionInfo> out;
-  nic_cp_->flow_table().ForEach([&](const nic::FlowEntry& e) {
-    ConnectionInfo info;
-    info.conn_id = e.conn_id;
-    info.tuple = e.tuple;
-    info.pid = e.owner.owner_pid;
-    info.uid = e.owner.owner_uid;
-    info.comm = e.comm;
-    info.tx_packets = e.tx_packets;
-    info.rx_packets = e.rx_packets;
-    info.tx_bytes = e.tx_bytes;
-    info.rx_bytes = e.rx_bytes;
-    out.push_back(std::move(info));
-  });
-  for (const auto& [conn_id, fc] : fallback_conns_) {
+  conns_.ForEach([&](net::ConnectionId conn_id, const ConnRecord& rec) {
     ConnectionInfo info;
     info.conn_id = conn_id;
-    info.tuple = fc.tuple;
-    info.pid = fc.owner.owner_pid;
-    info.uid = fc.owner.owner_uid;
-    info.comm = processes_.CommName(fc.owner.owner_comm);
-    info.software_fallback = true;
+    info.tuple = rec.tuple;
+    info.pid = rec.owner.owner_pid;
+    info.uid = rec.owner.owner_uid;
+    info.comm = processes_.CommName(rec.owner.owner_comm);
+    info.software_fallback = rec.software_fallback;
+    if (const nic::FlowEntry* e = nic_cp_->LookupFlow(conn_id); e != nullptr) {
+      info.tx_packets = e->tx_packets;
+      info.rx_packets = e->rx_packets;
+      info.tx_bytes = e->tx_bytes;
+      info.rx_bytes = e->rx_bytes;
+    }
     out.push_back(std::move(info));
-  }
+  });
   return out;
 }
 
@@ -539,7 +516,7 @@ Status Kernel::Block(net::ConnectionId conn_id, nic::NotificationKind kind,
     waiters_[rec->last_waiter].next = w;
   }
   rec->last_waiter = w;
-  const Pid pid = rec->pid;
+  const Pid pid = rec->owner.owner_pid;
   if (uint32_t* blocked = blocked_.Get(pid); blocked != nullptr) {
     ++*blocked;
   } else {
@@ -621,7 +598,7 @@ void Kernel::PumpNotifications(Pid pid) {
           rec->last_waiter = prev;
         }
         FreeWaiter(w);
-        --*blocked_.Get(rec->pid);
+        --*blocked_.Get(rec->owner.owner_pid);
         w = next;
       }
     }
@@ -700,9 +677,11 @@ Status Kernel::InstallPacedQdisc(std::unique_ptr<nic::Scheduler> qdisc) {
   dataplane::PacedScheduler* raw = paced.get();
   NORMAN_RETURN_IF_ERROR(nic_cp_->SetScheduler(std::move(paced)));
   pacer_ = raw;
-  for (const auto& [conn, limit] : rate_limits_) {
-    pacer_->SetRate(conn, limit.first, limit.second);
-  }
+  conns_.ForEach([this](net::ConnectionId conn, const ConnRecord& rec) {
+    if (rec.rate_bps != 0) {
+      pacer_->SetRate(conn, rec.rate_bps, rec.burst_bytes);
+    }
+  });
   return OkStatus();
 }
 
@@ -710,17 +689,13 @@ Status Kernel::SetConnRateLimit(Uid caller, net::ConnectionId conn,
                                 BitsPerSecond rate_bps,
                                 uint64_t burst_bytes) {
   NORMAN_RETURN_IF_ERROR(RequireRoot(caller));
-  if (nic_cp_->LookupFlow(conn) == nullptr &&
-      !fallback_conns_.contains(conn)) {
+  ConnRecord* rec = conns_.Get(conn);
+  if (rec == nullptr) {
     return NotFoundError("rate limit: unknown connection");
   }
-  if (rate_bps == 0) {
-    rate_limits_.erase(conn);
-    pacer_->ClearRate(conn);
-  } else {
-    rate_limits_[conn] = {rate_bps, burst_bytes};
-    pacer_->SetRate(conn, rate_bps, burst_bytes);
-  }
+  rec->rate_bps = rate_bps;
+  rec->burst_bytes = burst_bytes;
+  pacer_->SetRate(conn, rate_bps, burst_bytes);  // rate 0 clears
   // Pacer reconfiguration happens behind the Scheduler interface, invisible
   // to the NIC control plane.
   nic_cp_->InvalidateFastPath();
@@ -909,14 +884,15 @@ Status Kernel::ReleaseTenant(TenantId tenant) {
     return NotFoundError("tenant " + std::to_string(tenant) +
                          " not registered");
   }
-  // Close every connection charged to the tenant (collect ids first: Close
-  // mutates conn_tenant_ as it refunds the ring budget).
+  // Close every connection charged to the tenant, oldest first (collect
+  // the ids first: Close erases records).
   std::vector<net::ConnectionId> owned;
-  for (const auto& [conn, t] : conn_tenant_) {
-    if (t == tenant) {
+  conns_.ForEach([&](net::ConnectionId conn, const ConnRecord& rec) {
+    if (rec.ring_charged && rec.owner.owner_tenant == tenant) {
       owned.push_back(conn);
     }
-  }
+  });
+  std::sort(owned.begin(), owned.end());
   for (const net::ConnectionId conn : owned) {
     (void)Close(conn);
   }
@@ -1020,8 +996,8 @@ void Tenant::Release() {
 
 Status Kernel::SoftwareTransmit(net::ConnectionId conn_id,
                                 net::PacketPtr packet) {
-  const auto it = fallback_conns_.find(conn_id);
-  if (it == fallback_conns_.end()) {
+  const ConnRecord* rec = conns_.Get(conn_id);
+  if (rec == nullptr || !rec->software_fallback) {
     return NotFoundError("software tx: not a fallback connection");
   }
   // Host kernel-stack costs: syscall + per-packet processing + copy. All of
@@ -1029,9 +1005,9 @@ Status Kernel::SoftwareTransmit(net::ConnectionId conn_id,
   // per-process attribution matters most (§5: fallback traffic must not
   // hide inside an anonymous kernel bucket).
   telemetry::ProfScope slow_scope(prof_, prof_slow_site_);
-  const uint32_t owner_pid = it->second.owner.owner_pid;
+  const uint32_t owner_pid = rec->owner.owner_pid;
   packet->meta().owner_pid = owner_pid;
-  packet->meta().tenant = it->second.owner.owner_tenant;
+  packet->meta().tenant = rec->owner.owner_tenant;
   sim_->tracepoints().Emit(
       telemetry::Probe::kSlowPath, telemetry::Tracepoints::kCoreHost,
       owner_pid, static_cast<uint64_t>(telemetry::SlowPathOp::kSoftTransmit),

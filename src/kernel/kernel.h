@@ -111,12 +111,15 @@ class Kernel {
   // in the new connection's RX ring (nothing is lost).
   Status Listen(Pid pid, uint16_t local_port, net::IpProto proto,
                 const ConnectOptions& accept_opts = {});
-  // Pops one pending inbound connection; NotFound when none is waiting.
+  // Pops one pending inbound connection; Unavailable when none is waiting.
   // Only the listening pid may accept.
   StatusOr<AppPort> Accept(Pid pid, uint16_t local_port);
+  // Unbinds the listener and closes every connection still waiting in its
+  // accept queue.
   Status StopListening(Pid pid, uint16_t local_port);
 
-  // netstat's data source: every live connection with owner + counters.
+  // netstat's data source: every live connection with owner + counters,
+  // newest first.
   std::vector<ConnectionInfo> ListConnections() const;
 
   // ---- Blocking I/O (§4.3) ------------------------------------------------
@@ -254,11 +257,6 @@ class Kernel {
   const telemetry::HealthWatchdog& watchdog() const { return *watchdog_; }
 
  private:
-  struct FallbackConn {
-    net::FiveTuple tuple;
-    overlay::ConnMetadata owner;
-  };
-
   Status RequireRoot(Uid caller) const;
   void InstallPipeline();
   Status Block(net::ConnectionId conn_id, nic::NotificationKind kind,
@@ -319,14 +317,9 @@ class Kernel {
   // Tenants that already have a "tenant.<id>.starved" watchdog rule; rules
   // outlive releases (an absent series reads healthy) and must not stack.
   std::set<TenantId> tenant_rules_installed_;
-  // Connections whose ring memory is charged to a tenant (refunded on
-  // Close; fallback connections have no rings and are never charged).
-  std::map<net::ConnectionId, TenantId> conn_tenant_;
   NicConfig active_config_;
   // Owned by the NIC once installed; kernel keeps the typed handle.
   dataplane::PacedScheduler* pacer_ = nullptr;
-  std::map<net::ConnectionId, std::pair<BitsPerSecond, uint64_t>>
-      rate_limits_;
 
   sim::Resource kernel_core_{"kernel.core"};
 
@@ -343,15 +336,29 @@ class Kernel {
   net::ConnectionId next_conn_id_ = 1;
   uint16_t next_ephemeral_port_ = 30000;
 
-  // Per-connection record for every live connection, NIC-backed or
-  // software fallback: the owning pid and the connection's FIFO list of
-  // blocked waiters, linked by index through waiters_.
+  // The kernel's one record per live connection, NIC-backed or software
+  // fallback: written by AdmitConnection, erased by Close.
   static constexpr uint32_t kNoWaiter = ~uint32_t{0};
   struct ConnRecord {
-    Pid pid = 0;
+    overlay::ConnMetadata owner;
+    net::FiveTuple tuple;
+    bool software_fallback = false;
+    bool ring_charged = false;    // rings charged to the owner's tenant
+    bool pending_accept = false;  // queued on its listener, not accepted
+    // TX rate limit (rate 0 = none), re-applied to every new pacer.
+    BitsPerSecond rate_bps = 0;
+    uint64_t burst_bytes = 0;
+    // FIFO list of blocked waiters, linked by index through waiters_.
     uint32_t first_waiter = kNoWaiter;
     uint32_t last_waiter = kNoWaiter;
   };
+  // connect() and accept()'s one admission path. A NIC SRAM refusal
+  // becomes a software-fallback record when `allow_fallback` is set; any
+  // other refusal records nothing.
+  Status AdmitConnection(const Process& proc, net::ConnectionId conn_id,
+                         const net::FiveTuple& tuple,
+                         const ConnectOptions& opts, bool allow_fallback);
+  AppPort PortFor(net::ConnectionId conn_id, const net::FiveTuple& tuple);
   struct Waiter {
     nic::NotificationKind kind = nic::NotificationKind::kRxData;
     sim::InlineCallback resume;
@@ -367,7 +374,6 @@ class Kernel {
   // pid -> waiters parked on its connections. Non-zero keeps the pid's
   // notification interrupt armed after a pump.
   SlabMap<Pid, uint32_t> blocked_;
-  std::map<net::ConnectionId, FallbackConn> fallback_conns_;
 
   struct ListenState {
     Pid pid = 0;

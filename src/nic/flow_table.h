@@ -11,8 +11,6 @@
 #define NORMAN_NIC_FLOW_TABLE_H_
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <unordered_map>
 
 #include "src/common/slab_map.h"
@@ -33,7 +31,6 @@ struct FlowEntry {
   net::ConnectionId conn_id = net::kUnknownConnection;
   net::FiveTuple tuple;             // as seen on TX (local -> remote)
   overlay::ConnMetadata owner;      // kernel-stamped process identity
-  std::string comm;                 // process name, for owner-match rules
   uint16_t rx_queue = 0;            // RSS override target
   uint64_t tx_ring_bytes = 0;       // ring working set (DDIO model input)
   uint64_t rx_ring_bytes = 0;
@@ -99,18 +96,8 @@ class FlowTable {
 
   size_t size() const { return by_conn_.size(); }
 
-  // Iteration support for netstat-style tools.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [id, entry] : by_conn_) {
-      fn(entry);
-    }
-  }
-
  private:
   SramAllocator* sram_;
-  // Stays an unordered_map: ForEach's order is the order netstat prints
-  // (Kernel::ListConnections).
   std::unordered_map<net::ConnectionId, FlowEntry> by_conn_;
   SlabMap<net::FiveTuple, net::ConnectionId, net::FiveTupleHash> by_tuple_;
 };

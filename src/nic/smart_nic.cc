@@ -896,7 +896,6 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
     case Verdict::kAccept:
       break;
   }
-  stats_.tx_accepted_->Increment();
 
   // 3) Hand to the queueing discipline at the time the pipeline finishes,
   // then keep the wire busy. The event carries the lane so same-tick qdisc
@@ -921,6 +920,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
                         conn_meta.owner_tenant);
       return;
     }
+    stats_.tx_accepted_->Increment();
     qdisc_gauges_.Set(static_cast<int64_t>(scheduler_->backlog_packets()));
     DrainWire();
   });

@@ -86,6 +86,7 @@ class NicStats {
   explicit NicStats(telemetry::MetricsRegistry* registry);
 
   uint64_t tx_seen() const { return tx_seen_->value(); }
+  // Frames the scheduler queued for the wire.
   uint64_t tx_accepted() const { return tx_accepted_->value(); }
   // Pipeline-verdict drops (stage said kDrop), all reasons summed.
   uint64_t tx_dropped() const;

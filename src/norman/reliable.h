@@ -101,9 +101,6 @@ class ReliableChannel {
   // Why the channel failed; OK while healthy. Send() returns this after
   // failure, so callers see the root cause, not a generic error.
   const Status& last_error() const { return last_error_; }
-  // Current retransmission timeout (backs off exponentially under loss,
-  // resets on forward progress).
-  Nanos current_rto() const { return current_rto_; }
 
  private:
   struct PendingSegment {
@@ -130,7 +127,7 @@ class ReliableChannel {
   uint32_t next_seq_ = 0;   // next sequence to assign
   std::map<uint32_t, PendingSegment> in_flight_;  // seq -> segment
   std::deque<std::vector<uint8_t>> send_queue_;   // not yet in the window
-  Nanos current_rto_;
+  Nanos current_rto_;  // doubles per timeout up to max_rto; resets on progress
   uint64_t timer_generation_ = 0;  // invalidates stale timers
   bool timer_armed_ = false;
 

@@ -109,10 +109,11 @@ TEST_F(GeneratorsTest, BulkSenderBacksOffOnFullRing) {
   // wire drains the scheduler), and the wire stays saturated.
   EXPECT_GT(bed.nic().stats().tx_sched_dropped(), 0u);
   EXPECT_GT(bed.nic().wire().Utilization(20 * kMillisecond), 0.95);
-  // Drained, every frame the scheduler dropped had been accepted by the
-  // pipeline first.
+  // Drained, every fetched frame was queued for the wire or dropped by the
+  // scheduler, and only the queued ones count as accepted.
   bed.sim().Run();
   test::ExpectNicConservation(bed.nic().stats());
+  EXPECT_EQ(bed.nic().stats().tx_accepted(), bed.egress_frames());
 }
 
 }  // namespace

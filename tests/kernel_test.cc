@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/dataplane/rate_limiter.h"
+#include "src/nic/fifo_scheduler.h"
 #include "src/norman/socket.h"
 #include "src/workload/testbed.h"
 #include "src/net/packet_pool.h"
@@ -85,8 +87,9 @@ TEST_F(KernelTest, ConnectStampsOwnerIntoFlowTable) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->owner.owner_pid, pid_);
   EXPECT_EQ(entry->owner.owner_uid, 1001u);
-  EXPECT_EQ(entry->comm, "app");
   EXPECT_GT(entry->owner.owner_comm, 0u);
+  EXPECT_EQ(bed_.kernel().processes().CommName(entry->owner.owner_comm),
+            "app");
   EXPECT_EQ(entry->tuple.dst_ip, kPeerIp);
   EXPECT_EQ(entry->tuple.dst_port, 80);
   EXPECT_GE(entry->tuple.src_port, 30000);  // ephemeral
@@ -121,6 +124,54 @@ TEST_F(KernelTest, ListConnectionsExposesProcessView) {
   EXPECT_EQ(conns[0].uid, 1001u);
   EXPECT_EQ(conns[0].comm, "app");
   EXPECT_EQ(conns[0].tuple.dst_port, 5432);
+}
+
+TEST_F(KernelTest, ListConnectionsNewestFirstWithFallbackFlagged) {
+  auto& k = bed_.kernel();
+  ConnectOptions copts;
+  copts.allow_software_fallback = true;
+  auto first = k.Connect(pid_, kPeerIp, 1, copts);
+  // Hold every free byte of NIC SRAM hostage: the second connect falls
+  // back to the host software path.
+  nic::SramAllocator& sram = k.nic_control().sram();
+  const uint64_t hostage = sram.available();
+  ASSERT_TRUE(sram.Allocate("hostage", hostage).ok());
+  auto second = k.Connect(pid_, kPeerIp, 2, copts);
+  sram.Free("hostage", hostage);
+  auto third = k.Connect(pid_, kPeerIp, 3, copts);
+  ASSERT_TRUE(first.ok() && second.ok() && third.ok());
+  EXPECT_FALSE(first->software_fallback());
+  EXPECT_TRUE(second->software_fallback());
+  EXPECT_FALSE(third->software_fallback());
+
+  const auto conns = k.ListConnections();
+  ASSERT_EQ(conns.size(), 3u);
+  const net::ConnectionId want_ids[] = {3, 2, 1};
+  const bool want_fallback[] = {false, true, false};
+  for (size_t i = 0; i < conns.size(); ++i) {
+    EXPECT_EQ(conns[i].conn_id, want_ids[i]) << "row " << i;
+    EXPECT_EQ(conns[i].software_fallback, want_fallback[i]) << "row " << i;
+    EXPECT_EQ(conns[i].comm, "app") << "row " << i;
+  }
+}
+
+TEST_F(KernelTest, ClearedRateLimitStaysClearedAcrossQdiscSwap) {
+  auto& k = bed_.kernel();
+  auto cleared = k.Connect(pid_, kPeerIp, 80, {});
+  auto kept = k.Connect(pid_, kPeerIp, 81, {});
+  ASSERT_TRUE(cleared.ok() && kept.ok());
+  ASSERT_TRUE(
+      k.SetConnRateLimit(kRootUid, cleared->conn_id(), 50'000'000, 3000).ok());
+  ASSERT_TRUE(
+      k.SetConnRateLimit(kRootUid, kept->conn_id(), 50'000'000, 3000).ok());
+  ASSERT_TRUE(k.SetConnRateLimit(kRootUid, cleared->conn_id(), 0, 0).ok());
+  ASSERT_TRUE(
+      k.SetQdisc(kRootUid, std::make_unique<nic::FifoScheduler>()).ok());
+  const auto* pacer = dynamic_cast<const dataplane::PacedScheduler*>(
+      k.nic_control().scheduler());
+  ASSERT_NE(pacer, nullptr);
+  EXPECT_FALSE(pacer->HasRate(cleared->conn_id()));
+  EXPECT_TRUE(pacer->HasRate(kept->conn_id()));
 }
 
 TEST_F(KernelTest, FilterRulesRequireRoot) {

@@ -64,7 +64,8 @@ TEST_F(ListenAcceptTest, ConnectionStampedWithListenerIdentity) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->owner.owner_pid, server_pid_);
   EXPECT_EQ(entry->owner.owner_uid, 1000u);
-  EXPECT_EQ(entry->comm, "server");
+  EXPECT_EQ(bed_.kernel().processes().CommName(entry->owner.owner_comm),
+            "server");
 }
 
 TEST_F(ListenAcceptTest, SubsequentPacketsMatchInHardware) {
@@ -147,6 +148,47 @@ TEST_F(ListenAcceptTest, ListenerDestructionDropsNewPeers) {
   EXPECT_EQ(bed_.kernel().Accept(server_pid_, 8080).status().code(),
             StatusCode::kNotFound);
   EXPECT_TRUE(bed_.kernel().ListConnections().empty());
+}
+
+TEST_F(ListenAcceptTest, ListenerDestructionClosesPendingConnections) {
+  net::ConnectionId pending = net::kUnknownConnection;
+  {
+    Listener listener = Listen(8080);
+    bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
+    bed_.sim().Run();
+    const auto conns = bed_.kernel().ListConnections();
+    ASSERT_EQ(conns.size(), 1u);
+    pending = conns[0].conn_id;
+  }  // never accepted
+  // The unaccepted connection went with its listener, and so did every
+  // byte of NIC state it held.
+  EXPECT_TRUE(bed_.kernel().ListConnections().empty());
+  auto& nic = bed_.kernel().nic_control();
+  EXPECT_EQ(nic.flow_table().size(), 0u);
+  EXPECT_EQ(nic.GetRings(pending), nullptr);
+  EXPECT_EQ(nic.sram().UsedBy("flow_table"), 0u);
+  EXPECT_EQ(nic.sram().UsedBy("ring_state"), 0u);
+  EXPECT_EQ(
+      bed_.sim().metrics().FindGauge("queue.kernel.accept.depth")->value(), 0);
+}
+
+TEST_F(ListenAcceptTest, FallbackOptionStillDropsTriggerUnderSramPressure) {
+  ConnectOptions accept_opts;
+  accept_opts.allow_software_fallback = true;
+  auto listener = Listener::Create(&bed_.kernel(), server_pid_, 8080,
+                                   net::IpProto::kUdp, accept_opts);
+  ASSERT_TRUE(listener.ok());
+  // NIC SRAM is full when the peer speaks: there is no server-side
+  // software fallback, so the trigger datagram is dropped.
+  nic::SramAllocator& sram = bed_.kernel().nic_control().sram();
+  ASSERT_TRUE(sram.Allocate("hostage", sram.available()).ok());
+  bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
+  bed_.sim().Run();
+  EXPECT_EQ(
+      bed_.sim().metrics().FindCounter("kernel.drop.sram_exhausted")->value(),
+      1u);
+  EXPECT_TRUE(bed_.kernel().ListConnections().empty());
+  EXPECT_EQ(listener->Accept().status().code(), StatusCode::kUnavailable);
 }
 
 TEST_F(ListenAcceptTest, StopUnbindsEarly) {

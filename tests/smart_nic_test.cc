@@ -40,7 +40,6 @@ class SmartNicTest : public ::testing::Test {
     e.conn_id = conn;
     e.tuple = FiveTuple{kLocalIp, kRemoteIp, src_port, 80, IpProto::kUdp};
     e.owner = overlay::ConnMetadata{conn, 1000, pid, 1};
-    e.comm = "app";
     e.tx_ring_bytes = kHotWorkingSetBytes;
     e.rx_ring_bytes = kHotWorkingSetBytes;
     return e;

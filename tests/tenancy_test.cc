@@ -12,6 +12,7 @@
 #include "src/nic/ring.h"
 #include "src/nic/sram.h"
 #include "src/nic/tenant_table.h"
+#include "src/norman/listener.h"
 #include "src/norman/socket.h"
 #include "src/overlay/assembler.h"
 #include "src/workload/testbed.h"
@@ -141,6 +142,29 @@ TEST(TenancyTest, RingBudgetAdmission) {
   EXPECT_TRUE(retry.ok());
 }
 
+TEST(TenancyTest, RingBudgetRefusalNeverFallsBack) {
+  workload::TestBed bed;
+  auto& k = bed.kernel();
+  k.processes().AddUser(1001, "alice");
+  const auto pid = *k.processes().Spawn(1001, "app");
+
+  TenantSpec spec;
+  spec.ring_bytes = 2 * nic::kHotWorkingSetBytes;  // exactly one connection
+  auto tenant = k.CreateTenant(kRootUid, 1001, spec);
+  ASSERT_TRUE(tenant.ok());
+
+  kernel::ConnectOptions fallback;
+  fallback.allow_software_fallback = true;
+  const auto peer = net::Ipv4Address::FromOctets(10, 0, 0, 2);
+  ASSERT_TRUE(k.Connect(pid, peer, 1000, fallback).ok());
+  // The ring budget is the tenant's envelope, not a shortage of NIC memory:
+  // the refusal stands even for a caller that accepts the software path.
+  auto refused = k.Connect(pid, peer, 2000, fallback);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(k.ListConnections().size(), 1u);
+  EXPECT_EQ(k.nic_control().flow_table().size(), 1u);
+}
+
 TEST(TenancyTest, SramEnvelopeRefusesFlowInstall) {
   workload::TestBed bed;
   auto& k = bed.kernel();
@@ -230,6 +254,31 @@ TEST(TenancyTest, TeardownReclaimsEverything) {
   auto again = k.CreateTenant(kRootUid, 1001, spec);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(k.LoadTenantPolicy(1001, Chain::kOutput, *pass).ok());
+}
+
+TEST(TenancyTest, ReleaseClosesQueuedAccepts) {
+  workload::TestBed bed;
+  auto& k = bed.kernel();
+  k.processes().AddUser(1001, "alice");
+  const auto pid = *k.processes().Spawn(1001, "server");
+  auto tenant = k.CreateTenant(kRootUid, 1001, {});
+  ASSERT_TRUE(tenant.ok());
+  auto listener = Listener::Create(&k, pid, 8080);
+  ASSERT_TRUE(listener.ok());
+  bed.InjectUdpFromPeer(1111, 8080, 10, 100);
+  bed.InjectUdpFromPeer(2222, 8080, 10, 200);
+  bed.sim().Run();
+  const telemetry::Gauge* depth =
+      bed.sim().metrics().FindGauge("queue.kernel.accept.depth");
+  ASSERT_EQ(depth->value(), 2);
+
+  // Both unaccepted connections are charged to the tenant, so its release
+  // closes them and takes them off the listener's queue.
+  tenant->Release();
+  EXPECT_EQ(depth->value(), 0);
+  EXPECT_EQ(listener->Accept().status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(listener->Accept().status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(k.ListConnections().empty());
 }
 
 TEST(TenancyTest, CreateTenantValidation) {
