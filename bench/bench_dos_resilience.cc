@@ -63,11 +63,10 @@ int main() {
                            k.options().host_mac,
                            net::Ipv4Address{rng.NextU32() | 0x01000000},
                            k.options().host_ip};
-    auto syn = net::BuildTcpFrame(
+    auto syn = net::BuildTcpPacket(
         ep, static_cast<uint16_t>(rng.NextInRange(1024, 65535)), 443,
         rng.NextU32(), 0, net::TcpFlags::kSyn, {});
-    bed.InjectFromNetwork(net::MakePacket(std::move(syn)),
-                          1000 + i * 1000);
+    bed.InjectFromNetwork(std::move(syn), 1000 + i * 1000);
   }
   // Legit traffic runs concurrently through the flood window.
   workload::CbrSender sender(&bed.sim(), &*legit, 1000, 50 * kMicrosecond);

@@ -42,8 +42,9 @@ struct Fixture {
                            net::MacAddress::ForHost(2),
                            net::Ipv4Address::FromOctets(10, 0, 0, 1),
                            net::Ipv4Address::FromOctets(10, 0, 0, 2)};
-    frame = net::BuildUdpFrame(ep, 5432, 443,
-                               std::vector<uint8_t>(1000, 0xaa));
+    const net::PacketPtr built = net::BuildUdpPacket(
+        ep, 5432, 443, std::vector<uint8_t>(1000, 0xaa));
+    frame.assign(built->bytes().begin(), built->bytes().end());
     parsed = *net::ParseFrame(frame);
     ctx.frame = frame;
     ctx.parsed = &parsed;
@@ -238,19 +239,6 @@ void BM_SimulatorEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventChurn);
 
-void BM_BuildUdpFrame(benchmark::State& state) {
-  net::FrameEndpoints ep{net::MacAddress::ForHost(1),
-                         net::MacAddress::ForHost(2),
-                         net::Ipv4Address::FromOctets(10, 0, 0, 1),
-                         net::Ipv4Address::FromOctets(10, 0, 0, 2)};
-  const std::vector<uint8_t> payload(1000, 0xab);
-  for (auto _ : state) {
-    auto f = net::BuildUdpFrame(ep, 1, 2, payload);
-    benchmark::DoNotOptimize(f);
-  }
-}
-BENCHMARK(BM_BuildUdpFrame);
-
 // End-to-end packet-forwarding loop (the tentpole acceptance metric): one
 // host with two CBR senders against an echoing peer, identical to the
 // pre-pooling baseline workload. Prints one machine-readable JSON line.
@@ -264,9 +252,6 @@ BENCHMARK(BM_BuildUdpFrame);
 // chain walk the cache elides is a realistic firewall's, not an empty one.
 // The regression gate compares each fastpath-on line against the
 // fastpath-off line that ran back-to-back with it (same rule count).
-// `dispatch_batch` sets the simulator's event dispatch batch (1 reproduces
-// the historical per-event loop); the batch sweep in main() emits
-// interleaved batch-off/batch-on pairs the gate can compare.
 // `profiler` turns on full cycle attribution (scopes + owner ledger); the
 // profiler sweep in main() emits interleaved off/on pairs the gate holds
 // to PROFILER_TOLERANCE on paired cpu_s.
@@ -276,13 +261,10 @@ BENCHMARK(BM_BuildUdpFrame);
 // cheap" claim, measured.
 void RunForwardingReport(uint32_t trace_sample, bool monitor,
                          bool fastpath = false, int filter_rules = 0,
-                         uint32_t dispatch_batch =
-                             sim::Simulator::kDefaultDispatchBatch,
                          bool profiler = false, bool probes = false) {
   workload::TestBedOptions opts;
   opts.echo = true;
   workload::TestBed bed(opts);
-  bed.sim().set_dispatch_batch(dispatch_batch);
   bed.sim().tracepoints().set_span_sample_interval(trace_sample);
   if (profiler) {
     bed.sim().profiler().set_enabled(true);
@@ -347,7 +329,7 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
   std::printf(
       "{\"bench\":\"forwarding_loop\",\"trace_sample\":%u,\"monitor\":%d,"
       "\"fastpath\":%d,\"filter_rules\":%d,"
-      "\"batch\":%u,\"profiler\":%d,\"probes\":%d,"
+      "\"profiler\":%d,\"probes\":%d,"
       "\"fastpath_hits\":%llu,\"fastpath_misses\":%llu,"
       "\"wall_s\":%.6f,\"cpu_s\":%.6f,"
       "\"events\":%llu,\"events_per_s\":%.0f,"
@@ -356,7 +338,7 @@ void RunForwardingReport(uint32_t trace_sample, bool monitor,
       "\"pool_hit_rate_all\":%.4f,\"trace_spans\":%llu,"
       "\"samples\":%llu,\"maintenance_ticks\":%llu}\n",
       trace_sample, monitor ? 1 : 0, fastpath ? 1 : 0, filter_rules,
-      dispatch_batch, profiler ? 1 : 0, probes ? 1 : 0,
+      profiler ? 1 : 0, probes ? 1 : 0,
       static_cast<unsigned long long>(
           k.nic_control().flow_cache().hits()),
       static_cast<unsigned long long>(
@@ -402,10 +384,8 @@ int main(int argc, char** argv) {
   // that the median needs headroom against one preempted run.
   for (int i = 0; i < 5; ++i) {
     RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        sim::Simulator::kDefaultDispatchBatch,
                         /*profiler=*/false);
     RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        sim::Simulator::kDefaultDispatchBatch,
                         /*profiler=*/true);
   }
   // Fast-path speedup: interleaved cache-off / cache-on pairs under a
@@ -415,26 +395,14 @@ int main(int argc, char** argv) {
     RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/12);
     RunForwardingReport(0, false, /*fastpath=*/true, /*filter_rules=*/12);
   }
-  // Event-dispatch batch sweep: each batch-on size runs back-to-back with a
-  // batch-off (batch=1) run, so the gate can hold the paired cpu_s ratio to
-  // a floor the way it does for monitoring overhead. The batch=64 rows also
-  // fold into the wall-clock regression pool (same config as the default).
-  for (const uint32_t b : {8u, 32u, 64u}) {
-    RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        /*dispatch_batch=*/1);
-    RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        /*dispatch_batch=*/b);
-  }
   // Tracepoint overhead: interleaved probes-disarmed / probes-armed pairs
   // (every probe armed, no predicates — the worst case short of a trigger).
   // Seven pairs, more than the profiler sweep: armed emits add ~3% and the
   // gate sits at 5%, so the median needs two preempted runs of headroom.
   for (int i = 0; i < 7; ++i) {
     RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        sim::Simulator::kDefaultDispatchBatch,
                         /*profiler=*/false, /*probes=*/false);
     RunForwardingReport(0, false, /*fastpath=*/false, /*filter_rules=*/0,
-                        sim::Simulator::kDefaultDispatchBatch,
                         /*profiler=*/false, /*probes=*/true);
   }
   return 0;

@@ -7,7 +7,7 @@ prints after the google-benchmark table) against the checked-in baseline:
   1. wall-clock regression: the tracing-off, monitor-off forwarding loop
      must stay within REGRESSION_TOLERANCE (default 15%) of the baseline,
      comparing medians across however many lines each side has.
-  2-6. paired gates: bench_micro emits alternating off / on runs of one
+  2-5. paired gates: bench_micro emits alternating off / on runs of one
      knob, each on-run right after its off-run with every other knob the
      same; pairing cancels machine drift. PAIRED_GATES holds one row per
      knob, and each gate's median pairwise ratio must stay within its
@@ -19,18 +19,15 @@ prints after the google-benchmark table) against the checked-in baseline:
        3. fast path under a 12-rule firewall: off / on wall_s at least
           FASTPATH_MIN_SPEEDUP (1.3x) — the flow verdict cache has to pay
           for itself.
-       4. dispatch batch (batch=1 vs 8, 32, 64): off / on cpu_s at least
-          BATCH_MIN_SPEEDUP (0.90) — batched dispatch may never cost more
-          than 10% over per-event stepping.
-       5. full cycle attribution: on / off cpu_s within
+       4. full cycle attribution: on / off cpu_s within
           PROFILER_TOLERANCE (5%).
-       6. every tracepoint armed, no predicates: on / off cpu_s within
+       5. every tracepoint armed, no predicates: on / off cpu_s within
           PROBES_TOLERANCE (5%) — always-on tracing only earns its keep if
           arming the full probe set is nearly free.
      Check 1 pools only rows with every knob at its default, so no sweep
      pollutes it.
 
-  7. multicore scaling: bench_multicore emits "multicore_scaling" rows in
+  6. multicore scaling: bench_multicore emits "multicore_scaling" rows in
      1-queue / N-queue pairs (matched by the "pair" field, the 1-queue
      partner running back-to-back in the same process); the 4-queue
      delivered-frames-per-virtual-second ratio over its paired 1-queue run
@@ -39,7 +36,7 @@ prints after the google-benchmark table) against the checked-in baseline:
      These rows live in a separate report file (bench_multicore's stdout);
      pass it as the report when gating that binary.
 
-  8. tenant isolation: bench_noisy_neighbor emits "noisy_neighbor" rows,
+  7. tenant isolation: bench_noisy_neighbor emits "noisy_neighbor" rows,
      one per {scenario} x {solo, open, guarded} cell; for every scenario
      (arp_flood, conntrack_churn, overlay_hog) the guarded run's
      "retention" (victim deliveries over its solo reference) must be at
@@ -68,13 +65,11 @@ import sys
 REGRESSION_TOLERANCE = 0.15  # vs checked-in baseline
 MONITOR_TOLERANCE = 0.05     # monitor-on vs paired monitor-off run
 FASTPATH_MIN_SPEEDUP = 1.3   # cache-off / cache-on paired wall clocks
-BATCH_MIN_SPEEDUP = 0.90     # batch=1 / batch=N paired cpu clocks
 PROFILER_TOLERANCE = 0.05    # profiler-on vs paired profiler-off run
 PROBES_TOLERANCE = 0.05      # probes-armed vs paired probes-disarmed run
 MULTICORE_MIN_SCALING = 1.8  # 4-queue vs paired 1-queue virtual throughput
 NOISY_MIN_RETENTION = 0.9    # guarded victim vs its solo reference
 NOISY_SCENARIOS = ("arp_flood", "conntrack_churn", "overlay_hog")
-DEFAULT_BATCH = 64           # rows without a "batch" field predate the sweep
 
 
 def load_lines(path):
@@ -90,9 +85,7 @@ def load_lines(path):
 # Every forwarding_loop knob and its default; rows predating a knob carry
 # the default.
 KNOB_DEFAULTS = {"trace_sample": 0, "monitor": 0, "fastpath": 0,
-                 "filter_rules": 0, "batch": DEFAULT_BATCH, "profiler": 0,
-                 "probes": 0}
-ANY_OTHER = object()  # an on-value: anything but the off-value
+                 "filter_rules": 0, "profiler": 0, "probes": 0}
 OVERHEAD = "overhead"  # on / off, printed as a percentage over 1
 SPEEDUP = "speedup"    # off / on, printed as a factor
 
@@ -105,9 +98,6 @@ PAIRED_GATES = (
     ("fast-path speedup", "fastpath", 0, 1, "wall_s", SPEEDUP,
      FASTPATH_MIN_SPEEDUP, "fast-path on/off",
      "flow cache speedup {:.2f}x (< {:.1f}x floor)"),
-    ("dispatch-batch speedup", "batch", 1, ANY_OTHER, "cpu_s", SPEEDUP,
-     BATCH_MIN_SPEEDUP, "dispatch-batch sweep",
-     "batched dispatch speedup {:.2f}x (< {:.2f}x floor)"),
     ("profiler overhead", "profiler", 0, 1, "cpu_s", OVERHEAD,
      PROFILER_TOLERANCE, "profiler on/off",
      "cycle attribution costs {:.1f}% (> {:.0f}% tolerance)"),
@@ -139,9 +129,7 @@ def pairs(rows, knob, off, on, field):
     out = []
     for a, b in zip(stream, stream[1:]):
         ka, kb = knobs(a), knobs(b)
-        a_val, b_val = ka.pop(knob), kb.pop(knob)
-        b_on = b_val != off if on is ANY_OTHER else b_val == on
-        if a_val == off and b_on and ka == kb:
+        if ka.pop(knob) == off and kb.pop(knob) == on and ka == kb:
             out.append((a[field], b[field]))
     return out
 

@@ -20,8 +20,8 @@
 // Exactness invariant (same discipline as the drop ledger): for every
 // registered core, summed attributed ns + an explicit unaccounted bucket
 // equals the resource's busy_ns — time is never silently lost. Tests pin
-// `sum(attr.*) + attr.unaccounted == busy_ns` per core across batch sizes
-// and chaos runs.
+// `sum(attr.*) + attr.unaccounted == busy_ns` per core in forwarding,
+// fast-path and chaos runs.
 //
 // Hot-path budget: the profiler-on forwarding loop must stay within 5% of
 // profiler-off (bench gate), which rules out hash lookups per charge. A

@@ -320,11 +320,9 @@ Status Kernel::Close(net::ConnectionId conn_id) {
   }
   if (rec.pending_accept) {
     // Never accepted: take it off its listener's queue.
-    std::erase(listeners_
-                   .at({rec.tuple.src_port,
-                        static_cast<uint8_t>(rec.tuple.proto)})
-                   .accept_queue,
-               conn_id);
+    std::erase(
+        listeners_.at(KeyOf(rec.tuple.src_port, rec.tuple.proto)).accept_queue,
+        conn_id);
     accept_gauges_.Add(-1);
   }
   if (rec.ring_charged) {
@@ -338,6 +336,36 @@ Status Kernel::Close(net::ConnectionId conn_id) {
   return rec.software_fallback ? OkStatus() : nic_cp_->RemoveFlow(conn_id);
 }
 
+template <typename Pred>
+void Kernel::CloseMatching(Pred match) {
+  // Collect the ids first: Close erases records.
+  std::vector<net::ConnectionId> ids;
+  conns_.ForEach([&](net::ConnectionId conn, const ConnRecord& rec) {
+    if (match(rec)) {
+      ids.push_back(conn);
+    }
+  });
+  std::sort(ids.begin(), ids.end());
+  for (const net::ConnectionId conn : ids) {
+    (void)Close(conn);
+  }
+}
+
+Status Kernel::Exit(Pid pid) {
+  Process* proc = processes_.Lookup(pid);
+  if (proc == nullptr) {
+    return NotFoundError("exit: no such process");
+  }
+  // Connections queued on the pid's listeners carry its identity, so this
+  // empties their accept queues too.
+  CloseMatching(
+      [pid](const ConnRecord& rec) { return rec.owner.owner_pid == pid; });
+  std::erase_if(listeners_,
+                [pid](const auto& entry) { return entry.second.pid == pid; });
+  proc->state = ProcessState::kExited;
+  return OkStatus();
+}
+
 Status Kernel::Listen(Pid pid, uint16_t local_port, net::IpProto proto,
                       const ConnectOptions& accept_opts) {
   sim_->tracepoints().Emit(
@@ -347,7 +375,7 @@ Status Kernel::Listen(Pid pid, uint16_t local_port, net::IpProto proto,
   if (proc == nullptr || proc->state == ProcessState::kExited) {
     return NotFoundError("listen: no such process");
   }
-  const auto key = std::make_pair(local_port, static_cast<uint8_t>(proto));
+  const auto key = KeyOf(local_port, proto);
   if (listeners_.contains(key)) {
     return AlreadyExistsError("listen: port already bound");
   }
@@ -359,46 +387,46 @@ Status Kernel::Listen(Pid pid, uint16_t local_port, net::IpProto proto,
   return OkStatus();
 }
 
-StatusOr<AppPort> Kernel::Accept(Pid pid, uint16_t local_port) {
+StatusOr<AppPort> Kernel::Accept(Pid pid, uint16_t local_port,
+                                 net::IpProto proto) {
   sim_->tracepoints().Emit(
       telemetry::Probe::kSocketCall, telemetry::Tracepoints::kCoreHost, pid,
       static_cast<uint64_t>(telemetry::SocketOp::kAccept), local_port);
-  for (auto& [key, state] : listeners_) {
-    if (key.first != local_port) {
-      continue;
-    }
-    if (state.pid != pid) {
-      return PermissionDeniedError("accept: not the listening process");
-    }
-    if (state.accept_queue.empty()) {
-      // Would-block, not a missing resource: the listener exists, there is
-      // just nothing to accept yet (see the convention in socket.h).
-      return UnavailableError("accept: no pending connections");
-    }
-    const net::ConnectionId conn_id = state.accept_queue.front();
-    state.accept_queue.pop_front();
-    accept_gauges_.Add(-1);
-    // Close takes a connection off the queue, so a queued one is live.
-    ConnRecord& rec = *conns_.Get(conn_id);
-    rec.pending_accept = false;
-    return PortFor(conn_id, rec.tuple);
+  const auto it = listeners_.find(KeyOf(local_port, proto));
+  if (it == listeners_.end()) {
+    return NotFoundError("accept: not listening on that port");
   }
-  return NotFoundError("accept: not listening on that port");
+  ListenState& state = it->second;
+  if (state.pid != pid) {
+    return PermissionDeniedError("accept: not the listening process");
+  }
+  if (state.accept_queue.empty()) {
+    // Would-block, not a missing resource: the listener exists, there is
+    // just nothing to accept yet (see the convention in socket.h).
+    return UnavailableError("accept: no pending connections");
+  }
+  const net::ConnectionId conn_id = state.accept_queue.front();
+  state.accept_queue.pop_front();
+  accept_gauges_.Add(-1);
+  // Close takes a connection off the queue, so a queued one is live.
+  ConnRecord& rec = *conns_.Get(conn_id);
+  rec.pending_accept = false;
+  return PortFor(conn_id, rec.tuple);
 }
 
-Status Kernel::StopListening(Pid pid, uint16_t local_port) {
-  for (auto it = listeners_.begin(); it != listeners_.end(); ++it) {
-    if (it->first.first == local_port && it->second.pid == pid) {
-      // Nobody can accept them any more: close the queued connections
-      // (each Close takes itself off the queue).
-      while (!it->second.accept_queue.empty()) {
-        (void)Close(it->second.accept_queue.front());
-      }
-      listeners_.erase(it);
-      return OkStatus();
-    }
+Status Kernel::StopListening(Pid pid, uint16_t local_port,
+                             net::IpProto proto) {
+  const auto it = listeners_.find(KeyOf(local_port, proto));
+  if (it == listeners_.end() || it->second.pid != pid) {
+    return NotFoundError("stop-listening: no such listener");
   }
-  return NotFoundError("stop-listening: no such listener");
+  // Nobody can accept them any more: close the queued connections (each
+  // Close takes itself off the queue).
+  while (!it->second.accept_queue.empty()) {
+    (void)Close(it->second.accept_queue.front());
+  }
+  listeners_.erase(it);
+  return OkStatus();
 }
 
 void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
@@ -422,9 +450,7 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
     return;
   }
   const auto inbound = *parsed->flow();
-  const auto key = std::make_pair(inbound.dst_port,
-                                  static_cast<uint8_t>(inbound.proto));
-  const auto it = listeners_.find(key);
+  const auto it = listeners_.find(KeyOf(inbound.dst_port, inbound.proto));
   if (it == listeners_.end() || inbound.dst_ip != options_.host_ip) {
     drop_unmatched_->Increment();
     return;
@@ -884,18 +910,10 @@ Status Kernel::ReleaseTenant(TenantId tenant) {
     return NotFoundError("tenant " + std::to_string(tenant) +
                          " not registered");
   }
-  // Close every connection charged to the tenant, oldest first (collect
-  // the ids first: Close erases records).
-  std::vector<net::ConnectionId> owned;
-  conns_.ForEach([&](net::ConnectionId conn, const ConnRecord& rec) {
-    if (rec.ring_charged && rec.owner.owner_tenant == tenant) {
-      owned.push_back(conn);
-    }
+  // Close every connection charged to the tenant, oldest first.
+  CloseMatching([tenant](const ConnRecord& rec) {
+    return rec.ring_charged && rec.owner.owner_tenant == tenant;
   });
-  std::sort(owned.begin(), owned.end());
-  for (const net::ConnectionId conn : owned) {
-    (void)Close(conn);
-  }
   // Free any chain slots the tenant's policies hold.
   if (tenant_tx_holder_ == tenant || tenant_rx_holder_ == tenant) {
     if (tenant_tx_holder_ == tenant) {

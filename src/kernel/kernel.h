@@ -103,6 +103,10 @@ class Kernel {
   StatusOr<AppPort> Connect(Pid pid, net::Ipv4Address remote_ip,
                             uint16_t remote_port, const ConnectOptions& opts);
   Status Close(net::ConnectionId conn_id);
+  // exit(2): closes the pid's connections oldest first, unbinds its
+  // listeners, then marks it exited, so every byte of NIC state it held
+  // (flows, SRAM, rings) is refunded.
+  Status Exit(Pid pid);
 
   // ---- Server side: listen(2)/accept(2) ----------------------------------
   // Registers `pid` as the listener on local_port/proto. The first inbound
@@ -113,10 +117,10 @@ class Kernel {
                 const ConnectOptions& accept_opts = {});
   // Pops one pending inbound connection; Unavailable when none is waiting.
   // Only the listening pid may accept.
-  StatusOr<AppPort> Accept(Pid pid, uint16_t local_port);
+  StatusOr<AppPort> Accept(Pid pid, uint16_t local_port, net::IpProto proto);
   // Unbinds the listener and closes every connection still waiting in its
   // accept queue.
-  Status StopListening(Pid pid, uint16_t local_port);
+  Status StopListening(Pid pid, uint16_t local_port, net::IpProto proto);
 
   // netstat's data source: every live connection with owner + counters,
   // newest first.
@@ -359,6 +363,10 @@ class Kernel {
                          const net::FiveTuple& tuple,
                          const ConnectOptions& opts, bool allow_fallback);
   AppPort PortFor(net::ConnectionId conn_id, const net::FiveTuple& tuple);
+  // Closes every connection whose record `match` selects, oldest (lowest
+  // id) first.
+  template <typename Pred>
+  void CloseMatching(Pred match);
   struct Waiter {
     nic::NotificationKind kind = nic::NotificationKind::kRxData;
     sim::InlineCallback resume;
@@ -382,6 +390,10 @@ class Kernel {
   };
   // (local_port, proto) -> listener.
   std::map<std::pair<uint16_t, uint8_t>, ListenState> listeners_;
+  static std::pair<uint16_t, uint8_t> KeyOf(uint16_t local_port,
+                                            net::IpProto proto) {
+    return {local_port, static_cast<uint8_t>(proto)};
+  }
   // Slow-path drop accounting ("kernel.drop.*" in the registry): packets
   // the NIC diverted to the host that the kernel then had to discard.
   telemetry::Counter* drop_malformed_ = nullptr;

@@ -93,15 +93,6 @@ class ProcessTable {
     return OkStatus();
   }
 
-  Status Exit(Pid pid) {
-    Process* p = Lookup(pid);
-    if (p == nullptr) {
-      return NotFoundError("no such pid");
-    }
-    p->state = ProcessState::kExited;
-    return OkStatus();
-  }
-
   Process* Lookup(Pid pid) {
     const auto it = processes_.find(pid);
     return it == processes_.end() ? nullptr : &it->second;

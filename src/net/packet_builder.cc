@@ -18,12 +18,11 @@ uint16_t& IpIdCounter() {
 
 uint16_t NextIpId() { return ++IpIdCounter(); }
 
-// Writers fill a caller-provided frame of exactly the right size, so both
-// the std::vector builders and the pooled-packet builders share one
-// serialization path (the pooled path reuses recycled buffer capacity and
-// never allocates on a steady-state hot path). The *Headers writers leave
-// the transport checksum field zero, and the IPv4 one too unless
-// `ip_checksum`; the *Frame writers copy the payload and fill both.
+// Writers fill a caller-provided frame of exactly the right size: a pooled
+// packet, whose recycled buffer capacity means a steady-state hot path
+// never allocates. The *Headers writers leave the transport checksum field
+// zero, and the IPv4 one too unless `ip_checksum`; the *Frame writers copy
+// the payload and fill both.
 
 void WriteIpv4Header(std::span<uint8_t> frame, const FrameEndpoints& ep,
                      IpProto proto, size_t l4_size, uint8_t dscp, uint8_t ttl,
@@ -186,15 +185,6 @@ void WriteArpReply(std::span<uint8_t> frame, MacAddress sender_mac,
 
 void ResetIpIdCounterForTest() { IpIdCounter() = 0; }
 
-std::vector<uint8_t> BuildUdpFrame(const FrameEndpoints& ep, uint16_t src_port,
-                                   uint16_t dst_port,
-                                   std::span<const uint8_t> payload,
-                                   uint8_t dscp, uint8_t ttl) {
-  std::vector<uint8_t> frame(UdpFrameSize(payload.size()));
-  WriteUdpFrame(frame, ep, src_port, dst_port, payload, dscp, ttl);
-  return frame;
-}
-
 PacketPtr BuildUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, std::span<const uint8_t> payload,
                          uint8_t dscp, uint8_t ttl) {
@@ -212,17 +202,6 @@ PacketPtr AllocUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
   WriteUdpHeaders(p->mutable_bytes(), ep, src_port, dst_port, payload_size,
                   /*dscp=*/0, /*ttl=*/64, /*ip_checksum=*/false);
   return p;
-}
-
-std::vector<uint8_t> BuildTcpFrame(const FrameEndpoints& ep, uint16_t src_port,
-                                   uint16_t dst_port, uint32_t seq,
-                                   uint32_t ack, uint8_t flags,
-                                   std::span<const uint8_t> payload,
-                                   uint16_t window) {
-  std::vector<uint8_t> frame(TcpFrameSize(payload.size()));
-  WriteTcpFrame(frame, ep, src_port, dst_port, seq, ack, flags, payload,
-                window);
-  return frame;
 }
 
 PacketPtr BuildTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
@@ -246,15 +225,6 @@ PacketPtr AllocTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
   return p;
 }
 
-std::vector<uint8_t> BuildIcmpEchoFrame(const FrameEndpoints& ep,
-                                        IcmpType type, uint16_t identifier,
-                                        uint16_t sequence,
-                                        std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame(IcmpFrameSize(payload));
-  WriteIcmpEchoFrame(frame, ep, type, identifier, sequence, payload);
-  return frame;
-}
-
 PacketPtr BuildIcmpEchoPacket(const FrameEndpoints& ep, IcmpType type,
                               uint16_t identifier, uint16_t sequence,
                               std::span<const uint8_t> payload) {
@@ -265,28 +235,11 @@ PacketPtr BuildIcmpEchoPacket(const FrameEndpoints& ep, IcmpType type,
   return p;
 }
 
-std::vector<uint8_t> BuildArpRequest(MacAddress sender_mac,
-                                     Ipv4Address sender_ip,
-                                     Ipv4Address target_ip) {
-  std::vector<uint8_t> frame(kArpFrameSize);
-  WriteArpRequest(frame, sender_mac, sender_ip, target_ip);
-  return frame;
-}
-
 PacketPtr BuildArpRequestPacket(MacAddress sender_mac, Ipv4Address sender_ip,
                                 Ipv4Address target_ip) {
   PacketPtr p = PacketPool::Default().AcquireUninitialized(kArpFrameSize);
   WriteArpRequest(p->mutable_bytes(), sender_mac, sender_ip, target_ip);
   return p;
-}
-
-std::vector<uint8_t> BuildArpReply(MacAddress sender_mac,
-                                   Ipv4Address sender_ip,
-                                   MacAddress requester_mac,
-                                   Ipv4Address requester_ip) {
-  std::vector<uint8_t> frame(kArpFrameSize);
-  WriteArpReply(frame, sender_mac, sender_ip, requester_mac, requester_ip);
-  return frame;
 }
 
 PacketPtr BuildArpReplyPacket(MacAddress sender_mac, Ipv4Address sender_ip,

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/net/headers.h"
 #include "src/net/packet_pool.h"
@@ -27,53 +26,27 @@ struct FrameEndpoints {
 // cache-on parity run) call this so the generated frames are byte-identical.
 void ResetIpIdCounterForTest();
 
+// Frame builders. The buffer comes from PacketPool::Default(), so
+// steady-state construction performs no heap allocation. The UDP, TCP and
+// ICMP builders return packets with checksums_valid() set.
+
 // UDP datagram frame.
-std::vector<uint8_t> BuildUdpFrame(const FrameEndpoints& ep, uint16_t src_port,
-                                   uint16_t dst_port,
-                                   std::span<const uint8_t> payload,
-                                   uint8_t dscp = 0, uint8_t ttl = 64);
-
-// TCP segment frame (no options).
-std::vector<uint8_t> BuildTcpFrame(const FrameEndpoints& ep, uint16_t src_port,
-                                   uint16_t dst_port, uint32_t seq,
-                                   uint32_t ack, uint8_t flags,
-                                   std::span<const uint8_t> payload,
-                                   uint16_t window = 65535);
-
-// ICMP echo request/reply frame.
-std::vector<uint8_t> BuildIcmpEchoFrame(const FrameEndpoints& ep,
-                                        IcmpType type, uint16_t identifier,
-                                        uint16_t sequence,
-                                        std::span<const uint8_t> payload);
-
-// ARP request: who-has target_ip, tell sender. Sent to broadcast.
-std::vector<uint8_t> BuildArpRequest(MacAddress sender_mac,
-                                     Ipv4Address sender_ip,
-                                     Ipv4Address target_ip);
-
-// ARP reply: target_ip is-at sender_mac, unicast to requester.
-std::vector<uint8_t> BuildArpReply(MacAddress sender_mac,
-                                   Ipv4Address sender_ip,
-                                   MacAddress requester_mac,
-                                   Ipv4Address requester_ip);
-
-// Pooled-packet builders: identical wire frames, but the buffer comes from
-// PacketPool::Default() so steady-state construction performs no heap
-// allocation. These are the hot-path entry points; the std::vector builders
-// above remain for callers that want raw bytes. The UDP, TCP and ICMP ones
-// return packets with checksums_valid() set.
 PacketPtr BuildUdpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, std::span<const uint8_t> payload,
                          uint8_t dscp = 0, uint8_t ttl = 64);
+// TCP segment frame (no options).
 PacketPtr BuildTcpPacket(const FrameEndpoints& ep, uint16_t src_port,
                          uint16_t dst_port, uint32_t seq, uint32_t ack,
                          uint8_t flags, std::span<const uint8_t> payload,
                          uint16_t window = 65535);
+// ICMP echo request/reply frame.
 PacketPtr BuildIcmpEchoPacket(const FrameEndpoints& ep, IcmpType type,
                               uint16_t identifier, uint16_t sequence,
                               std::span<const uint8_t> payload);
+// ARP request: who-has target_ip, tell sender. Sent to broadcast.
 PacketPtr BuildArpRequestPacket(MacAddress sender_mac, Ipv4Address sender_ip,
                                 Ipv4Address target_ip);
+// ARP reply: sender_ip is-at sender_mac, unicast to the requester.
 PacketPtr BuildArpReplyPacket(MacAddress sender_mac, Ipv4Address sender_ip,
                               MacAddress requester_mac,
                               Ipv4Address requester_ip);

@@ -14,7 +14,7 @@ StatusOr<Socket> Listener::Accept() {
     return FailedPreconditionError("listener not bound");
   }
   NORMAN_ASSIGN_OR_RETURN(kernel::AppPort port,
-                          kernel_->Accept(pid_, port_));
+                          kernel_->Accept(pid_, port_, proto_));
   return Socket(kernel_, std::move(port));
 }
 
@@ -22,7 +22,7 @@ void Listener::Stop() {
   if (!valid()) {
     return;
   }
-  (void)kernel_->StopListening(pid_, port_);
+  (void)kernel_->StopListening(pid_, port_, proto_);
   kernel_ = nullptr;
 }
 

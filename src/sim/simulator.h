@@ -142,11 +142,11 @@ class Simulator {
   Nanos Now() const { return now_; }
 
   // Schedule `fn` to run at absolute virtual time `when` (>= Now()).
-  void ScheduleAt(Nanos when, Callback fn);
+  void ScheduleAt(Nanos when, Callback fn) { Push(when, 0, std::move(fn)); }
 
   // Schedule `fn` to run `delay` ns from now.
   void ScheduleAfter(Nanos delay, Callback fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+    Push(now_ + delay, 0, std::move(fn));
   }
 
   // ---- deterministic core interleaving ------------------------------------
@@ -156,11 +156,11 @@ class Simulator {
   // rank keyed on (virtual time, core index): at horizon t, lane (t mod N)
   // is serviced first, then (t+1 mod N), and so on. The rotation makes the
   // schedule fair across lanes while staying a pure function of (t, lane),
-  // so runs are bit-reproducible at any core count and at any dispatch
-  // batch size. Untagged events (ScheduleAt) keep rank 0 and therefore
-  // fire before any lane service at the same horizon, exactly as they
-  // always have; with num_lanes() <= 1 every event has rank 0 and the
-  // schedule is bit-identical to the historical (when, seq) order.
+  // so runs are bit-reproducible at any core count. Untagged events
+  // (ScheduleAt) keep rank 0 and therefore fire before any lane service at
+  // the same horizon, exactly as they always have; with num_lanes() <= 1
+  // every event has rank 0 and the schedule is bit-identical to the
+  // historical (when, seq) order.
   static constexpr uint16_t kMaxLanes = 64;
 
   // Number of lanes the interleave schedule rotates over. Setting it does
@@ -171,58 +171,31 @@ class Simulator {
 
   // Schedule `fn` at `when` on behalf of `lane`. With lanes configured the
   // event carries the rotating lane rank; otherwise this is ScheduleAt.
-  void ScheduleAtLane(uint16_t lane, Nanos when, Callback fn);
+  void ScheduleAtLane(uint16_t lane, Nanos when, Callback fn) {
+    Push(when, LaneRank(lane, when), std::move(fn));
+  }
 
-  // Run events until the queue is empty. Drains in StepBatch() passes of
-  // dispatch_batch() events.
+  // Run events until the queue is empty.
   void Run();
 
   // Run events with time <= deadline; afterwards Now() == deadline (even if
   // the queue drained earlier), so rate computations over fixed windows work.
-  // Batched like Run(): every event a StepBatch() pass pops shares the ready
-  // horizon, so a deadline can never fall mid-batch — either the whole batch
-  // fires at or before it, or none of it does.
   void RunUntil(Nanos deadline);
 
-  // Run at most one event; returns false if the queue was empty.
+  // Run the earliest event, in (when, rank, seq) order; returns false if
+  // the queue was empty. The one dispatch body: Run() and RunUntil() loop
+  // on it.
   bool Step();
 
-  // Hard ceiling on one batch pass (sizes the inline dispatch buffer).
-  static constexpr uint32_t kMaxDispatchBatch = 64;
-  static constexpr uint32_t kDefaultDispatchBatch = 64;
-
-  // Pop up to max_n events that share the earliest pending timestamp (the
-  // ready horizon) in one heap pass, then dispatch them from an inline
-  // buffer in (when, seq) order. Only horizon-sharing events are batched:
-  // a callback may schedule new work at any time >= now, and that work must
-  // run before any already-buffered later-time event — so the buffer never
-  // spans timestamps. Same-time events scheduled from inside the batch get
-  // a higher sequence number than everything buffered and correctly run in
-  // a subsequent pass at the same horizon. Returns the number dispatched
-  // (0 when the queue was empty).
-  uint32_t StepBatch(uint32_t max_n);
-
-  // Batch size used by Run()/RunUntil(), clamped to [1, kMaxDispatchBatch].
-  // 1 reproduces the historical one-event-per-heap-visit loop exactly.
-  void set_dispatch_batch(uint32_t n);
-  uint32_t dispatch_batch() const { return dispatch_batch_; }
-
-  // Queue observers. Events a StepBatch() pass has popped but not yet run
-  // still count as pending: under per-event stepping they would sit in the
-  // heap while their same-time siblings dispatch, and callbacks that probe
-  // the queue (ConsumeTxRing's inline-continuation check, the kernel's
-  // interrupt re-arm) must see identical state at every batch size.
-  bool Idle() const { return heap_.empty() && batch_pending_ == 0; }
+  // Queue observers: an event is pending until Step() pops it.
+  bool Idle() const { return heap_.empty(); }
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return heap_.size() + batch_pending_; }
+  size_t pending_events() const { return heap_.size(); }
 
   // True if an already-scheduled event would fire at or before `when`.
   // Batched device loops use this to detect that an intermediate wake-up
   // event can be elided without reordering anything (see SmartNic TX fetch).
   bool HasEventAtOrBefore(Nanos when) const {
-    if (batch_pending_ != 0 && now_ <= when) {
-      return true;  // undispatched batch siblings fire "now"
-    }
     return !heap_.empty() && heap_.front()->when <= when;
   }
 
@@ -290,10 +263,8 @@ class Simulator {
 
   EventNode* AcquireNode();
   void ReleaseNode(EventNode* node);
-  // Multi-event tail of StepBatch(): pops the rest of the ready horizon
-  // into buf and dispatches first + buf in (when, seq) order.
-  uint32_t DrainHorizon(InlineCallback& first, InlineCallback* buf,
-                        uint32_t max_n, Nanos horizon);
+  // Queues `fn` at (when, rank, next seq); rank 0 for untagged events.
+  void Push(Nanos when, uint16_t rank, Callback&& fn);
 
   Nanos now_ = 0;
   uint64_t next_seq_ = 0;
@@ -303,31 +274,14 @@ class Simulator {
   std::vector<EventNode*> free_nodes_;
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   size_t last_slab_used_ = kSlabNodes;  // forces a slab on first acquire
-  uint32_t dispatch_batch_ = kDefaultDispatchBatch;
-  // Events popped into the current StepBatch() buffer but not yet run;
-  // see the queue-observer comment above. Additive so a callback that
-  // re-enters Step()/StepBatch() composes correctly.
-  uint32_t batch_pending_ = 0;
-  // Reusable dispatch buffer for multi-event horizon drains, constructed
-  // once so the hot path never pays per-pass InlineCallback array setup.
-  // busy_ guards against a callback re-entering StepBatch(); the rare
-  // recursive pass falls back to a stack-local buffer.
-  InlineCallback dispatch_buf_[kMaxDispatchBatch];
-  bool dispatch_buf_busy_ = false;
   PoolCounters node_counters_{"event"};
   telemetry::MetricsRegistry metrics_;
   telemetry::Profiler profiler_;
   telemetry::Tracepoints tracepoints_{&metrics_};
   telemetry::FlightRecorder flight_recorder_{&tracepoints_};
-  // Root attribution frame: every StepBatch() pass runs under "dispatch",
-  // so device scopes (nic.tx, kernel.slow_path, ...) nest beneath it.
+  // Root attribution frame: every event runs under "dispatch", so device
+  // scopes (nic.tx, kernel.slow_path, ...) nest beneath it.
   telemetry::ProfSite dispatch_site_{"dispatch"};
-  // Dispatch telemetry, added once per batch pass (never per event):
-  // batches = StepBatch passes, batched events / batches = mean burst size.
-  telemetry::Counter* dispatch_batches_ =
-      metrics_.GetCounter("sim.dispatch.batches");
-  telemetry::Counter* dispatch_events_ =
-      metrics_.GetCounter("sim.dispatch.batched_events");
 };
 
 }  // namespace norman::sim

@@ -79,9 +79,8 @@ TEST(SnifferTest, OverlayFilterSelectsTraffic) {
   tap.Process(udp->packet, udp->ctx);
   EXPECT_EQ(tap.captured(), 0u);
 
-  auto arp_frame = net::BuildArpRequest(net::MacAddress::ForHost(3),
-                                        test::kLocalIp, test::kRemoteIp);
-  net::Packet arp_packet(arp_frame);
+  net::Packet arp_packet(test::Bytes(net::BuildArpRequestPacket(
+      net::MacAddress::ForHost(3), test::kLocalIp, test::kRemoteIp)));
   auto parsed = *net::ParseFrame(arp_packet.bytes());
   overlay::PacketContext ctx;
   ctx.frame = arp_packet.bytes();
@@ -207,9 +206,8 @@ TEST_F(NatTest, RxReverseTranslates) {
   net::FrameEndpoints reply_ep{net::MacAddress::ForHost(2),
                                net::MacAddress::ForHost(1), test::kRemoteIp,
                                Ipv4Address::FromOctets(203, 0, 113, 7)};
-  auto reply_frame = net::BuildUdpFrame(reply_ep, 80, public_port,
-                                        std::vector<uint8_t>(8, 1));
-  net::Packet reply(reply_frame);
+  net::Packet reply(test::Bytes(net::BuildUdpPacket(
+      reply_ep, 80, public_port, std::vector<uint8_t>(8, 1))));
   auto parsed = *net::ParseFrame(reply.bytes());
   overlay::PacketContext ctx;
   ctx.frame = reply.bytes();
@@ -251,8 +249,8 @@ TEST_F(NatTest, OutsidePrefixUntouched) {
                          net::MacAddress::ForHost(2),
                          Ipv4Address::FromOctets(172, 16, 0, 1),
                          test::kRemoteIp};
-  auto frame = net::BuildUdpFrame(ep, 1111, 80, std::vector<uint8_t>(4, 0));
-  net::Packet packet(frame);
+  net::Packet packet(test::Bytes(
+      net::BuildUdpPacket(ep, 1111, 80, std::vector<uint8_t>(4, 0))));
   auto parsed = *net::ParseFrame(packet.bytes());
   overlay::PacketContext ctx;
   ctx.frame = packet.bytes();
@@ -277,9 +275,8 @@ TEST_F(NatTest, SramExhaustionDropsNewFlows) {
 }
 
 TEST_F(NatTest, NonIpPassesThrough) {
-  auto arp_frame = net::BuildArpRequest(net::MacAddress::ForHost(1),
-                                        test::kLocalIp, test::kRemoteIp);
-  net::Packet packet(arp_frame);
+  net::Packet packet(test::Bytes(net::BuildArpRequestPacket(
+      net::MacAddress::ForHost(1), test::kLocalIp, test::kRemoteIp)));
   auto parsed = *net::ParseFrame(packet.bytes());
   overlay::PacketContext ctx;
   ctx.frame = packet.bytes();
@@ -439,10 +436,10 @@ class ArpTest : public ::testing::Test {
   }
 
   std::unique_ptr<test::ContextBundle> ArpContext(
-      std::vector<uint8_t> frame, net::Direction dir,
+      const net::PacketPtr& frame, net::Direction dir,
       ConnMetadata owner = {}) {
     auto b = std::make_unique<test::ContextBundle>();
-    b->frame = std::move(frame);
+    b->frame = test::Bytes(frame);
     b->packet = net::Packet(b->frame);
     b->parsed = *net::ParseFrame(b->packet.bytes());
     b->ctx.frame = b->packet.bytes();
@@ -460,9 +457,9 @@ class ArpTest : public ::testing::Test {
 
 TEST_F(ArpTest, AnswersRequestsForLocalIp) {
   auto req = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(9),
-                           Ipv4Address::FromOctets(10, 0, 0, 9),
-                           test::kLocalIp),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 9),
+                                 test::kLocalIp),
       Direction::kRx);
   const auto result = arp_.Process(req->packet, req->ctx);
   EXPECT_EQ(result.verdict, nic::Verdict::kDrop);  // consumed by the NIC
@@ -478,9 +475,9 @@ TEST_F(ArpTest, AnswersRequestsForLocalIp) {
 
 TEST_F(ArpTest, IgnoresRequestsForOtherIps) {
   auto req = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(9),
-                           Ipv4Address::FromOctets(10, 0, 0, 9),
-                           Ipv4Address::FromOctets(10, 0, 0, 77)),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 77)),
       Direction::kRx);
   EXPECT_EQ(arp_.Process(req->packet, req->ctx).verdict,
             nic::Verdict::kAccept);
@@ -494,8 +491,8 @@ TEST_F(ArpTest, AdditionalLocalAddressesAnswered) {
   const auto vip = Ipv4Address::FromOctets(10, 0, 0, 200);
   arp_.AddLocalAddress(vip);
   auto req = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(9),
-                           Ipv4Address::FromOctets(10, 0, 0, 9), vip),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 9), vip),
       Direction::kRx);
   arp_.Process(req->packet, req->ctx);
   EXPECT_EQ(arp_.replies_generated(), 1u);
@@ -504,9 +501,9 @@ TEST_F(ArpTest, AdditionalLocalAddressesAnswered) {
 TEST_F(ArpTest, TxObservationRecordsOwner) {
   // The buggy-app forensic record: app-originated ARP tagged with its pid.
   auto req = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(66),
-                           Ipv4Address::FromOctets(10, 0, 0, 66),
-                           test::kRemoteIp),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(66),
+                                 Ipv4Address::FromOctets(10, 0, 0, 66),
+                                 test::kRemoteIp),
       Direction::kTx, ConnMetadata{5, 1002, 4321, 2, 9});
   EXPECT_EQ(arp_.Process(req->packet, req->ctx).verdict,
             nic::Verdict::kAccept);
@@ -528,15 +525,15 @@ TEST_F(ArpTest, NonArpIgnored) {
 
 TEST_F(ArpTest, CacheUpdatesOnNewerObservation) {
   auto r1 = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(9),
-                           Ipv4Address::FromOctets(10, 0, 0, 9),
-                           Ipv4Address::FromOctets(10, 0, 0, 99)),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 9),
+                                 Ipv4Address::FromOctets(10, 0, 0, 99)),
       Direction::kRx);
   arp_.Process(r1->packet, r1->ctx);
   auto r2 = ArpContext(
-      net::BuildArpRequest(net::MacAddress::ForHost(10),
-                           Ipv4Address::FromOctets(10, 0, 0, 9),  // same IP
-                           Ipv4Address::FromOctets(10, 0, 0, 99)),
+      net::BuildArpRequestPacket(net::MacAddress::ForHost(10),
+                                 Ipv4Address::FromOctets(10, 0, 0, 9),  // same
+                                 Ipv4Address::FromOctets(10, 0, 0, 99)),
       Direction::kRx);
   arp_.Process(r2->packet, r2->ctx);
   const auto& entry =

@@ -27,8 +27,8 @@ struct RunTrace {
 
 RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
                   bool monitor = false, bool fastpath = false,
-                  uint32_t dispatch_batch = 0, bool profiler = false,
-                  bool tracepoints = false, uint16_t shard_queues = 0) {
+                  bool profiler = false, bool tracepoints = false,
+                  uint16_t shard_queues = 0) {
   workload::TestBedOptions opts;
   opts.echo = true;
   if (monitor) {
@@ -37,9 +37,6 @@ RunTrace RunWorld(uint64_t seed, uint32_t trace_sample = 0,
     opts.kernel.housekeeping_period = 250 * kMicrosecond;
   }
   workload::TestBed bed(opts);
-  if (dispatch_batch != 0) {
-    bed.sim().set_dispatch_batch(dispatch_batch);
-  }
   bed.sim().tracepoints().set_span_sample_interval(trace_sample);
   if (profiler) {
     bed.sim().profiler().set_enabled(true);
@@ -143,7 +140,7 @@ TEST(DeterminismTest, TracingOnMatchesGoldenTrace) {
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/1));
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/64));
   ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/1, /*monitor=*/false,
-                               /*fastpath=*/false, 0, /*profiler=*/false,
+                               /*fastpath=*/false, /*profiler=*/false,
                                /*tracepoints=*/true));
 }
 
@@ -178,54 +175,19 @@ TEST(DeterminismTest, FastPathOnMatchesGoldenTrajectory) {
   EXPECT_EQ(again.completions, t.completions);
 }
 
-// Batched event dispatch (StepBatch) only groups events that already share
-// the ready horizon, so the dispatch *order* is untouched by construction —
-// but batching also changes when callbacks observe the heap (undispatched
-// siblings live in a buffer, not the heap) and when device loops decide to
-// continue inline. This pins the whole trajectory, final clock included, at
-// batch sizes 1 (the historical per-event loop), 8, and 64: any divergence
-// means batching leaked into observable virtual-time behavior.
-TEST(DeterminismTest, GoldenTraceIdenticalAtEveryDispatchBatchSize) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                 /*fastpath=*/false, batch));
-  }
-}
-
-// Same pinning for the fast-path trajectory: the verdict cache and the TX
-// consumer's per-burst lookup hoisting must not shift a single completion
-// timestamp.
-TEST(DeterminismTest, FastPathGoldenIdenticalAtEveryDispatchBatchSize) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                /*fastpath=*/true, batch);
-    EXPECT_EQ(t.egress_frames, 413u);
-    EXPECT_EQ(t.egress_bytes, 202446u);
-    ASSERT_EQ(t.completions.size(), 413u);
-    EXPECT_EQ(Fnv1aHash(t.completions), 12554163209316526794ULL);
-    EXPECT_EQ(t.final_time, 5052014);
-  }
-}
-
 // The profiler, like the tracer, is pure observation: no events, no RNG,
 // no virtual-time cost. With attribution fully enabled the trajectory must
-// still match the pre-telemetry golden bit-for-bit at every batch size —
-// and the profiler's own exports must be byte-stable across reruns.
+// still match the pre-telemetry golden bit-for-bit — and the profiler's own
+// exports must be byte-stable across reruns.
 TEST(DeterminismTest, ProfilerOnMatchesGoldenTrace) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                 /*fastpath=*/false, batch,
-                                 /*profiler=*/true));
-  }
+  ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
+                               /*fastpath=*/false, /*profiler=*/true));
 }
 
 TEST(DeterminismTest, ProfilerExportsAreByteStable) {
-  const RunTrace a = RunWorld(42, 0, false, /*fastpath=*/true, 0,
+  const RunTrace a = RunWorld(42, 0, false, /*fastpath=*/true,
                               /*profiler=*/true);
-  const RunTrace b = RunWorld(42, 0, false, /*fastpath=*/true, 0,
+  const RunTrace b = RunWorld(42, 0, false, /*fastpath=*/true,
                               /*profiler=*/true);
   EXPECT_FALSE(a.prof_json.empty());
   EXPECT_EQ(a.folded_stacks, b.folded_stacks);
@@ -235,48 +197,42 @@ TEST(DeterminismTest, ProfilerExportsAreByteStable) {
 // Armed tracepoints, like the tracer and the profiler, are pure
 // observation: no events, no RNG, no virtual-time cost, no steady-state
 // allocation. With every probe armed the trajectory must match the
-// pre-telemetry golden bit-for-bit at batch sizes 1, 8 and 64.
+// pre-telemetry golden bit-for-bit.
 TEST(DeterminismTest, TracepointsArmedMatchesGoldenTrace) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                 /*fastpath=*/false, batch,
-                                 /*profiler=*/false, /*tracepoints=*/true));
-  }
+  ExpectMatchesGolden(RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
+                               /*fastpath=*/false, /*profiler=*/false,
+                               /*tracepoints=*/true));
 }
 
 // Same pinning over the fast-path trajectory, where the flow-cache probes
 // (install/evict/invalidate) actually fire.
 TEST(DeterminismTest, TracepointsArmedFastPathGoldenHolds) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                /*fastpath=*/true, batch,
-                                /*profiler=*/false, /*tracepoints=*/true);
-    EXPECT_EQ(t.egress_frames, 413u);
-    EXPECT_EQ(t.egress_bytes, 202446u);
-    ASSERT_EQ(t.completions.size(), 413u);
-    EXPECT_EQ(Fnv1aHash(t.completions), 12554163209316526794ULL);
-    EXPECT_EQ(t.final_time, 5052014);
-  }
+  const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
+                              /*fastpath=*/true, /*profiler=*/false,
+                              /*tracepoints=*/true);
+  EXPECT_EQ(t.egress_frames, 413u);
+  EXPECT_EQ(t.egress_bytes, 202446u);
+  ASSERT_EQ(t.completions.size(), 413u);
+  EXPECT_EQ(Fnv1aHash(t.completions), 12554163209316526794ULL);
+  EXPECT_EQ(t.final_time, 5052014);
 }
 
 // The decoded journal itself must be byte-stable across reruns — the
 // postmortem bundle's core section rests on this — with probes alone and
 // with packet spans interleaved among them.
 TEST(DeterminismTest, TracepointsJournalIsByteStable) {
-  const RunTrace a = RunWorld(42, 0, /*monitor=*/true, /*fastpath=*/true, 0,
+  const RunTrace a = RunWorld(42, 0, /*monitor=*/true, /*fastpath=*/true,
                               /*profiler=*/false, /*tracepoints=*/true);
-  const RunTrace b = RunWorld(42, 0, /*monitor=*/true, /*fastpath=*/true, 0,
+  const RunTrace b = RunWorld(42, 0, /*monitor=*/true, /*fastpath=*/true,
                               /*profiler=*/false, /*tracepoints=*/true);
   EXPECT_GT(a.journal_json.size(), 2u);  // more than "[]"
   EXPECT_EQ(a.journal_json, b.journal_json);
 
   const RunTrace sa = RunWorld(42, /*trace_sample=*/1, /*monitor=*/true,
-                               /*fastpath=*/true, 0, /*profiler=*/false,
+                               /*fastpath=*/true, /*profiler=*/false,
                                /*tracepoints=*/true);
   const RunTrace sb = RunWorld(42, /*trace_sample=*/1, /*monitor=*/true,
-                               /*fastpath=*/true, 0, /*profiler=*/false,
+                               /*fastpath=*/true, /*profiler=*/false,
                                /*tracepoints=*/true);
   EXPECT_NE(sa.journal_json.find("\"probe\":\"pkt.span\""),
             std::string::npos);
@@ -288,28 +244,21 @@ TEST(DeterminismTest, TracepointsJournalIsByteStable) {
 // so completion timestamps shift vs. the one-lane golden — once. Captured
 // when sharding landed; any drift after that is a real sharding bug
 // (nondeterministic steering, lane-interleave instability, or a lost or
-// duplicated frame). Also pinned across dispatch batch sizes: the lane
-// round-robin must be invariant to how many same-horizon events the
-// simulator dispatches per step.
+// duplicated frame).
 TEST(DeterminismTest, MulticoreInterleaveGolden) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
-                                /*fastpath=*/false, batch,
-                                /*profiler=*/false, /*tracepoints=*/false,
-                                /*shard_queues=*/4);
-    EXPECT_EQ(t.egress_frames, 413u);
-    EXPECT_EQ(t.egress_bytes, 202446u);
-    ASSERT_EQ(t.completions.size(), 413u);
-    EXPECT_EQ(Fnv1aHash(t.completions), 15723838227408439630ULL);
-    EXPECT_EQ(t.final_time, 5052014);
-  }
+  const RunTrace t = RunWorld(42, /*trace_sample=*/0, /*monitor=*/false,
+                              /*fastpath=*/false, /*profiler=*/false,
+                              /*tracepoints=*/false, /*shard_queues=*/4);
+  EXPECT_EQ(t.egress_frames, 413u);
+  EXPECT_EQ(t.egress_bytes, 202446u);
+  ASSERT_EQ(t.completions.size(), 413u);
+  EXPECT_EQ(Fnv1aHash(t.completions), 15723838227408439630ULL);
+  EXPECT_EQ(t.final_time, 5052014);
   // Rerunning must be bit-identical at any queue count.
-  const RunTrace a = RunWorld(42, 0, false, false, 0, false, false, 4);
-  const RunTrace b = RunWorld(42, 0, false, false, 0, false, false, 4);
-  EXPECT_EQ(a.completions, b.completions);
-  const RunTrace e8a = RunWorld(42, 0, false, false, 0, false, false, 8);
-  const RunTrace e8b = RunWorld(42, 0, false, false, 0, false, false, 8);
+  const RunTrace a = RunWorld(42, 0, false, false, false, false, 4);
+  EXPECT_EQ(a.completions, t.completions);
+  const RunTrace e8a = RunWorld(42, 0, false, false, false, false, 8);
+  const RunTrace e8b = RunWorld(42, 0, false, false, false, false, 8);
   EXPECT_EQ(e8a.completions, e8b.completions);
 }
 

@@ -220,9 +220,8 @@ TEST(FilterEngineTest, ProtocolRuleDoesNotMatchNonIp) {
   ASSERT_TRUE(engine.AppendRule(rule).ok());
 
   // ARP frame: proto rules must not match.
-  auto arp_frame = net::BuildArpRequest(net::MacAddress::ForHost(1),
-                                        test::kLocalIp, test::kRemoteIp);
-  net::Packet packet(arp_frame);
+  net::Packet packet(test::Bytes(net::BuildArpRequestPacket(
+      net::MacAddress::ForHost(1), test::kLocalIp, test::kRemoteIp)));
   auto parsed = *net::ParseFrame(packet.bytes());
   overlay::PacketContext ctx;
   ctx.frame = packet.bytes();

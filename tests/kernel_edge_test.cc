@@ -181,9 +181,25 @@ TEST_F(KernelEdgeTest, RateLimitClearedOnClose) {
 }
 
 TEST_F(KernelEdgeTest, ExitedProcessCannotConnect) {
-  ASSERT_TRUE(bed_.kernel().processes().Exit(pid_).ok());
-  EXPECT_EQ(bed_.kernel().Connect(pid_, kPeerIp, 80, {}).status().code(),
+  // The process exits holding a connection it opened and a listener with
+  // one connection still waiting to be accepted.
+  auto& k = bed_.kernel();
+  ASSERT_TRUE(k.Connect(pid_, kPeerIp, 80, {}).ok());
+  ASSERT_TRUE(k.Listen(pid_, 8080, net::IpProto::kUdp).ok());
+  bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
+  bed_.sim().Run();
+  ASSERT_EQ(k.ListConnections().size(), 2u);
+
+  ASSERT_TRUE(k.Exit(pid_).ok());
+  EXPECT_EQ(k.Connect(pid_, kPeerIp, 80, {}).status().code(),
             StatusCode::kNotFound);
+  // Exit released every byte of NIC state the process held...
+  EXPECT_TRUE(k.ListConnections().empty());
+  EXPECT_EQ(k.nic_control().flow_table().size(), 0u);
+  EXPECT_EQ(k.nic_control().sram().UsedBy("flow_table"), 0u);
+  // ...and its port: another process can listen there again.
+  const Pid next = *k.processes().Spawn(1, "next");
+  EXPECT_TRUE(k.Listen(next, 8080, net::IpProto::kUdp).ok());
 }
 
 TEST_F(KernelEdgeTest, ManyConnectionsGetUniquePorts) {

@@ -242,11 +242,11 @@ TEST_F(KernelTest, SoftwareFallbackWhenNicSramExhausted) {
   EXPECT_EQ(d.status().code(), StatusCode::kResourceExhausted);
 
   // Fallback connection still transmits (through the host path + NIC).
-  auto frame = net::MakePacket(net::BuildUdpFrame(
+  auto frame = net::BuildUdpPacket(
       net::FrameEndpoints{bed.kernel().options().host_mac,
                           net::MacAddress::ForHost(2),
                           bed.kernel().options().host_ip, kPeerIp},
-      c->tuple().src_port, 3, std::vector<uint8_t>(10, 1)));
+      c->tuple().src_port, 3, std::vector<uint8_t>(10, 1));
   frame->meta().connection = c->conn_id();
   ASSERT_TRUE(bed.kernel().SoftwareTransmit(c->conn_id(), std::move(frame)).ok());
   bed.sim().Run();
@@ -382,8 +382,8 @@ TEST_F(KernelTest, SnifferSeesDroppedTraffic) {
 
 TEST_F(KernelTest, ArpRequestsAnsweredFromNic) {
   // A peer ARPs for the host IP; the NIC answers without host involvement.
-  auto req = net::MakePacket(net::BuildArpRequest(
-      net::MacAddress::ForHost(2), kPeerIp, bed_.kernel().options().host_ip));
+  auto req = net::BuildArpRequestPacket(
+      net::MacAddress::ForHost(2), kPeerIp, bed_.kernel().options().host_ip);
   bed_.InjectFromNetwork(std::move(req), 100);
   bed_.sim().Run();
   ASSERT_EQ(bed_.egress_frames(), 1u);

@@ -121,8 +121,9 @@ TEST_F(ListenAcceptTest, OnlyListenerMayAccept) {
   // A different process cannot accept on this port even with its own
   // Listener-shaped handle: the kernel checks the registered pid.
   const auto other = *bed_.kernel().processes().Spawn(1000, "other");
-  EXPECT_EQ(bed_.kernel().Accept(other, 8080).status().code(),
-            StatusCode::kPermissionDenied);
+  EXPECT_EQ(
+      bed_.kernel().Accept(other, 8080, net::IpProto::kUdp).status().code(),
+      StatusCode::kPermissionDenied);
 }
 
 TEST_F(ListenAcceptTest, PortCollisionRejected) {
@@ -134,7 +135,28 @@ TEST_F(ListenAcceptTest, PortCollisionRejected) {
   // Different proto on the same port is fine.
   auto tcp = Listener::Create(&bed_.kernel(), server_pid_, 8080,
                               net::IpProto::kTcp);
-  EXPECT_TRUE(tcp.ok());
+  ASSERT_TRUE(tcp.ok());
+  // Each listener accepts its own protocol's connections: the UDP peer's
+  // connection comes out of the UDP listener, the TCP one has none.
+  bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
+  bed_.sim().Run();
+  auto conn = listener.Accept();
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  EXPECT_EQ(conn->tuple().proto, net::IpProto::kUdp);
+  EXPECT_EQ(tcp->Accept().status().code(), StatusCode::kUnavailable);
+  // Destroying the UDP listener first unbinds UDP only.
+  listener = Listener();
+  EXPECT_EQ(bed_.kernel()
+                .Accept(server_pid_, 8080, net::IpProto::kUdp)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Listener::Create(&bed_.kernel(), server_pid_, 8080,
+                             net::IpProto::kTcp)
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(tcp->Accept().status().code(), StatusCode::kUnavailable);
 }
 
 TEST_F(ListenAcceptTest, ListenerDestructionDropsNewPeers) {
@@ -145,7 +167,10 @@ TEST_F(ListenAcceptTest, ListenerDestructionDropsNewPeers) {
   bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
   bed_.sim().Run();
   // Nobody is listening: no connection was installed.
-  EXPECT_EQ(bed_.kernel().Accept(server_pid_, 8080).status().code(),
+  EXPECT_EQ(bed_.kernel()
+                .Accept(server_pid_, 8080, net::IpProto::kUdp)
+                .status()
+                .code(),
             StatusCode::kNotFound);
   EXPECT_TRUE(bed_.kernel().ListConnections().empty());
 }

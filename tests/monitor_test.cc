@@ -357,17 +357,16 @@ TEST(SnifferTest, CaptureBufferIsBounded) {
                                net::MacAddress::ForHost(2),
                                net::Ipv4Address::FromOctets(10, 0, 0, 1),
                                net::Ipv4Address::FromOctets(10, 0, 0, 2)};
-  const auto frame =
-      net::BuildUdpFrame(ep, 1111, 2222, std::vector<uint8_t>(64, 0xcd));
-  const auto parsed = *net::ParseFrame(frame);
+  const net::PacketPtr packet =
+      net::BuildUdpPacket(ep, 1111, 2222, std::vector<uint8_t>(64, 0xcd));
+  const auto parsed = *net::ParseFrame(packet->bytes());
   overlay::PacketContext ctx;
-  ctx.frame = frame;
+  ctx.frame = packet->bytes();
   ctx.parsed = &parsed;
   ctx.direction = net::Direction::kTx;
 
-  net::Packet packet(frame);
   for (int i = 0; i < 5; ++i) {
-    tap.Process(packet, ctx);
+    tap.Process(*packet, ctx);
   }
   // tcpdump -c semantics: the first 3 are retained, 2 overflowed, and the
   // pcap byte stream stays consistent with the record list.

@@ -28,9 +28,9 @@ class NicServicesTest : public ::testing::Test {
   net::PacketPtr PingFrame(uint16_t seq, Ipv4Address target) {
     net::FrameEndpoints ep{MacAddress::ForHost(2),
                            bed_.kernel().options().host_mac, kPeerIp, target};
-    return net::MakePacket(net::BuildIcmpEchoFrame(
-        ep, net::IcmpType::kEchoRequest, /*id=*/7, seq,
-        std::vector<uint8_t>(24, 0x42)));
+    return net::BuildIcmpEchoPacket(ep, net::IcmpType::kEchoRequest,
+                                    /*id=*/7, seq,
+                                    std::vector<uint8_t>(24, 0x42));
   }
 
   workload::TestBed bed_;
@@ -92,12 +92,10 @@ TEST_F(NicServicesTest, CustomTxPolicyDropsLowTtl) {
   net::FrameEndpoints ep{bed_.kernel().options().host_mac,
                          MacAddress::ForHost(2),
                          bed_.kernel().options().host_ip, kPeerIp};
-  auto low_ttl = net::BuildUdpFrame(ep, sock->tuple().src_port, 5000,
-                                    std::vector<uint8_t>(8, 1), /*dscp=*/0,
-                                    /*ttl=*/2);
-  ASSERT_TRUE(
-      sock->SendFrame(net::MakePacket(std::move(low_ttl)))
-          .ok());
+  auto low_ttl = net::BuildUdpPacket(ep, sock->tuple().src_port, 5000,
+                                     std::vector<uint8_t>(8, 1), /*dscp=*/0,
+                                     /*ttl=*/2);
+  ASSERT_TRUE(sock->SendFrame(std::move(low_ttl)).ok());
   bed_.sim().Run();
   EXPECT_EQ(bed_.egress_frames(), 1u);  // dropped by the custom policy
   EXPECT_EQ(bed_.nic().stats().tx_dropped(), 1u);

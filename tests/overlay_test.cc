@@ -29,7 +29,8 @@ TestPacket MakeUdpPacket(uint16_t src_port, uint16_t dst_port,
                     Ipv4Address::FromOctets(10, 0, 0, 1),
                     Ipv4Address::FromOctets(10, 0, 0, 2)};
   const std::vector<uint8_t> payload(32, 0xee);
-  tp.frame = BuildUdpFrame(ep, src_port, dst_port, payload);
+  const net::PacketPtr built = BuildUdpPacket(ep, src_port, dst_port, payload);
+  tp.frame.assign(built->bytes().begin(), built->bytes().end());
   tp.parsed = *net::ParseFrame(tp.frame);
   tp.ctx.frame = tp.frame;
   tp.ctx.parsed = &tp.parsed;

@@ -38,7 +38,8 @@ bool TransportChecksumValid(const ParsedPacket& p,
 
 TEST(PacketBuilderTest, UdpFrameParsesBack) {
   const auto payload = Payload(100);
-  auto frame = BuildUdpFrame(TestEndpoints(), 5432, 9999, payload);
+  const PacketPtr packet = BuildUdpPacket(TestEndpoints(), 5432, 9999, payload);
+  const auto frame = packet->bytes();
   auto p = ParseFrame(frame);
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_udp());
@@ -48,14 +49,14 @@ TEST(PacketBuilderTest, UdpFrameParsesBack) {
   EXPECT_EQ(p->payload_size(), 100u);
   EXPECT_EQ(p->ipv4->total_length,
             kIpv4MinHeaderSize + kUdpHeaderSize + 100);
-  EXPECT_TRUE(Ipv4Header::ChecksumValid(
-      std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)));
+  EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)));
   EXPECT_TRUE(TransportChecksumValid(*p, frame));
 }
 
 TEST(PacketBuilderTest, UdpFlowMatchesEndpoints) {
-  auto frame = BuildUdpFrame(TestEndpoints(), 1111, 2222, Payload(10));
-  auto p = ParseFrame(frame);
+  const PacketPtr packet =
+      BuildUdpPacket(TestEndpoints(), 1111, 2222, Payload(10));
+  auto p = ParseFrame(packet->bytes());
   ASSERT_TRUE(p.has_value());
   auto flow = p->flow();
   ASSERT_TRUE(flow.has_value());
@@ -67,9 +68,10 @@ TEST(PacketBuilderTest, UdpFlowMatchesEndpoints) {
 }
 
 TEST(PacketBuilderTest, TcpFrameParsesBack) {
-  auto frame = BuildTcpFrame(TestEndpoints(), 22, 40000, /*seq=*/7,
-                             /*ack=*/9, TcpFlags::kPsh | TcpFlags::kAck,
-                             Payload(64));
+  const PacketPtr packet = BuildTcpPacket(
+      TestEndpoints(), 22, 40000, /*seq=*/7, /*ack=*/9,
+      TcpFlags::kPsh | TcpFlags::kAck, Payload(64));
+  const auto frame = packet->bytes();
   auto p = ParseFrame(frame);
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_tcp());
@@ -82,22 +84,23 @@ TEST(PacketBuilderTest, TcpFrameParsesBack) {
 }
 
 TEST(PacketBuilderTest, IcmpEchoFrame) {
-  auto frame = BuildIcmpEchoFrame(TestEndpoints(), IcmpType::kEchoRequest,
-                                  42, 1, Payload(32));
-  auto p = ParseFrame(frame);
+  const PacketPtr packet = BuildIcmpEchoPacket(
+      TestEndpoints(), IcmpType::kEchoRequest, 42, 1, Payload(32));
+  auto p = ParseFrame(packet->bytes());
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_icmp());
   EXPECT_EQ(p->icmp->identifier, 42);
   // ICMP checksum folds to zero over the whole body.
-  auto l4 = std::span<const uint8_t>(frame).subspan(p->l4_offset);
+  auto l4 = packet->bytes().subspan(p->l4_offset);
   EXPECT_EQ(InternetChecksum(l4), 0);
 }
 
 TEST(PacketBuilderTest, ArpRequestIsBroadcast) {
-  auto frame = BuildArpRequest(MacAddress::ForHost(3),
-                               Ipv4Address::FromOctets(10, 0, 0, 3),
-                               Ipv4Address::FromOctets(10, 0, 0, 7));
-  auto p = ParseFrame(frame);
+  const PacketPtr packet =
+      BuildArpRequestPacket(MacAddress::ForHost(3),
+                            Ipv4Address::FromOctets(10, 0, 0, 3),
+                            Ipv4Address::FromOctets(10, 0, 0, 7));
+  auto p = ParseFrame(packet->bytes());
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_arp());
   EXPECT_TRUE(p->eth.dst.IsBroadcast());
@@ -107,11 +110,10 @@ TEST(PacketBuilderTest, ArpRequestIsBroadcast) {
 }
 
 TEST(PacketBuilderTest, ArpReplyIsUnicast) {
-  auto frame = BuildArpReply(MacAddress::ForHost(7),
-                             Ipv4Address::FromOctets(10, 0, 0, 7),
-                             MacAddress::ForHost(3),
-                             Ipv4Address::FromOctets(10, 0, 0, 3));
-  auto p = ParseFrame(frame);
+  const PacketPtr packet = BuildArpReplyPacket(
+      MacAddress::ForHost(7), Ipv4Address::FromOctets(10, 0, 0, 7),
+      MacAddress::ForHost(3), Ipv4Address::FromOctets(10, 0, 0, 3));
+  auto p = ParseFrame(packet->bytes());
   ASSERT_TRUE(p.has_value());
   ASSERT_TRUE(p->is_arp());
   EXPECT_EQ(p->eth.dst, MacAddress::ForHost(3));
@@ -120,7 +122,9 @@ TEST(PacketBuilderTest, ArpReplyIsUnicast) {
 }
 
 TEST(RewriteTest, SourceRewritePreservesChecksums) {
-  auto frame = BuildUdpFrame(TestEndpoints(), 1000, 2000, Payload(40));
+  const PacketPtr packet =
+      BuildUdpPacket(TestEndpoints(), 1000, 2000, Payload(40));
+  const auto frame = packet->mutable_bytes();
   ASSERT_TRUE(RewriteSource(frame, Ipv4Address::FromOctets(192, 168, 9, 9),
                             31337));
   auto p = ParseFrame(frame);
@@ -129,14 +133,14 @@ TEST(RewriteTest, SourceRewritePreservesChecksums) {
   EXPECT_EQ(p->ipv4->src, Ipv4Address::FromOctets(192, 168, 9, 9));
   EXPECT_EQ(p->udp->src_port, 31337);
   EXPECT_EQ(p->ipv4->dst, Ipv4Address::FromOctets(10, 0, 0, 2));  // untouched
-  EXPECT_TRUE(Ipv4Header::ChecksumValid(
-      std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)));
+  EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)));
   EXPECT_TRUE(TransportChecksumValid(*p, frame));
 }
 
 TEST(RewriteTest, DestinationRewritePreservesChecksums) {
-  auto frame = BuildTcpFrame(TestEndpoints(), 1000, 2000, 1, 2,
-                             TcpFlags::kAck, Payload(10));
+  const PacketPtr packet = BuildTcpPacket(TestEndpoints(), 1000, 2000, 1, 2,
+                                          TcpFlags::kAck, Payload(10));
+  const auto frame = packet->mutable_bytes();
   ASSERT_TRUE(RewriteDestination(frame,
                                  Ipv4Address::FromOctets(172, 16, 5, 5), 80));
   auto p = ParseFrame(frame);
@@ -144,8 +148,7 @@ TEST(RewriteTest, DestinationRewritePreservesChecksums) {
   ASSERT_TRUE(p->is_tcp());
   EXPECT_EQ(p->ipv4->dst, Ipv4Address::FromOctets(172, 16, 5, 5));
   EXPECT_EQ(p->tcp->dst_port, 80);
-  EXPECT_TRUE(Ipv4Header::ChecksumValid(
-      std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)));
+  EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)));
   EXPECT_TRUE(TransportChecksumValid(*p, frame));
 }
 
@@ -154,16 +157,17 @@ TEST(RewriteTest, RandomizedRewritesAlwaysChecksumClean) {
   for (int trial = 0; trial < 200; ++trial) {
     const bool udp = rng.NextBool(0.5);
     const auto payload = Payload(rng.NextBounded(200));
-    auto frame =
-        udp ? BuildUdpFrame(TestEndpoints(),
-                            static_cast<uint16_t>(rng.NextInRange(1, 65535)),
-                            static_cast<uint16_t>(rng.NextInRange(1, 65535)),
-                            payload)
-            : BuildTcpFrame(TestEndpoints(),
-                            static_cast<uint16_t>(rng.NextInRange(1, 65535)),
-                            static_cast<uint16_t>(rng.NextInRange(1, 65535)),
-                            rng.NextU32(), rng.NextU32(), TcpFlags::kAck,
-                            payload);
+    const PacketPtr packet =
+        udp ? BuildUdpPacket(TestEndpoints(),
+                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
+                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
+                             payload)
+            : BuildTcpPacket(TestEndpoints(),
+                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
+                             static_cast<uint16_t>(rng.NextInRange(1, 65535)),
+                             rng.NextU32(), rng.NextU32(), TcpFlags::kAck,
+                             payload);
+    const auto frame = packet->mutable_bytes();
     const Ipv4Address new_ip{rng.NextU32()};
     const auto new_port = static_cast<uint16_t>(rng.NextInRange(1, 65535));
     ASSERT_TRUE(rng.NextBool(0.5) ? RewriteSource(frame, new_ip, new_port)
@@ -171,18 +175,18 @@ TEST(RewriteTest, RandomizedRewritesAlwaysChecksumClean) {
                                                        new_port));
     auto p = ParseFrame(frame);
     ASSERT_TRUE(p.has_value());
-    EXPECT_TRUE(Ipv4Header::ChecksumValid(
-        std::span<const uint8_t>(frame).subspan(kEthernetHeaderSize)))
+    EXPECT_TRUE(Ipv4Header::ChecksumValid(frame.subspan(kEthernetHeaderSize)))
         << "trial " << trial;
     EXPECT_TRUE(TransportChecksumValid(*p, frame)) << "trial " << trial;
   }
 }
 
 TEST(RewriteTest, NonIpFrameRejected) {
-  auto frame = BuildArpRequest(MacAddress::ForHost(1),
-                               Ipv4Address::FromOctets(10, 0, 0, 1),
-                               Ipv4Address::FromOctets(10, 0, 0, 2));
-  EXPECT_FALSE(RewriteSource(frame, Ipv4Address{1}, 1));
+  const PacketPtr packet =
+      BuildArpRequestPacket(MacAddress::ForHost(1),
+                            Ipv4Address::FromOctets(10, 0, 0, 1),
+                            Ipv4Address::FromOctets(10, 0, 0, 2));
+  EXPECT_FALSE(RewriteSource(packet->mutable_bytes(), Ipv4Address{1}, 1));
 }
 
 TEST(ParseFrameTest, UnknownEtherTypeKeepsEthOnly) {

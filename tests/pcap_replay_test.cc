@@ -22,9 +22,10 @@ net::PcapWriter MakeTrace(uint16_t dst_port) {
                          Ipv4Address::FromOctets(10, 0, 0, 1)};
   for (int i = 0; i < 3; ++i) {
     const Nanos t = (i == 2 ? 4 : i + 1) * kMillisecond;
-    pcap.AddRecord(t, net::BuildUdpFrame(
+    pcap.AddRecord(t, net::BuildUdpPacket(
                           ep, static_cast<uint16_t>(7000 + i), dst_port,
-                          std::vector<uint8_t>(32, static_cast<uint8_t>(i))));
+                          std::vector<uint8_t>(32, static_cast<uint8_t>(i)))
+                          ->bytes());
   }
   return pcap;
 }

@@ -13,7 +13,9 @@ std::vector<uint8_t> SampleFrame(size_t payload = 20) {
   FrameEndpoints ep{MacAddress::ForHost(1), MacAddress::ForHost(2),
                     Ipv4Address::FromOctets(10, 0, 0, 1),
                     Ipv4Address::FromOctets(10, 0, 0, 2)};
-  return BuildUdpFrame(ep, 1, 2, std::vector<uint8_t>(payload, 0xcd));
+  const PacketPtr p =
+      BuildUdpPacket(ep, 1, 2, std::vector<uint8_t>(payload, 0xcd));
+  return {p->bytes().begin(), p->bytes().end()};
 }
 
 TEST(PcapWriterTest, EmptyFileHasOnlyGlobalHeader) {

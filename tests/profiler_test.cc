@@ -3,9 +3,9 @@
 //
 // The conservation invariant is the profiler's contract: for every
 // registered core, summed attributed ns + the explicit unaccounted bucket
-// equals the resource's busy ns — at every dispatch batch size and under
-// chaos. The instrumented paths charge exactly what they serve, so
-// unaccounted must be exactly zero.
+// equals the resource's busy ns — in plain forwarding, under a hit-dominated
+// fast path and under chaos. The instrumented paths charge exactly what they
+// serve, so unaccounted must be exactly zero.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -38,86 +38,74 @@ void ExpectConservation(const Profiler& prof) {
 }
 
 TEST(ProfilerConservationTest, ForwardingAtEveryBatchSize) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    workload::TestBedOptions opts;
-    opts.echo = true;
-    workload::TestBed bed(opts);
-    bed.sim().set_dispatch_batch(batch);
-    bed.sim().profiler().set_enabled(true);
-    auto& k = bed.kernel();
-    k.processes().AddUser(1, "u");
-    const auto pid = *k.processes().Spawn(1, "app");
-    auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
-    ASSERT_TRUE(sock.ok());
-    const std::vector<uint8_t> payload(300, 0xcd);
-    for (int i = 0; i < 33; ++i) {  // odd count: a partial final TX burst
-      ASSERT_TRUE(sock->Send(payload).ok());
-    }
-    bed.sim().Run();
-    ExpectConservation(bed.sim().profiler());
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
+  bed.sim().profiler().set_enabled(true);
+  auto& k = bed.kernel();
+  k.processes().AddUser(1, "u");
+  const auto pid = *k.processes().Spawn(1, "app");
+  auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
+  ASSERT_TRUE(sock.ok());
+  const std::vector<uint8_t> payload(300, 0xcd);
+  for (int i = 0; i < 33; ++i) {  // odd count: a partial final TX burst
+    ASSERT_TRUE(sock->Send(payload).ok());
   }
+  bed.sim().Run();
+  ExpectConservation(bed.sim().profiler());
 }
 
 TEST(ProfilerConservationTest, ChaosRunStaysExact) {
-  for (const uint32_t batch : {1u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    workload::TestBedOptions opts;
-    opts.echo = true;
-    workload::TestBed bed(opts);
-    bed.sim().set_dispatch_batch(batch);
-    bed.sim().profiler().set_enabled(true);
-    auto& k = bed.kernel();
-    k.processes().AddUser(1, "u");
-    const auto pid = *k.processes().Spawn(1, "app");
-    auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
-    ASSERT_TRUE(sock.ok());
-    // Echo replies cross a corrupting wire that also goes dark mid-run:
-    // damaged frames die at the RX checksum check, parked frames die on
-    // the down link — all after their pipeline time was charged.
-    sim::FaultProfile profile;
-    profile.corruption = 0.25;
-    bed.fault().SetProfile(workload::TestBed::kNetworkToHostLink, profile);
-    bed.fault().AddDownWindow(workload::TestBed::kNetworkToHostLink,
-                              50 * kMicrosecond, 150 * kMicrosecond);
-    const std::vector<uint8_t> payload(600, 0xee);
-    uint8_t scratch[2048];
-    for (int round = 0; round < 4; ++round) {
-      for (int i = 0; i < 16; ++i) {
-        ASSERT_TRUE(sock->Send(payload).ok());
-      }
-      bed.sim().Run();
-      while (sock->RecvInto(scratch).ok()) {
-      }
-    }
-    ExpectConservation(bed.sim().profiler());
-  }
-}
-
-TEST(ProfilerConservationTest, FlowCacheHitDominatedRun) {
-  for (const uint32_t batch : {1u, 8u, 64u}) {
-    SCOPED_TRACE("dispatch_batch=" + std::to_string(batch));
-    workload::TestBedOptions opts;
-    opts.echo = true;
-    workload::TestBed bed(opts);
-    bed.sim().set_dispatch_batch(batch);
-    bed.sim().profiler().set_enabled(true);
-    auto& k = bed.kernel();
-    kernel::NicConfig cfg;
-    cfg.flow_cache = true;
-    ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
-    k.processes().AddUser(1, "u");
-    const auto pid = *k.processes().Spawn(1, "app");
-    auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
-    ASSERT_TRUE(sock.ok());
-    const std::vector<uint8_t> payload(200, 0x5a);
-    for (int i = 0; i < 64; ++i) {  // one flow: hit replay dominates
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
+  bed.sim().profiler().set_enabled(true);
+  auto& k = bed.kernel();
+  k.processes().AddUser(1, "u");
+  const auto pid = *k.processes().Spawn(1, "app");
+  auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
+  ASSERT_TRUE(sock.ok());
+  // Echo replies cross a corrupting wire that also goes dark mid-run:
+  // damaged frames die at the RX checksum check, parked frames die on
+  // the down link — all after their pipeline time was charged.
+  sim::FaultProfile profile;
+  profile.corruption = 0.25;
+  bed.fault().SetProfile(workload::TestBed::kNetworkToHostLink, profile);
+  bed.fault().AddDownWindow(workload::TestBed::kNetworkToHostLink,
+                            50 * kMicrosecond, 150 * kMicrosecond);
+  const std::vector<uint8_t> payload(600, 0xee);
+  uint8_t scratch[2048];
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 16; ++i) {
       ASSERT_TRUE(sock->Send(payload).ok());
     }
     bed.sim().Run();
-    EXPECT_GT(k.nic_control().flow_cache().hits(), 0u);
-    ExpectConservation(bed.sim().profiler());
+    while (sock->RecvInto(scratch).ok()) {
+    }
   }
+  ExpectConservation(bed.sim().profiler());
+}
+
+TEST(ProfilerConservationTest, FlowCacheHitDominatedRun) {
+  workload::TestBedOptions opts;
+  opts.echo = true;
+  workload::TestBed bed(opts);
+  bed.sim().profiler().set_enabled(true);
+  auto& k = bed.kernel();
+  kernel::NicConfig cfg;
+  cfg.flow_cache = true;
+  ASSERT_TRUE(k.Configure(kernel::kRootUid, cfg).ok());
+  k.processes().AddUser(1, "u");
+  const auto pid = *k.processes().Spawn(1, "app");
+  auto sock = Socket::Connect(&k, pid, kPeerIp, 7777, {});
+  ASSERT_TRUE(sock.ok());
+  const std::vector<uint8_t> payload(200, 0x5a);
+  for (int i = 0; i < 64; ++i) {  // one flow: hit replay dominates
+    ASSERT_TRUE(sock->Send(payload).ok());
+  }
+  bed.sim().Run();
+  EXPECT_GT(k.nic_control().flow_cache().hits(), 0u);
+  ExpectConservation(bed.sim().profiler());
 }
 
 // Folded flamegraph stacks must tile each core's busy time exactly: the
@@ -317,7 +305,6 @@ TEST(ExactCounterTest, OddFinalBurstVisibleInEndOfRunReport) {
   workload::TestBedOptions opts;
   opts.echo = false;
   workload::TestBed bed(opts);
-  bed.sim().set_dispatch_batch(64);
   auto& k = bed.kernel();
   k.processes().AddUser(1, "u");
   const auto pid = *k.processes().Spawn(1, "app");

@@ -48,15 +48,15 @@ class SmartNicTest : public ::testing::Test {
   PacketPtr MakeTxPacket(uint16_t src_port, size_t payload = 64) {
     FrameEndpoints ep{MacAddress::ForHost(1), MacAddress::ForHost(2),
                       kLocalIp, kRemoteIp};
-    return net::MakePacket(
-        BuildUdpFrame(ep, src_port, 80, std::vector<uint8_t>(payload, 0xaa)));
+    return BuildUdpPacket(ep, src_port, 80,
+                          std::vector<uint8_t>(payload, 0xaa));
   }
 
   PacketPtr MakeRxPacket(uint16_t dst_port, size_t payload = 64) {
     FrameEndpoints ep{MacAddress::ForHost(2), MacAddress::ForHost(1),
                       kRemoteIp, kLocalIp};
-    return net::MakePacket(
-        BuildUdpFrame(ep, 80, dst_port, std::vector<uint8_t>(payload, 0xbb)));
+    return BuildUdpPacket(ep, 80, dst_port,
+                          std::vector<uint8_t>(payload, 0xbb));
   }
 
   // Pushes a packet into the connection's TX ring and rings the doorbell.

@@ -31,8 +31,8 @@ class SpoofGuardTest : public ::testing::Test {
                                  10, 0, 0, 1)) {
     net::FrameEndpoints ep{bed_.kernel().options().host_mac,
                            MacAddress::ForHost(2), src_ip, kPeerIp};
-    return net::MakePacket(net::BuildUdpFrame(
-        ep, src_port, dst_port, std::vector<uint8_t>(16, 0x66)));
+    return net::BuildUdpPacket(ep, src_port, dst_port,
+                               std::vector<uint8_t>(16, 0x66));
   }
 
   workload::TestBed bed_;
@@ -103,11 +103,10 @@ TEST_F(SpoofGuardTest, AppArpIsObservableButAllowedByDefault) {
   // attributed — the guard does not silently fix the bug for Alice.
   auto sock = Socket::Connect(&bed_.kernel(), rogue_pid_, kPeerIp, 80, {});
   ASSERT_TRUE(sock.ok());
-  ASSERT_TRUE(sock->SendFrame(net::MakePacket(
-                      net::BuildArpRequest(MacAddress::ForHost(0xbad),
-                                           Ipv4Address::FromOctets(
-                                               10, 0, 0, 99),
-                                           kPeerIp)))
+  ASSERT_TRUE(sock->SendFrame(net::BuildArpRequestPacket(
+                                  MacAddress::ForHost(0xbad),
+                                  Ipv4Address::FromOctets(10, 0, 0, 99),
+                                  kPeerIp))
                   .ok());
   bed_.sim().Run();
   EXPECT_EQ(bed_.egress_frames(), 1u);
@@ -123,25 +122,23 @@ TEST_F(SpoofGuardTest, StrictModeDropsAppArp) {
   ASSERT_TRUE(sock.ok());
   dataplane::SpoofGuard strict(&bed_.kernel().nic_control().flow_table(),
                                /*strict_arp=*/true);
-  auto frame = net::BuildArpRequest(MacAddress::ForHost(1),
-                                    Ipv4Address::FromOctets(10, 0, 0, 1),
-                                    kPeerIp);
-  net::Packet packet(frame);
-  auto parsed = *net::ParseFrame(packet.bytes());
+  const net::PacketPtr packet = net::BuildArpRequestPacket(
+      MacAddress::ForHost(1), Ipv4Address::FromOctets(10, 0, 0, 1), kPeerIp);
+  auto parsed = *net::ParseFrame(packet->bytes());
   overlay::PacketContext ctx;
-  ctx.frame = packet.bytes();
+  ctx.frame = packet->bytes();
   ctx.parsed = &parsed;
   ctx.direction = net::Direction::kTx;
   ctx.conn.conn_id = sock->conn_id();  // from a real app ring
-  EXPECT_EQ(strict.Process(packet, ctx).verdict, nic::Verdict::kDrop);
+  EXPECT_EQ(strict.Process(*packet, ctx).verdict, nic::Verdict::kDrop);
   EXPECT_EQ(strict.spoofed_drops(), 1u);
 }
 
 TEST_F(SpoofGuardTest, KernelInjectedFramesExempt) {
   // NIC-generated ARP replies (no conn metadata) must pass: a peer ARPs
   // for the host and the reply reaches the wire.
-  auto req = net::MakePacket(net::BuildArpRequest(
-      MacAddress::ForHost(2), kPeerIp, bed_.kernel().options().host_ip));
+  auto req = net::BuildArpRequestPacket(MacAddress::ForHost(2), kPeerIp,
+                                        bed_.kernel().options().host_ip);
   bed_.InjectFromNetwork(std::move(req), 100);
   bed_.sim().Run();
   EXPECT_EQ(bed_.egress_frames(), 1u);

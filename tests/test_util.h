@@ -31,6 +31,11 @@ inline net::FrameEndpoints RemoteToLocal() {
           kLocalIp};
 }
 
+// A pooled frame's bytes as a plain buffer.
+inline std::vector<uint8_t> Bytes(const net::PacketPtr& packet) {
+  return {packet->bytes().begin(), packet->bytes().end()};
+}
+
 // A frame + parse + context bundle whose lifetimes are tied together.
 struct ContextBundle {
   std::vector<uint8_t> frame;
@@ -46,8 +51,8 @@ inline std::unique_ptr<ContextBundle> MakeUdpContext(
   auto b = std::make_unique<ContextBundle>();
   const auto ep =
       dir == net::Direction::kTx ? LocalToRemote() : RemoteToLocal();
-  b->frame = net::BuildUdpFrame(ep, src_port, dst_port,
-                                std::vector<uint8_t>(payload, 0xcc), dscp);
+  b->frame = Bytes(net::BuildUdpPacket(
+      ep, src_port, dst_port, std::vector<uint8_t>(payload, 0xcc), dscp));
   b->packet = net::Packet(b->frame);
   b->parsed = *net::ParseFrame(b->packet.bytes());
   b->ctx.frame = b->packet.bytes();
@@ -64,8 +69,8 @@ inline std::unique_ptr<ContextBundle> MakeTcpContext(
   auto b = std::make_unique<ContextBundle>();
   const auto ep =
       dir == net::Direction::kTx ? LocalToRemote() : RemoteToLocal();
-  b->frame = net::BuildTcpFrame(ep, src_port, dst_port, 1, 1, flags,
-                                std::vector<uint8_t>(payload, 0xdd));
+  b->frame = Bytes(net::BuildTcpPacket(ep, src_port, dst_port, 1, 1, flags,
+                                       std::vector<uint8_t>(payload, 0xdd)));
   b->packet = net::Packet(b->frame);
   b->parsed = *net::ParseFrame(b->packet.bytes());
   b->ctx.frame = b->packet.bytes();
@@ -80,11 +85,12 @@ inline std::unique_ptr<ContextBundle> MakeTcpContext(
 inline std::unique_ptr<ContextBundle> MakeArpContext(
     net::Direction dir, overlay::ConnMetadata owner = {}) {
   auto b = std::make_unique<ContextBundle>();
-  b->frame = dir == net::Direction::kTx
-                 ? net::BuildArpRequest(net::MacAddress::ForHost(1), kLocalIp,
-                                        kRemoteIp)
-                 : net::BuildArpRequest(net::MacAddress::ForHost(2),
-                                        kRemoteIp, kLocalIp);
+  b->frame = Bytes(
+      dir == net::Direction::kTx
+          ? net::BuildArpRequestPacket(net::MacAddress::ForHost(1), kLocalIp,
+                                       kRemoteIp)
+          : net::BuildArpRequestPacket(net::MacAddress::ForHost(2),
+                                       kRemoteIp, kLocalIp));
   b->packet = net::Packet(b->frame);
   b->parsed = *net::ParseFrame(b->packet.bytes());
   b->ctx.frame = b->packet.bytes();
