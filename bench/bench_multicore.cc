@@ -19,6 +19,7 @@
 // same process on the same machine. JSON lines go to stdout after the
 // table; bench/check_bench_regression.py enforces >= 1.8x at 4 queues.
 #include <cstdio>
+#include <utility>
 
 #include "src/net/packet_builder.h"
 #include "src/nic/smart_nic.h"
@@ -66,9 +67,7 @@ RunResult RunStorm(uint16_t queues) {
                              static_cast<uint16_t>(4000 + i),
                              net::IpProto::kUdp};
     e.owner = overlay::ConnMetadata{e.conn_id, 1000, 100, 1};
-    e.tx_ring_bytes = nic::kHotWorkingSetBytes;
-    e.rx_ring_bytes = nic::kHotWorkingSetBytes;
-    if (!cp->InstallFlow(e).ok()) {
+    if (!cp->InstallFlow(std::move(e)).ok()) {
       std::fprintf(stderr, "InstallFlow %zu failed\n", i);
       return {};
     }

@@ -95,16 +95,6 @@ class FixedRing {
   const T* Peek() const { return empty() ? nullptr : &slots_[tail_ & mask_]; }
   T* Peek() { return empty() ? nullptr : &slots_[tail_ & mask_]; }
 
-  // Peek at the i-th oldest element (0 == oldest) without consuming it;
-  // nullptr when fewer than i+1 elements are queued. Batched drains use
-  // this to issue prefetch hints for upcoming elements.
-  const T* PeekAt(uint32_t i) const {
-    return i < size() ? &slots_[(tail_ + i) & mask_] : nullptr;
-  }
-  T* PeekAt(uint32_t i) {
-    return i < size() ? &slots_[(tail_ + i) & mask_] : nullptr;
-  }
-
  private:
   void Report(int64_t delta) {
     if (gauges_ != nullptr && delta != 0) gauges_->Add(delta);

@@ -17,12 +17,7 @@ const char* HealthStateName(HealthState s) {
 
 HealthWatchdog::HealthWatchdog(const TimeSeriesSampler* sampler,
                                MetricsRegistry* registry)
-    : HealthWatchdog(sampler, registry, Options()) {}
-
-HealthWatchdog::HealthWatchdog(const TimeSeriesSampler* sampler,
-                               MetricsRegistry* registry, Options opts)
     : sampler_(sampler),
-      opts_(opts),
       alerts_total_(registry->GetCounter("health.alerts")),
       gauge_healthy_(registry->GetGauge("health.components.healthy")),
       gauge_degraded_(registry->GetGauge("health.components.degraded")),
@@ -143,7 +138,7 @@ HealthState HealthWatchdog::EvaluateRule(const Rule& rule,
 void HealthWatchdog::LogTransition(Nanos now, const std::string& component,
                                    const ComponentStatus& prev,
                                    const ComponentStatus& next) {
-  if (alerts_.size() >= opts_.max_alerts) {
+  if (alerts_.size() >= kMaxAlerts) {
     alerts_.erase(alerts_.begin());
     ++alerts_dropped_;
   }

@@ -51,13 +51,10 @@ struct HealthAlert {
 
 class HealthWatchdog {
  public:
-  struct Options {
-    size_t max_alerts = 256;  // alert log bound; older entries are dropped
-  };
+  // Alert log bound; older entries are dropped.
+  static constexpr size_t kMaxAlerts = 256;
 
   HealthWatchdog(const TimeSeriesSampler* sampler, MetricsRegistry* registry);
-  HealthWatchdog(const TimeSeriesSampler* sampler, MetricsRegistry* registry,
-                 Options opts);
 
   HealthWatchdog(const HealthWatchdog&) = delete;
   HealthWatchdog& operator=(const HealthWatchdog&) = delete;
@@ -128,7 +125,6 @@ class HealthWatchdog {
                      const ComponentStatus& prev, const ComponentStatus& next);
 
   const TimeSeriesSampler* sampler_;
-  Options opts_;
   std::vector<Rule> rules_;
   std::map<std::string, ComponentStatus, std::less<>> components_;
   std::vector<HealthAlert> alerts_;

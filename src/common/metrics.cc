@@ -85,17 +85,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& before,
-                                       const MetricsSnapshot& after) {
-  MetricsSnapshot delta;
-  for (const auto& [name, value] : after.values) {
-    auto it = before.values.find(name);
-    const int64_t prev = it == before.values.end() ? 0 : it->second;
-    delta.values.emplace(name, value - prev);
-  }
-  return delta;
-}
-
 std::string MetricsRegistry::TextReport() const {
   std::string out;
   char buf[64];
@@ -179,12 +168,6 @@ void MetricsRegistry::ImportPool(const PoolCounters& pc) {
   GetGauge(prefix + "dropped")->Set(static_cast<int64_t>(pc.dropped));
   GetGauge(prefix + "outstanding")->Set(static_cast<int64_t>(pc.outstanding));
   GetGauge(prefix + "high_water")->Set(static_cast<int64_t>(pc.high_water));
-}
-
-void MetricsRegistry::ResetAll() {
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace norman::telemetry

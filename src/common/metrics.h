@@ -97,11 +97,6 @@ class MetricsRegistry {
   }
 
   MetricsSnapshot Snapshot() const;
-  // after - before, keyed on `after`'s names (a metric registered between
-  // the two snapshots deltas against zero). Entries with zero delta are
-  // kept so reports stay shape-stable.
-  static MetricsSnapshot Delta(const MetricsSnapshot& before,
-                               const MetricsSnapshot& after);
 
   // Human text: one "name value" line per metric, sorted; histograms render
   // their Summary(). Zero-valued metrics included (shape-stable output).
@@ -117,10 +112,6 @@ class MetricsRegistry {
   // counters: pools track levels like outstanding/high_water, and repeated
   // imports must overwrite, not accumulate).
   void ImportPool(const PoolCounters& pc);
-
-  // Zero every counter/gauge and reset every histogram; registrations (and
-  // handle addresses) survive.
-  void ResetAll();
 
   size_t num_metrics() const {
     return counters_.size() + gauges_.size() + histograms_.size();

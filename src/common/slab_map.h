@@ -2,11 +2,12 @@
 //
 // SlabMap<K, V, Hash> is the one container behind the tables a packet or a
 // blocking call touches: the flow-cache partitions and the DDIO model (LRU
-// order), conntrack, the flow table's tuple index, the NIC's ring map and
-// the kernel's per-connection records. A std::list + std::unordered_map
-// pair allocates two heap nodes per insert; this map allocates only when
-// its slab or its index has to grow, which happens a logarithmic number of
-// times as a table reaches its working size.
+// order), conntrack, the NIC's flow table (its entries, which own their
+// rings, and its tuple index onto their nodes) and the kernel's
+// per-connection records. A std::list + std::unordered_map pair allocates
+// two heap nodes per insert; this map allocates only when its slab or its
+// index has to grow, which happens a logarithmic number of times as a table
+// reaches its working size.
 //
 //   - Nodes live in one std::vector slab. Erased nodes go on a free list
 //     and are reused by the next insert.

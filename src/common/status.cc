@@ -65,9 +65,6 @@ Status FailedPreconditionError(std::string_view msg) {
 Status OutOfRangeError(std::string_view msg) {
   return Status(StatusCode::kOutOfRange, std::string(msg));
 }
-Status UnimplementedError(std::string_view msg) {
-  return Status(StatusCode::kUnimplemented, std::string(msg));
-}
 Status InternalError(std::string_view msg) {
   return Status(StatusCode::kInternal, std::string(msg));
 }

@@ -71,7 +71,6 @@ Status PermissionDeniedError(std::string_view msg);
 Status ResourceExhaustedError(std::string_view msg);
 Status FailedPreconditionError(std::string_view msg);
 Status OutOfRangeError(std::string_view msg);
-Status UnimplementedError(std::string_view msg);
 Status InternalError(std::string_view msg);
 Status UnavailableError(std::string_view msg);
 

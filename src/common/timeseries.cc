@@ -26,16 +26,10 @@ const SeriesPoint& TimeSeries::At(size_t i) const {
   return points_[(next_ + i) % capacity_];
 }
 
-TimeSeriesSampler::TimeSeriesSampler(MetricsRegistry* registry)
-    : TimeSeriesSampler(registry, Options()) {}
-
-TimeSeriesSampler::TimeSeriesSampler(MetricsRegistry* registry, Options opts)
-    : registry_(registry), opts_(opts) {}
-
 TimeSeries& TimeSeriesSampler::SeriesFor(const std::string& name) {
   auto it = series_.find(name);
   if (it == series_.end()) {
-    it = series_.emplace(name, TimeSeries(opts_.capacity)).first;
+    it = series_.emplace(name, TimeSeries(kCapacity)).first;
   }
   return it->second;
 }

@@ -62,12 +62,10 @@ class TimeSeries {
 
 class TimeSeriesSampler {
  public:
-  struct Options {
-    size_t capacity = 128;  // retained windows per series
-  };
+  static constexpr size_t kCapacity = 128;  // retained windows per series
 
-  explicit TimeSeriesSampler(MetricsRegistry* registry);
-  TimeSeriesSampler(MetricsRegistry* registry, Options opts);
+  explicit TimeSeriesSampler(MetricsRegistry* registry)
+      : registry_(registry) {}
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
@@ -109,7 +107,6 @@ class TimeSeriesSampler {
                  const std::string& name, std::string_view suffix);
 
   MetricsRegistry* registry_;
-  Options opts_;
   std::map<std::string, TimeSeries, std::less<>> series_;
   std::vector<Track> counter_tracks_;
   std::vector<Track> gauge_tracks_;

@@ -255,12 +255,6 @@ void Tracepoints::ArmAll() {
   pred_mask_ = 0;
 }
 
-void Tracepoints::DisarmAll() {
-  armed_mask_ = 0;
-  pred_mask_ = 0;
-  predicates_.fill(ProbePredicate{});
-}
-
 void Tracepoints::set_span_sample_interval(uint32_t n) {
   if (n != 0) {
     EnsureRings();

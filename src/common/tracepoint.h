@@ -195,7 +195,6 @@ class Tracepoints {
   void Arm(Probe probe, const ProbePredicate& predicate);
   void Disarm(Probe probe);
   void ArmAll();
-  void DisarmAll();
   bool armed(Probe probe) const {
     return (armed_mask_ & Bit(probe)) != 0;
   }

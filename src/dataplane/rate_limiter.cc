@@ -34,16 +34,10 @@ void PacedScheduler::ClearRate(net::ConnectionId conn) {
     return;
   }
   // Release whatever is queued straight into the inner discipline.
-  while (!it->second.queue.empty()) {
-    net::PacketPtr p = std::move(it->second.queue.front());
-    it->second.queue.pop_front();
+  for (Held& held : it->second.queue) {
     overlay::PacketContext ctx;
-    const auto meta = pending_meta_.find(p.get());
-    if (meta != pending_meta_.end()) {
-      ctx.conn = meta->second;
-      pending_meta_.erase(meta);
-    }
-    (void)inner_->Enqueue(std::move(p), ctx);
+    ctx.conn = held.conn;
+    (void)inner_->Enqueue(std::move(held.packet), ctx);
   }
   flows_.erase(it);
 }
@@ -64,8 +58,7 @@ bool PacedScheduler::Enqueue(net::PacketPtr packet,
     last_drop_reason_ = DropReason::kRateLimited;
     return false;
   }
-  pending_meta_[packet.get()] = ctx.conn;
-  pacer.queue.push_back(std::move(packet));
+  pacer.queue.push_back(Held{std::move(packet), ctx.conn});
   return true;
 }
 
@@ -73,16 +66,12 @@ void PacedScheduler::ReleaseConformant(Nanos now) {
   for (auto& [conn, pacer] : flows_) {
     pacer.bucket.Refill(now);
     while (!pacer.queue.empty() &&
-           pacer.bucket.TryConsume(pacer.queue.front()->size())) {
-      net::PacketPtr p = std::move(pacer.queue.front());
+           pacer.bucket.TryConsume(pacer.queue.front().packet->size())) {
+      Held held = std::move(pacer.queue.front());
       pacer.queue.pop_front();
       overlay::PacketContext ctx;
-      const auto meta = pending_meta_.find(p.get());
-      if (meta != pending_meta_.end()) {
-        ctx.conn = meta->second;
-        pending_meta_.erase(meta);
-      }
-      if (!inner_->Enqueue(std::move(p), ctx)) {
+      ctx.conn = held.conn;
+      if (!inner_->Enqueue(std::move(held.packet), ctx)) {
         // The inner discipline refused a packet the pacer had already
         // admitted; the NIC cannot see this hand-off, so account it here.
         ++inner_overflow_drops_;
@@ -107,7 +96,8 @@ Nanos PacedScheduler::NextEligibleTime(Nanos now) const {
     if (pacer.queue.empty()) {
       continue;
     }
-    const Nanos t = pacer.bucket.EligibleAt(now, pacer.queue.front()->size());
+    const Nanos t =
+        pacer.bucket.EligibleAt(now, pacer.queue.front().packet->size());
     if (best < 0 || t < best) {
       best = t;
     }

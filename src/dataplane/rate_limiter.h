@@ -62,9 +62,15 @@ class PacedScheduler : public nic::Scheduler {
   size_t inner_backlog() const { return inner_->backlog_packets(); }
 
  private:
+  // A held packet keeps the owner metadata captured at enqueue: the inner
+  // discipline classifies on it when the pacer releases the packet.
+  struct Held {
+    net::PacketPtr packet;
+    overlay::ConnMetadata conn;
+  };
   struct FlowPacer {
     TokenBucket bucket;
-    std::deque<net::PacketPtr> queue;
+    std::deque<Held> queue;
   };
 
   // Moves every conformant head packet into the inner discipline.
@@ -73,9 +79,6 @@ class PacedScheduler : public nic::Scheduler {
   std::unique_ptr<nic::Scheduler> inner_;
   size_t per_conn_capacity_;
   std::map<net::ConnectionId, FlowPacer> flows_;
-  // Contexts must be re-synthesized for the inner discipline; we keep the
-  // conn metadata captured at enqueue.
-  std::map<const net::Packet*, overlay::ConnMetadata> pending_meta_;
   uint64_t paced_drops_ = 0;
   uint64_t inner_overflow_drops_ = 0;
   DropReason last_drop_reason_ = DropReason::kSchedOverflow;

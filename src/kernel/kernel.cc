@@ -203,6 +203,10 @@ Status Kernel::RequireRoot(Uid caller) const {
 
 // ---- Connections ------------------------------------------------------------
 
+// Ring working set one NIC connection pins (its TX and RX rings), charged
+// to the tenant's ring budget at admission and refunded at close.
+constexpr uint64_t kConnRingBytes = 2 * nic::kHotWorkingSetBytes;
+
 StatusOr<AppPort> Kernel::Connect(Pid pid, net::Ipv4Address remote_ip,
                                   uint16_t remote_port,
                                   const ConnectOptions& opts) {
@@ -240,8 +244,6 @@ Status Kernel::AdmitConnection(const Process& proc, net::ConnectionId conn_id,
   entry.owner = overlay::ConnMetadata{conn_id, proc.uid, proc.pid,
                                       proc.cgroup, proc.comm_id};
   entry.owner.owner_tenant = TenantOf(proc.uid);
-  entry.tx_ring_bytes = nic::kHotWorkingSetBytes;
-  entry.rx_ring_bytes = nic::kHotWorkingSetBytes;
   entry.notify_rx = opts.notify_rx;
   entry.notify_tx_drain = opts.notify_tx_drain;
 
@@ -251,10 +253,10 @@ Status Kernel::AdmitConnection(const Process& proc, net::ConnectionId conn_id,
   // retry), and the refusal never falls back. An accepted connection
   // charges the listener's tenant, so a flood of new peers cannot grow a
   // tenant's ring footprint past its envelope either.
-  const uint64_t ring_cost = entry.tx_ring_bytes + entry.rx_ring_bytes;
   const auto t = tenants_.find(entry.owner.owner_tenant);
   if (t != tenants_.end() && t->second.spec.ring_bytes != 0 &&
-      t->second.ring_bytes_used + ring_cost > t->second.spec.ring_bytes) {
+      t->second.ring_bytes_used + kConnRingBytes >
+          t->second.spec.ring_bytes) {
     nic_cp_->tenants().CountDenied(entry.owner.owner_tenant);
     return ResourceExhaustedError(
         "connect: tenant " + std::to_string(entry.owner.owner_tenant) +
@@ -264,14 +266,14 @@ Status Kernel::AdmitConnection(const Process& proc, net::ConnectionId conn_id,
   }
 
   ConnRecord rec{.owner = entry.owner, .tuple = tuple};
-  const Status install = nic_cp_->InstallFlow(entry);
+  const Status install = nic_cp_->InstallFlow(std::move(entry));
   if (install.ok()) {
     if (opts.notify_rx || opts.notify_tx_drain) {
       nic_cp_->RegisterNotificationQueue(proc.pid);
     }
     rec.ring_charged = t != tenants_.end();
     if (rec.ring_charged) {
-      t->second.ring_bytes_used += ring_cost;
+      t->second.ring_bytes_used += kConnRingBytes;
     }
   } else if (install.code() == StatusCode::kResourceExhausted &&
              allow_fallback) {
@@ -327,8 +329,7 @@ Status Kernel::Close(net::ConnectionId conn_id) {
   }
   if (rec.ring_charged) {
     // Refund the connection's ring working sets to its tenant's budget.
-    tenants_.at(rec.owner.owner_tenant).ring_bytes_used -=
-        2 * nic::kHotWorkingSetBytes;
+    tenants_.at(rec.owner.owner_tenant).ring_bytes_used -= kConnRingBytes;
   }
   if (rec.rate_bps != 0) {
     pacer_->ClearRate(conn_id);  // releases any paced backlog for the wire
@@ -360,6 +361,10 @@ Status Kernel::Exit(Pid pid) {
   // empties their accept queues too.
   CloseMatching(
       [pid](const ConnRecord& rec) { return rec.owner.owner_pid == pid; });
+  // Closing dropped the pid's waiters, so its notification queue and
+  // blocked count have nothing left to serve.
+  nic_cp_->ReleaseNotificationQueue(pid);
+  blocked_.Erase(pid);
   std::erase_if(listeners_,
                 [pid](const auto& entry) { return entry.second.pid == pid; });
   proc->state = ProcessState::kExited;
@@ -475,16 +480,12 @@ void Kernel::HandleHostPacket(net::PacketPtr packet, net::Direction dir) {
   conns_.Get(conn_id)->pending_accept = true;
 
   // Deliver the trigger packet into the new connection's RX ring so the
-  // first request is not lost, then queue the accept event.
+  // first request is not lost, then queue the accept event. Without a
+  // fallback, admission means the flow is on the NIC.
   packet->meta().connection = conn_id;
-  nic::RingPair* rings = nic_cp_->GetRings(conn_id);
-  if (rings != nullptr) {
-    (void)rings->rx().TryPush(std::move(packet));
-  }
-  if (nic::FlowEntry* installed = nic_cp_->LookupFlow(conn_id);
-      installed != nullptr) {
-    ++installed->rx_packets;
-  }
+  nic::FlowEntry* installed = nic_cp_->LookupFlow(conn_id);
+  (void)installed->rings->rx().TryPush(std::move(packet));
+  ++installed->rx_packets;
   listener.accept_queue.push_back(conn_id);
   accept_gauges_.Add(1);
 }

@@ -114,11 +114,6 @@ class ProcessTable {
     return id;
   }
 
-  // Lookup without interning; 0 if never seen.
-  uint32_t CommId(const std::string& comm) const {
-    const auto it = comm_ids_.find(comm);
-    return it == comm_ids_.end() ? 0 : it->second;
-  }
   std::string CommName(uint32_t comm_id) const {
     const auto it = comm_names_.find(comm_id);
     return it == comm_names_.end() ? "?" : it->second;

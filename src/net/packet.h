@@ -36,7 +36,6 @@ struct PacketMeta {
   Direction direction = Direction::kTx;
   ConnectionId connection = kUnknownConnection;
   uint16_t rx_queue = 0;      // RSS result (RX only)
-  uint32_t flow_hash = 0;
   bool software_fallback = false;  // diverted through host slow path (E7)
   // Owning process, stamped where the dataplane first resolves it (flow
   // entry owner on TX, kernel fallback-connection owner on injected

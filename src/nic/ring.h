@@ -29,6 +29,9 @@ namespace norman::nic {
 // allocation.
 inline constexpr uint32_t kDefaultRingEntries = 256;
 inline constexpr uint64_t kHotWorkingSetBytes = 2048;
+// NIC SRAM for one ring pair's descriptor state (head/tail, base addresses,
+// completion state).
+inline constexpr uint64_t kRingStateBytes = 64;
 
 class RingPair {
  public:

@@ -152,7 +152,6 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
     : sim_(sim),
       options_(options),
       sram_(options.sram_bytes),
-      flow_table_(&sram_),
       tx_ring_gauges_(&sim->metrics(), "nic.tx_ring"),
       rx_ring_gauges_(&sim->metrics(), "nic.rx_ring"),
       notify_gauges_(&sim->metrics(), "nic.notify"),
@@ -163,6 +162,7 @@ SmartNic::SmartNic(sim::Simulator* sim, Options options)
       // which features a run turned on).
       tenant_table_(&sim->metrics()),
       flow_cache_(&sram_, &sim->metrics()),
+      flow_table_(&sram_),
       scheduler_(std::make_unique<FifoScheduler>()),
       prof_(&sim->profiler()),
       stats_(&sim->metrics()) {
@@ -222,44 +222,40 @@ std::unique_ptr<SmartNic::ControlPlane> SmartNic::TakeControlPlane() {
 
 // ---- ControlPlane ----------------------------------------------------------
 
-Status SmartNic::ControlPlane::InstallFlow(const FlowEntry& entry) {
-  NORMAN_RETURN_IF_ERROR(nic_->flow_table_.Insert(entry));
-  auto ring = std::make_unique<RingPair>(nic_->options_.ring_entries);
-  ring->AttachGauges(&nic_->tx_ring_gauges_, &nic_->rx_ring_gauges_);
-  // Ring descriptor state also lives in NIC SRAM (head/tail, base addrs,
-  // completion state): 64B per ring pair.
-  const Status s = nic_->sram_.Allocate("ring_state", 64,
-                                        entry.owner.owner_pid,
-                                        entry.owner.owner_tenant);
+Status SmartNic::ControlPlane::InstallFlow(FlowEntry entry) {
+  NORMAN_ASSIGN_OR_RETURN(FlowEntry* installed,
+                          nic_->flow_table_.Insert(std::move(entry)));
+  // Ring descriptor state also lives in NIC SRAM.
+  const uint32_t owner_pid = installed->owner.owner_pid;
+  const Status s = nic_->sram_.Allocate("ring_state", kRingStateBytes,
+                                        owner_pid,
+                                        installed->owner.owner_tenant);
   if (!s.ok()) {
-    (void)nic_->flow_table_.Remove(entry.conn_id);
+    (void)nic_->flow_table_.Remove(installed->conn_id);
     return s;
   }
-  nic_->rings_.PushFront(entry.conn_id, std::move(ring));
+  installed->rings = std::make_unique<RingPair>(nic_->options_.ring_entries);
+  installed->rings->AttachGauges(&nic_->tx_ring_gauges_,
+                                 &nic_->rx_ring_gauges_);
   // Intern the owner pid (ungated: slot numbering does not depend on the
   // profiler's runtime flag) and bill the flow's SRAM footprint — table
   // entry + ring descriptor state — to its ledger.
-  const uint32_t owner_slot =
-      nic_->prof_->RegisterOwner(entry.owner.owner_pid);
+  const uint32_t owner_slot = nic_->prof_->RegisterOwner(owner_pid);
   nic_->prof_->ChargeSram(owner_slot,
-                          static_cast<int64_t>(kFlowEntryBytes + 64));
+                          static_cast<int64_t>(kFlowEntryBytes +
+                                               kRingStateBytes));
   InvalidateFastPath();
   return OkStatus();
 }
 
 Status SmartNic::ControlPlane::RemoveFlow(net::ConnectionId conn_id) {
-  uint32_t owner_pid = 0;
-  uint32_t owner_tenant = 0;
-  if (const FlowEntry* e = nic_->flow_table_.Lookup(conn_id); e != nullptr) {
-    owner_pid = e->owner.owner_pid;
-    owner_tenant = e->owner.owner_tenant;
-  }
-  NORMAN_RETURN_IF_ERROR(nic_->flow_table_.Remove(conn_id));
-  nic_->prof_->ChargeSram(nic_->prof_->OwnerSlot(owner_pid),
-                          -static_cast<int64_t>(kFlowEntryBytes + 64));
-  nic_->rings_.Erase(conn_id);
+  NORMAN_ASSIGN_OR_RETURN(const overlay::ConnMetadata owner,
+                          nic_->flow_table_.Remove(conn_id));
+  nic_->prof_->ChargeSram(nic_->prof_->OwnerSlot(owner.owner_pid),
+                          -static_cast<int64_t>(kFlowEntryBytes +
+                                                kRingStateBytes));
   nic_->regs_.ClearDoorbell(conn_id);
-  nic_->sram_.Free("ring_state", 64, owner_tenant);
+  nic_->sram_.Free("ring_state", kRingStateBytes, owner.owner_tenant);
   nic_->ddio_.Invalidate(TxRingId(conn_id));
   nic_->ddio_.Invalidate(RxRingId(conn_id));
   InvalidateFastPath();
@@ -271,8 +267,8 @@ FlowEntry* SmartNic::ControlPlane::LookupFlow(net::ConnectionId conn_id) {
 }
 
 RingPair* SmartNic::ControlPlane::GetRings(net::ConnectionId conn_id) {
-  const auto* ring = nic_->rings_.Get(conn_id);
-  return ring == nullptr ? nullptr : ring->get();
+  const FlowEntry* entry = nic_->flow_table_.Lookup(conn_id);
+  return entry == nullptr ? nullptr : entry->rings.get();
 }
 
 DoorbellWindow SmartNic::ControlPlane::MapDoorbell(net::ConnectionId conn_id) {
@@ -471,6 +467,10 @@ NotificationQueue* SmartNic::ControlPlane::GetNotificationQueue(
     uint32_t pid) {
   const auto it = nic_->notif_queues_.find(pid);
   return it == nic_->notif_queues_.end() ? nullptr : it->second.get();
+}
+
+void SmartNic::ControlPlane::ReleaseNotificationQueue(uint32_t pid) {
+  nic_->notif_queues_.erase(pid);
 }
 
 void SmartNic::ControlPlane::SetFallbackSink(
@@ -724,20 +724,19 @@ uint32_t SmartNic::ReplayFastPath(const FlowCacheEntry& entry,
 }
 
 Status SmartNic::Doorbell(net::ConnectionId conn_id, Nanos now) {
-  const auto* found = rings_.Get(conn_id);
-  if (found == nullptr) {
+  const FlowEntry* entry = flow_table_.Lookup(conn_id);
+  if (entry == nullptr) {
     return NotFoundError("doorbell for unknown connection");
   }
   // The doorbell write starts (or pokes) this connection's descriptor
   // consumer; fetches are paced by the DMA engine, so an application that
   // outruns the NIC observes a full TX ring (backpressure).
-  RingPair& ring = **found;
+  RingPair& ring = *entry->rings;
   if (!ring.tx_consumer_active()) {
     ring.set_tx_consumer_active(true);
     // The consumer event carries the flow's TX lane so the interleave
     // schedule orders same-tick wake-ups across lanes.
-    sim_->ScheduleAtLane(TxLaneOf(flow_table_.Lookup(conn_id)),
-                         std::max(now, sim_->Now()),
+    sim_->ScheduleAtLane(TxLaneOf(entry), std::max(now, sim_->Now()),
                          [this, conn_id] { ConsumeTxRing(conn_id); });
   }
   return OkStatus();
@@ -751,17 +750,16 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
   // run — so eliding it cannot reorder resource serialization and the
   // virtual-time trace stays bit-identical to unbatched execution.
   Nanos now = sim_->Now();
-  const auto* found = rings_.Get(conn_id);
-  if (found == nullptr) {
+  // Hoisted per burst: no other event can run between inline iterations
+  // (the continuation check above guarantees it) and nothing below installs
+  // a flow, so the entry and its ring cannot be torn down, replaced or moved
+  // mid-burst.
+  FlowEntry* entry = flow_table_.Lookup(conn_id);
+  if (entry == nullptr) {
     return;  // torn down: the consumer flag died with the ring
   }
-  // Hoisted per burst: no other event can run between inline iterations
-  // (the continuation check above guarantees it), so the ring and flow
-  // entry cannot be torn down or replaced mid-burst — the per-frame hash
-  // walks the old loop did were pure overhead.
-  RingPair* ring = found->get();
+  RingPair* ring = entry->rings.get();
   FixedRing<net::PacketPtr>& tx = ring->tx();
-  FlowEntry* entry = flow_table_.Lookup(conn_id);
   // A burst serves one connection, so its lane — and therefore the
   // resource set every descriptor charges — is fixed for the whole pass.
   Lane& lane = *lanes_[TxLaneOf(entry)];
@@ -771,7 +769,7 @@ void SmartNic::ConsumeTxRing(net::ConnectionId conn_id) {
       // Ring drained: stop the consumer and post the drain notification if
       // the connection asked for it (blocking send support, §4.3).
       ring->set_tx_consumer_active(false);
-      if (entry != nullptr && entry->notify_tx_drain) {
+      if (entry->notify_tx_drain) {
         PostNotification(*entry, NotificationKind::kTxDrained, now,
                          lane.index);
       }
@@ -822,9 +820,7 @@ void SmartNic::ProcessTxDescriptor(net::PacketPtr packet,
   const uint32_t tp_core = TpCore(lane);
 
   // 1) DMA-fetch the payload from the host ring (DDIO hit or DRAM miss).
-  const uint64_t ring_ws =
-      entry != nullptr ? entry->tx_ring_bytes : kHotWorkingSetBytes;
-  const bool ddio_hit = ddio_.Access(TxRingId(conn_id), ring_ws);
+  const bool ddio_hit = ddio_.Access(TxRingId(conn_id), kHotWorkingSetBytes);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(now, dma_cost);
   prof_->Charge(tx_.dma_site, lane.core_dma, owner_slot, dma_cost);
@@ -1267,10 +1263,8 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
   entry->rx_bytes += packet->size();
 
   // DMA into the connection's RX ring (DDIO model again).
-  const bool ddio_hit = ddio_.Access(RxRingId(entry->conn_id),
-                                     entry->rx_ring_bytes != 0
-                                         ? entry->rx_ring_bytes
-                                         : kHotWorkingSetBytes);
+  const bool ddio_hit =
+      ddio_.Access(RxRingId(entry->conn_id), kHotWorkingSetBytes);
   const Nanos dma_cost = options_.cost.DmaCost(packet->size(), ddio_hit);
   const Nanos dma_done = lane.dma.Serve(ready, dma_cost);
   prof_->Charge(rx_.dma_site, lane.core_dma, owner_slot, dma_cost);
@@ -1282,15 +1276,14 @@ void SmartNic::ProcessRxFrame(Lane& lane, net::PacketPtr packet,
       lane.index, dma_done,
       [this, p = std::move(packet), conn_id, queue = lane.index,
        tp_core]() mutable {
-    const auto* ring = rings_.Get(conn_id);
     FlowEntry* e = flow_table_.Lookup(conn_id);
-    if (ring == nullptr || e == nullptr) {
+    if (e == nullptr) {
       return;  // connection torn down in flight
     }
     p->meta().completed_at = sim_->Now();
     const uint32_t tid = p->meta().trace_id;
     const Nanos ring_at = p->meta().completed_at;
-    if (!(*ring)->rx().TryPush(std::move(p))) {
+    if (!e->rings->rx().TryPush(std::move(p))) {
       stats_.RecordDrop(net::Direction::kRx, DropReason::kRingFull,
                         e->owner.owner_pid, tp_core, e->owner.owner_tenant);
       return;

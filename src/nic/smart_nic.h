@@ -41,7 +41,6 @@
 #include "src/common/drop_reason.h"
 #include "src/common/metrics.h"
 #include "src/common/profiler.h"
-#include "src/common/slab_map.h"
 #include "src/common/status.h"
 #include "src/common/tracepoint.h"
 #include "src/common/units.h"
@@ -209,9 +208,11 @@ class SmartNic {
   // ---- Kernel-only control plane ----------------------------------------
   class ControlPlane {
    public:
-    // Flow management. Insert charges NIC SRAM; ResourceExhausted signals
-    // the kernel to use the host fallback path for this connection.
-    Status InstallFlow(const FlowEntry& entry);
+    // Flow management. InstallFlow charges NIC SRAM (the entry, then its
+    // ring state) and creates the entry's rings; ResourceExhausted signals
+    // the kernel to use the host fallback path for this connection. An
+    // entry LookupFlow returns is valid until the next install.
+    Status InstallFlow(FlowEntry entry);
     Status RemoveFlow(net::ConnectionId conn_id);
     FlowEntry* LookupFlow(net::ConnectionId conn_id);
     const FlowTable& flow_table() const { return nic_->flow_table_; }
@@ -239,9 +240,11 @@ class SmartNic {
     uint64_t overlay_generation(size_t slot) const;
     Nanos ReloadBitstream();
 
-    // Notification queues, one per process (§4.3).
+    // Notification queues, one per process (§4.3). Releasing a pid's queue
+    // drops whatever it still holds.
     NotificationQueue* RegisterNotificationQueue(uint32_t pid);
     NotificationQueue* GetNotificationQueue(uint32_t pid);
+    void ReleaseNotificationQueue(uint32_t pid);
 
     // RSS configuration (the "partition the NIC" debugging scenario).
     RssEngine& rss() { return nic_->rss_; }
@@ -555,12 +558,11 @@ class SmartNic {
   PrivilegedMmio priv_mmio_{&regs_};
   SramAllocator sram_;
   DdioModel ddio_;
-  FlowTable flow_table_;
   RssEngine rss_;
 
   // Aggregate occupancy gauges for every bounded queue on the device
-  // ("queue.nic.*"). Declared before rings_/notif_queues_ so they outlive
-  // the queues whose destructors settle them.
+  // ("queue.nic.*"). Declared before flow_table_/notif_queues_ so they
+  // outlive the queues whose destructors settle them.
   telemetry::QueueDepthGauges tx_ring_gauges_;
   telemetry::QueueDepthGauges rx_ring_gauges_;
   telemetry::QueueDepthGauges notify_gauges_;
@@ -582,8 +584,8 @@ class SmartNic {
   FlowCache flow_cache_;
   std::unique_ptr<TopTalkers> top_talkers_;
 
-  // RingPair stays behind unique_ptr: AppPort holds the raw pointer.
-  SlabMap<net::ConnectionId, std::unique_ptr<RingPair>> rings_;
+  // One record per live connection; each entry owns its ring pair.
+  FlowTable flow_table_;
   std::unordered_map<uint32_t, std::unique_ptr<NotificationQueue>>
       notif_queues_;
 

@@ -1,7 +1,9 @@
 #include "src/tools/tools.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -24,33 +26,45 @@ std::vector<std::string> Tokenize(const std::string& s) {
   return tokens;
 }
 
+// "a.b.c.d" or "a.b.c.d/prefix".
 StatusOr<net::Ipv4Address> ParseIp(const std::string& s, uint32_t* prefix) {
-  unsigned a, b, c, d;
-  unsigned p = 32;
-  const int n = std::sscanf(s.c_str(), "%u.%u.%u.%u/%u", &a, &b, &c, &d, &p);
-  if (n < 4 || a > 255 || b > 255 || c > 255 || d > 255 || p > 32) {
-    return InvalidArgumentError("bad address: " + s);
+  std::string_view text = s;
+  uint64_t p = 32;
+  if (const size_t slash = text.find('/'); slash != std::string_view::npos) {
+    if (!ParseDecimal(text.substr(slash + 1), 32, &p)) {
+      return InvalidArgumentError("bad address: " + s);
+    }
+    text = text.substr(0, slash);
   }
-  *prefix = p;
+  uint64_t octets[4];
+  for (size_t i = 0; i < 4; ++i) {
+    const size_t end = i < 3 ? text.find('.') : text.size();
+    if (end == std::string_view::npos ||
+        !ParseDecimal(text.substr(0, end), 255, &octets[i])) {
+      return InvalidArgumentError("bad address: " + s);
+    }
+    text.remove_prefix(i < 3 ? end + 1 : end);
+  }
+  *prefix = static_cast<uint32_t>(p);
   return net::Ipv4Address::FromOctets(
-      static_cast<uint8_t>(a), static_cast<uint8_t>(b),
-      static_cast<uint8_t>(c), static_cast<uint8_t>(d));
+      static_cast<uint8_t>(octets[0]), static_cast<uint8_t>(octets[1]),
+      static_cast<uint8_t>(octets[2]), static_cast<uint8_t>(octets[3]));
 }
 
+// "port" or "lo:hi".
 StatusOr<dataplane::PortRange> ParsePorts(const std::string& s) {
-  unsigned lo = 0, hi = 0;
-  if (std::sscanf(s.c_str(), "%u:%u", &lo, &hi) == 2) {
-    if (lo > 65535 || hi > 65535 || lo > hi) {
-      return InvalidArgumentError("bad port range: " + s);
-    }
-    return dataplane::PortRange{static_cast<uint16_t>(lo),
-                                static_cast<uint16_t>(hi)};
+  const std::string_view text = s;
+  const size_t colon = text.find(':');
+  const std::string_view hi_text =
+      colon == std::string_view::npos ? text : text.substr(colon + 1);
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  if (!ParseDecimal(text.substr(0, colon), 65535, &lo) ||
+      !ParseDecimal(hi_text, 65535, &hi) || lo > hi) {
+    return InvalidArgumentError("bad port: " + s);
   }
-  if (std::sscanf(s.c_str(), "%u", &lo) == 1 && lo <= 65535) {
-    return dataplane::PortRange{static_cast<uint16_t>(lo),
-                                static_cast<uint16_t>(lo)};
-  }
-  return InvalidArgumentError("bad port: " + s);
+  return dataplane::PortRange{static_cast<uint16_t>(lo),
+                              static_cast<uint16_t>(hi)};
 }
 
 std::string ActionName(dataplane::FilterAction a) {
@@ -200,6 +214,15 @@ StatusOr<size_t> IptablesAppend(kernel::Kernel* k, kernel::Uid caller,
       }
       return tokens[++i];
     };
+    // A uid, pid or cgroup id.
+    auto next_id = [&]() -> StatusOr<uint32_t> {
+      NORMAN_ASSIGN_OR_RETURN(std::string v, next());
+      uint64_t id = 0;
+      if (!ParseDecimal(v, UINT32_MAX, &id)) {
+        return InvalidArgumentError("iptables: bad " + t + " " + v);
+      }
+      return static_cast<uint32_t>(id);
+    };
     if (t == "-A") {
       NORMAN_ASSIGN_OR_RETURN(std::string c, next());
       if (c == "INPUT") {
@@ -248,18 +271,15 @@ StatusOr<size_t> IptablesAppend(kernel::Kernel* k, kernel::Uid caller,
         return InvalidArgumentError("iptables: unknown match " + m);
       }
     } else if (t == "--uid-owner") {
-      NORMAN_ASSIGN_OR_RETURN(std::string v, next());
-      rule.owner_uid = static_cast<uint32_t>(std::stoul(v));
+      NORMAN_ASSIGN_OR_RETURN(rule.owner_uid, next_id());
     } else if (t == "--pid-owner") {
-      NORMAN_ASSIGN_OR_RETURN(std::string v, next());
-      rule.owner_pid = static_cast<uint32_t>(std::stoul(v));
+      NORMAN_ASSIGN_OR_RETURN(rule.owner_pid, next_id());
     } else if (t == "--cmd-owner") {
       NORMAN_ASSIGN_OR_RETURN(std::string v, next());
       rule.owner_comm = k->CommIdFor(v);
       rule.label = "cmd-owner " + v;
     } else if (t == "--cgroup") {
-      NORMAN_ASSIGN_OR_RETURN(std::string v, next());
-      rule.owner_cgroup = static_cast<uint32_t>(std::stoul(v));
+      NORMAN_ASSIGN_OR_RETURN(rule.owner_cgroup, next_id());
     } else if (t == "-j") {
       NORMAN_ASSIGN_OR_RETURN(std::string a, next());
       if (a == "ACCEPT") {
@@ -303,45 +323,51 @@ std::string IptablesList(const kernel::Kernel& k) {
 
 namespace {
 
-StatusOr<BitsPerSecond> ParseRate(const std::string& s) {
+// Linux's TCQ_PRIO_BANDS.
+constexpr uint64_t kMaxPrioBands = 16;
+
+// A finite, positive number; `*rest` gets what follows it.
+bool ParsePositive(std::string_view text, double* out,
+                   std::string_view* rest) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  *rest = std::string_view(ptr, static_cast<size_t>(end - ptr));
+  return ec == std::errc() && std::isfinite(*out) && *out > 0;
+}
+
+struct Unit {
+  std::string_view suffix;
+  double scale;
+};
+constexpr Unit kRateUnits[] = {
+    {"gbit", 1e9}, {"mbit", 1e6}, {"kbit", 1e3}, {"bit", 1}, {"", 1}};
+constexpr Unit kSizeUnits[] = {
+    {"mb", 1024.0 * 1024}, {"kb", 1024}, {"b", 1}, {"", 1}};
+
+// "<number><unit>" as a whole count of bits or bytes: at least 1 and below
+// 2^64 once scaled.
+StatusOr<uint64_t> ParseAmount(const std::string& s,
+                               std::span<const Unit> units,
+                               const std::string& what) {
   double value = 0;
-  char unit[16] = {0};
-  if (std::sscanf(s.c_str(), "%lf%15s", &value, unit) < 1 || value <= 0) {
-    return InvalidArgumentError("tc: bad rate " + s);
+  std::string_view suffix;
+  if (ParsePositive(s, &value, &suffix)) {
+    for (const Unit& unit : units) {
+      const double scaled = value * unit.scale;
+      if (unit.suffix == suffix && scaled >= 1 && scaled < 0x1p64) {
+        return static_cast<uint64_t>(scaled);
+      }
+    }
   }
-  const std::string u(unit);
-  if (u == "gbit") {
-    return static_cast<BitsPerSecond>(value * 1e9);
-  }
-  if (u == "mbit") {
-    return static_cast<BitsPerSecond>(value * 1e6);
-  }
-  if (u == "kbit") {
-    return static_cast<BitsPerSecond>(value * 1e3);
-  }
-  if (u.empty() || u == "bit") {
-    return static_cast<BitsPerSecond>(value);
-  }
-  return InvalidArgumentError("tc: bad rate unit " + u);
+  return InvalidArgumentError("tc: bad " + what + " " + s);
+}
+
+StatusOr<BitsPerSecond> ParseRate(const std::string& s) {
+  return ParseAmount(s, kRateUnits, "rate");
 }
 
 StatusOr<uint64_t> ParseSize(const std::string& s) {
-  double value = 0;
-  char unit[16] = {0};
-  if (std::sscanf(s.c_str(), "%lf%15s", &value, unit) < 1 || value <= 0) {
-    return InvalidArgumentError("tc: bad size " + s);
-  }
-  const std::string u(unit);
-  if (u == "mb") {
-    return static_cast<uint64_t>(value * 1024 * 1024);
-  }
-  if (u == "kb") {
-    return static_cast<uint64_t>(value * 1024);
-  }
-  if (u.empty() || u == "b") {
-    return static_cast<uint64_t>(value);
-  }
-  return InvalidArgumentError("tc: bad size unit " + u);
+  return ParseAmount(s, kSizeUnits, "size");
 }
 
 }  // namespace
@@ -375,14 +401,17 @@ Status TcReplace(kernel::Kernel* k, kernel::Uid caller,
   if (kind == "fifo") {
     qdisc = std::make_unique<nic::FifoScheduler>();
   } else if (kind == "prio") {
-    uint32_t bands = 3;
+    uint64_t bands = 3;
     if (i + 1 < tokens.size() && tokens[i] == "bands") {
-      bands = static_cast<uint32_t>(std::stoul(tokens[i + 1]));
+      if (!ParseDecimal(tokens[i + 1], kMaxPrioBands, &bands) || bands == 0) {
+        return InvalidArgumentError("tc: bad prio bands " + tokens[i + 1]);
+      }
       i += 2;
     }
     // Default prio classifier: DSCP EF (46) -> band 0, rest -> last band.
+    const auto n = static_cast<uint32_t>(bands);
     qdisc = std::make_unique<dataplane::PrioQdisc>(
-        bands, dataplane::ClassifyByDscp({{46, 0}, {0, bands - 1}}));
+        n, dataplane::ClassifyByDscp({{46, 0}, {0, n - 1}}));
   } else if (kind == "tbf") {
     BitsPerSecond rate = 0;
     uint64_t burst = 32 * 1024;
@@ -404,7 +433,10 @@ Status TcReplace(kernel::Kernel* k, kernel::Uid caller,
   } else if (kind == "drr") {
     uint64_t quantum = 1514;
     if (i + 1 < tokens.size() && tokens[i] == "quantum") {
-      quantum = std::stoull(tokens[i + 1]);
+      if (!ParseDecimal(tokens[i + 1], UINT64_MAX, &quantum) ||
+          quantum == 0) {
+        return InvalidArgumentError("tc: bad drr quantum " + tokens[i + 1]);
+      }
       i += 2;
     }
     qdisc = std::make_unique<dataplane::DrrQdisc>(
@@ -416,17 +448,22 @@ Status TcReplace(kernel::Kernel* k, kernel::Uid caller,
     uint32_t next_class = 1;
     while (i + 1 < tokens.size()) {
       const std::string& key = tokens[i];
-      unsigned id = 0;
+      const std::string_view pair = tokens[i + 1];
+      const size_t colon = pair.find(':');
+      uint64_t id = 0;
       double weight = 0;
-      if (std::sscanf(tokens[i + 1].c_str(), "%u:%lf", &id, &weight) != 2 ||
-          weight <= 0) {
+      std::string_view rest;
+      if (colon == std::string_view::npos ||
+          !ParseDecimal(pair.substr(0, colon), UINT32_MAX, &id) ||
+          !ParsePositive(pair.substr(colon + 1), &weight, &rest) ||
+          !rest.empty()) {
         return InvalidArgumentError("tc: bad wfq spec " + tokens[i + 1]);
       }
       const uint32_t cls = next_class++;
       if (key == "uid") {
-        uid_class[id] = cls;
+        uid_class[static_cast<uint32_t>(id)] = cls;
       } else if (key == "cgroup") {
-        cgroup_class[id] = cls;
+        cgroup_class[static_cast<uint32_t>(id)] = cls;
       } else {
         return InvalidArgumentError("tc: unknown wfq key " + key);
       }
@@ -450,6 +487,9 @@ Status TcReplace(kernel::Kernel* k, kernel::Uid caller,
   } else {
     return InvalidArgumentError("tc: unknown qdisc kind " + kind);
   }
+  if (i != tokens.size()) {
+    return InvalidArgumentError("tc: unexpected argument " + tokens[i]);
+  }
   return k->SetQdisc(caller, std::move(qdisc));
 }
 
@@ -457,21 +497,25 @@ Status TcRateLimit(kernel::Kernel* k, kernel::Uid caller,
                    const std::string& spec) {
   const auto tokens = Tokenize(spec);
   // conn <id> rate <rate> [burst <size>]
-  if (tokens.size() < 4 || tokens[0] != "conn" || tokens[2] != "rate") {
+  if ((tokens.size() != 4 && tokens.size() != 6) || tokens[0] != "conn" ||
+      tokens[2] != "rate" || (tokens.size() == 6 && tokens[4] != "burst")) {
     return InvalidArgumentError(
         "tc: expected 'conn <id> rate <rate> [burst <size>]'");
   }
-  const auto conn =
-      static_cast<net::ConnectionId>(std::stoul(tokens[1]));
+  uint64_t conn = 0;
+  if (!ParseDecimal(tokens[1], UINT32_MAX, &conn)) {
+    return InvalidArgumentError("tc: bad connection id " + tokens[1]);
+  }
   BitsPerSecond rate = 0;
   if (tokens[3] != "0") {
     NORMAN_ASSIGN_OR_RETURN(rate, ParseRate(tokens[3]));
   }
   uint64_t burst = 16 * 1024;
-  if (tokens.size() >= 6 && tokens[4] == "burst") {
+  if (tokens.size() == 6) {
     NORMAN_ASSIGN_OR_RETURN(burst, ParseSize(tokens[5]));
   }
-  return k->SetConnRateLimit(caller, conn, rate, burst);
+  return k->SetConnRateLimit(caller, static_cast<net::ConnectionId>(conn),
+                             rate, burst);
 }
 
 namespace {

@@ -196,24 +196,5 @@ TEST(FixedRingBulkTest, PopNMovesOutOfRing) {
   EXPECT_EQ(*again[0], 3);
 }
 
-TEST(FixedRingBulkTest, PeekAtIndexesFifoOrderWithoutConsuming) {
-  FixedRing<int> r(4);
-  r.TryPush(10);
-  r.TryPush(11);
-  r.TryPush(12);
-  ASSERT_NE(r.PeekAt(0), nullptr);
-  EXPECT_EQ(*r.PeekAt(0), 10);
-  EXPECT_EQ(*r.PeekAt(2), 12);
-  EXPECT_EQ(r.PeekAt(3), nullptr);  // past the occupied region
-  EXPECT_EQ(r.size(), 3u);
-  // PeekAt must honor wrap: drain two, refill two.
-  r.TryPop();
-  r.TryPop();
-  r.TryPush(13);
-  r.TryPush(14);
-  EXPECT_EQ(*r.PeekAt(0), 12);
-  EXPECT_EQ(*r.PeekAt(2), 14);
-}
-
 }  // namespace
 }  // namespace norman

@@ -181,10 +181,14 @@ TEST_F(KernelEdgeTest, RateLimitClearedOnClose) {
 }
 
 TEST_F(KernelEdgeTest, ExitedProcessCannotConnect) {
-  // The process exits holding a connection it opened and a listener with
-  // one connection still waiting to be accepted.
+  // The process exits holding a connection it opened (with RX
+  // notifications) and a listener with one connection still waiting to be
+  // accepted.
   auto& k = bed_.kernel();
-  ASSERT_TRUE(k.Connect(pid_, kPeerIp, 80, {}).ok());
+  ConnectOptions notify;
+  notify.notify_rx = true;
+  ASSERT_TRUE(k.Connect(pid_, kPeerIp, 80, notify).ok());
+  ASSERT_NE(k.nic_control().GetNotificationQueue(pid_), nullptr);
   ASSERT_TRUE(k.Listen(pid_, 8080, net::IpProto::kUdp).ok());
   bed_.InjectUdpFromPeer(5555, 8080, 10, 100);
   bed_.sim().Run();
@@ -197,6 +201,8 @@ TEST_F(KernelEdgeTest, ExitedProcessCannotConnect) {
   EXPECT_TRUE(k.ListConnections().empty());
   EXPECT_EQ(k.nic_control().flow_table().size(), 0u);
   EXPECT_EQ(k.nic_control().sram().UsedBy("flow_table"), 0u);
+  // ...its notification queue...
+  EXPECT_EQ(k.nic_control().GetNotificationQueue(pid_), nullptr);
   // ...and its port: another process can listen there again.
   const Pid next = *k.processes().Spawn(1, "next");
   EXPECT_TRUE(k.Listen(next, 8080, net::IpProto::kUdp).ok());

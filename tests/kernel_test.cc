@@ -47,7 +47,6 @@ TEST(ProcessTableTest, CommInterningIsStable) {
   EXPECT_EQ(table.Lookup(*p1)->comm_id, table.Lookup(*p2)->comm_id);
   EXPECT_NE(table.Lookup(*p1)->comm_id, table.Lookup(*p3)->comm_id);
   EXPECT_EQ(table.CommName(table.Lookup(*p3)->comm_id), "redis");
-  EXPECT_EQ(table.CommId("never_spawned"), 0u);
 }
 
 TEST(ProcessTableTest, CgroupsCreateAndMove) {
@@ -220,9 +219,11 @@ TEST_F(KernelTest, OutputFilterDropsOnTxPath) {
 }
 
 TEST_F(KernelTest, SoftwareFallbackWhenNicSramExhausted) {
-  // Tiny NIC SRAM: only a couple of flows fit.
+  // Tiny NIC SRAM: two flows fit, and then a third flow's entry but not its
+  // ring state.
   workload::TestBedOptions opts;
-  opts.nic.sram_bytes = 2 * (nic::kFlowEntryBytes + 64);
+  opts.nic.sram_bytes =
+      2 * (nic::kFlowEntryBytes + nic::kRingStateBytes) + nic::kFlowEntryBytes;
   workload::TestBed bed(opts);
   bed.kernel().processes().AddUser(1, "u");
   const Pid pid = *bed.kernel().processes().Spawn(1, "srv");
@@ -236,6 +237,10 @@ TEST_F(KernelTest, SoftwareFallbackWhenNicSramExhausted) {
   EXPECT_FALSE(a->software_fallback());
   EXPECT_FALSE(b->software_fallback());
   EXPECT_TRUE(c->software_fallback());
+  // The refused ring-state charge rolled back the third entry's.
+  EXPECT_EQ(bed.kernel().nic_control().flow_table().size(), 2u);
+  EXPECT_EQ(bed.kernel().nic_control().sram().UsedBy("flow_table"),
+            2 * nic::kFlowEntryBytes);
 
   // Without the option, the connect fails outright.
   auto d = bed.kernel().Connect(pid, kPeerIp, 4, {});

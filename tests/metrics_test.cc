@@ -49,25 +49,6 @@ TEST(MetricsRegistryTest, FindDoesNotCreate) {
   EXPECT_NE(reg.FindCounter("present"), nullptr);
 }
 
-TEST(MetricsRegistryTest, SnapshotDelta) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("nic.tx.seen");
-  Gauge* g = reg.GetGauge("queue.depth");
-  c->Increment(10);
-  g->Set(5);
-  const MetricsSnapshot before = reg.Snapshot();
-  c->Increment(7);
-  g->Set(2);
-  reg.GetCounter("registered.later")->Increment(4);
-  const MetricsSnapshot after = reg.Snapshot();
-
-  const MetricsSnapshot delta = MetricsRegistry::Delta(before, after);
-  EXPECT_EQ(delta.values.at("nic.tx.seen"), 7);
-  EXPECT_EQ(delta.values.at("queue.depth"), -3);
-  // Metrics born between snapshots delta against zero.
-  EXPECT_EQ(delta.values.at("registered.later"), 4);
-}
-
 TEST(MetricsRegistryTest, TextReportIsSortedAndShapeStable) {
   MetricsRegistry reg;
   reg.GetCounter("b.two")->Increment(2);
@@ -129,18 +110,6 @@ TEST(MetricsRegistryTest, ImportPoolMirrorsAndOverwrites) {
   reg.ImportPool(pc);
   EXPECT_EQ(reg.GetGauge("pool.packet.hits")->value(), 11);
   EXPECT_EQ(reg.GetGauge("pool.packet.outstanding")->value(), 1);
-}
-
-TEST(MetricsRegistryTest, ResetAllKeepsRegistrations) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("nic.tx.seen");
-  c->Increment(9);
-  reg.GetHistogram("h")->Add(100);
-  reg.ResetAll();
-  EXPECT_EQ(c, reg.GetCounter("nic.tx.seen"));  // same handle
-  EXPECT_EQ(c->value(), 0u);
-  EXPECT_EQ(reg.GetHistogram("h")->count(), 0u);
-  EXPECT_EQ(reg.num_metrics(), 2u);
 }
 
 }  // namespace

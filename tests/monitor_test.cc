@@ -169,9 +169,7 @@ TEST(WatchdogTest, AlertLogOverflowEvictsOldestFirst) {
   telemetry::MetricsRegistry reg;
   auto* depth = reg.GetGauge("queue.test.depth");
   telemetry::TimeSeriesSampler sampler(&reg);
-  telemetry::HealthWatchdog::Options opts;
-  opts.max_alerts = 4;
-  telemetry::HealthWatchdog dog(&sampler, &reg, opts);
+  telemetry::HealthWatchdog dog(&sampler, &reg);
   dog.AddQueueStallRule("test.q", "queue.test.depth", "o", /*windows=*/3, 1);
 
   Nanos t = 0;
@@ -181,23 +179,23 @@ TEST(WatchdogTest, AlertLogOverflowEvictsOldestFirst) {
     sampler.Sample(t);
     dog.Evaluate(t);
   };
-  // Each stall/drain cycle logs degraded, stalled, recovered — three
-  // cycles log 9 alerts against a bound of 4.
-  for (int cycle = 0; cycle < 3; ++cycle) {
+  // Each stall/drain cycle (4 ms) logs degraded, stalled, recovered — 90
+  // cycles log 270 alerts against the bound of 256.
+  for (int cycle = 0; cycle < 90; ++cycle) {
     window(5);
     window(5);  // degraded
     window(6);  // stalled
     window(0);  // recovered
   }
-  EXPECT_EQ(dog.alerts().size(), 4u);
-  EXPECT_EQ(dog.alerts_dropped(), 5u);
+  EXPECT_EQ(dog.alerts().size(), telemetry::HealthWatchdog::kMaxAlerts);
+  EXPECT_EQ(dog.alerts_dropped(), 14u);
   // The registry counter still counts every transition ever logged.
-  EXPECT_EQ(reg.GetCounter("health.alerts")->value(), 9u);
-  // Oldest-first eviction: the survivors are the newest four (cycle 2's
-  // recovery at t=8ms, then all of cycle 3), in chronological order.
-  EXPECT_EQ(dog.alerts().front().t, 8 * kMillisecond);
+  EXPECT_EQ(reg.GetCounter("health.alerts")->value(), 270u);
+  // Oldest-first eviction: the survivors are the newest 256 (cycle 5's
+  // recovery at t=20ms, then all of cycles 6-90), in chronological order.
+  EXPECT_EQ(dog.alerts().front().t, 20 * kMillisecond);
   EXPECT_EQ(dog.alerts().front().to, HealthState::kHealthy);
-  EXPECT_EQ(dog.alerts().back().t, 12 * kMillisecond);
+  EXPECT_EQ(dog.alerts().back().t, 360 * kMillisecond);
   for (size_t i = 1; i < dog.alerts().size(); ++i) {
     EXPECT_LT(dog.alerts()[i - 1].t, dog.alerts()[i].t);
   }

@@ -78,16 +78,16 @@ TEST(FlowTableTest, RejectsDuplicates) {
   SramAllocator sram(1 * kMiB);
   FlowTable table(&sram);
   ASSERT_TRUE(table.Insert(MakeEntry(1, 1111)).ok());
-  EXPECT_EQ(table.Insert(MakeEntry(1, 9999)).code(),
+  EXPECT_EQ(table.Insert(MakeEntry(1, 9999)).status().code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(table.Insert(MakeEntry(3, 1111)).code(),
+  EXPECT_EQ(table.Insert(MakeEntry(3, 1111)).status().code(),
             StatusCode::kAlreadyExists);  // same tuple
 }
 
 TEST(FlowTableTest, RejectsReservedConnId) {
   SramAllocator sram(1 * kMiB);
   FlowTable table(&sram);
-  EXPECT_EQ(table.Insert(MakeEntry(0, 1)).code(),
+  EXPECT_EQ(table.Insert(MakeEntry(0, 1)).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -96,7 +96,7 @@ TEST(FlowTableTest, SramExhaustionPropagates) {
   FlowTable table(&sram);
   ASSERT_TRUE(table.Insert(MakeEntry(1, 1)).ok());
   ASSERT_TRUE(table.Insert(MakeEntry(2, 2)).ok());
-  EXPECT_EQ(table.Insert(MakeEntry(3, 3)).code(),
+  EXPECT_EQ(table.Insert(MakeEntry(3, 3)).status().code(),
             StatusCode::kResourceExhausted);
 }
 
@@ -118,7 +118,7 @@ TEST(FlowTableTest, InboundTupleLookupUsesReversedTuple) {
 TEST(FlowTableTest, RemoveUnknownFails) {
   SramAllocator sram(1 * kMiB);
   FlowTable table(&sram);
-  EXPECT_EQ(table.Remove(42).code(), StatusCode::kNotFound);
+  EXPECT_EQ(table.Remove(42).status().code(), StatusCode::kNotFound);
 }
 
 // --- RSS ---

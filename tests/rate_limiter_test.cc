@@ -79,6 +79,52 @@ TEST(PacedSchedulerTest, PerConnCapacityDrops) {
   EXPECT_EQ(sched.paced_drops(), 1u);
 }
 
+// An inner discipline that records the owner metadata of every hand-off.
+class RecordingFifo : public nic::FifoScheduler {
+ public:
+  explicit RecordingFifo(std::vector<ConnMetadata>* seen) : seen_(seen) {}
+  bool Enqueue(net::PacketPtr packet,
+               const overlay::PacketContext& ctx) override {
+    seen_->push_back(ctx.conn);
+    return FifoScheduler::Enqueue(std::move(packet), ctx);
+  }
+
+ private:
+  std::vector<ConnMetadata>* seen_;
+};
+
+TEST(PacedSchedulerTest, InnerDisciplineSeesHeldPacketsOwner) {
+  // A held packet reaches the inner discipline with the owner metadata it
+  // was enqueued with, whether tokens release it or ClearRate flushes it.
+  std::vector<ConnMetadata> seen;
+  PacedScheduler sched(std::make_unique<RecordingFifo>(&seen));
+  sched.SetRate(5, 8'000'000, 1000);  // 1 byte/us: the burst covers one
+  sched.SetRate(7, 1'000, 1);         // ~never conformant
+  overlay::PacketContext ctx;
+  net::PacketPtr released = ConnPacket(5, 1000, &ctx);
+  ctx.conn.owner_pid = 505;
+  ASSERT_TRUE(sched.Enqueue(std::move(released), ctx));
+  net::PacketPtr flushed = ConnPacket(7, 1000, &ctx);
+  ctx.conn.owner_pid = 707;
+  ctx.conn.owner_tenant = 3;
+  ASSERT_TRUE(sched.Enqueue(std::move(flushed), ctx));
+  ASSERT_TRUE(seen.empty());  // both held by their pacers
+
+  EXPECT_NE(sched.Dequeue(0), nullptr);  // token release
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].conn_id, 5u);
+  EXPECT_EQ(seen[0].owner_pid, 505u);
+  EXPECT_EQ(seen[0].owner_uid, 1000u);
+
+  sched.ClearRate(7);  // flush
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1].conn_id, 7u);
+  EXPECT_EQ(seen[1].owner_pid, 707u);
+  EXPECT_EQ(seen[1].owner_tenant, 3u);
+  EXPECT_NE(sched.Dequeue(0), nullptr);
+  EXPECT_EQ(sched.backlog_packets(), 0u);
+}
+
 TEST(PacedSchedulerTest, AchievedRateTracksConfig) {
   PacedScheduler sched;
   const BitsPerSecond rate = 80'000'000;  // 10 MB/s

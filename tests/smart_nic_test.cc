@@ -40,8 +40,6 @@ class SmartNicTest : public ::testing::Test {
     e.conn_id = conn;
     e.tuple = FiveTuple{kLocalIp, kRemoteIp, src_port, 80, IpProto::kUdp};
     e.owner = overlay::ConnMetadata{conn, 1000, pid, 1};
-    e.tx_ring_bytes = kHotWorkingSetBytes;
-    e.rx_ring_bytes = kHotWorkingSetBytes;
     return e;
   }
 
@@ -138,7 +136,7 @@ TEST_F(SmartNicTest, MultiplePacketsSerializeOnWire) {
 TEST_F(SmartNicTest, RxPathDeliversToRing) {
   FlowEntry flow = MakeFlow(1, 5555);
   flow.notify_rx = false;
-  ASSERT_TRUE(cp_->InstallFlow(flow).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(flow)).ok());
   nic_.DeliverFromWire(MakeRxPacket(5555), 0);
   sim_.Run();
   RingPair* rings = cp_->GetRings(1);
@@ -175,7 +173,7 @@ TEST_F(SmartNicTest, RxRingOverflowDropsAndCounts) {
 TEST_F(SmartNicTest, RxNotificationPosted) {
   FlowEntry flow = MakeFlow(1, 5555, /*pid=*/777);
   flow.notify_rx = true;
-  ASSERT_TRUE(cp_->InstallFlow(flow).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(flow)).ok());
   NotificationQueue* q = cp_->RegisterNotificationQueue(777);
   nic_.DeliverFromWire(MakeRxPacket(5555), 0);
   sim_.Run();
@@ -188,7 +186,7 @@ TEST_F(SmartNicTest, RxNotificationPosted) {
 TEST_F(SmartNicTest, TxDrainNotificationPosted) {
   FlowEntry flow = MakeFlow(1, 1234, /*pid=*/888);
   flow.notify_tx_drain = true;
-  ASSERT_TRUE(cp_->InstallFlow(flow).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(flow)).ok());
   NotificationQueue* q = cp_->RegisterNotificationQueue(888);
   SendOne(1, 1234);
   sim_.Run();
@@ -232,7 +230,7 @@ TEST_F(SmartNicTest, StagesSeeOwnerMetadataOnTx) {
   CaptureUid stage;
   cp_->AddTxStage(&stage);
   FlowEntry flow = MakeFlow(1, 1234, /*pid=*/4242);
-  ASSERT_TRUE(cp_->InstallFlow(flow).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(flow)).ok());
   SendOne(1, 1234);
   sim_.Run();
   EXPECT_EQ(stage.seen_uid, 1000u);
@@ -368,7 +366,7 @@ TEST_F(SmartNicTest, RxQueueOverrideBeatsRss) {
   ASSERT_TRUE(cp_->EnableSharding(8).ok());
   FlowEntry pinned = MakeFlow(1, 5555);
   pinned.rx_queue = 5;
-  ASSERT_TRUE(cp_->InstallFlow(pinned).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(pinned)).ok());
   nic_.DeliverFromWire(MakeRxPacket(5555), 0);
   sim_.Run();
   auto pkt = cp_->GetRings(1)->rx().TryPop();
@@ -384,7 +382,7 @@ TEST_F(SmartNicTest, RxQueueOverrideBeatsRss) {
 
   FlowEntry spread = MakeFlow(2, 6666);
   spread.rx_queue = 0;  // RSS decides
-  ASSERT_TRUE(cp_->InstallFlow(spread).ok());
+  ASSERT_TRUE(cp_->InstallFlow(std::move(spread)).ok());
   nic_.DeliverFromWire(MakeRxPacket(6666), sim_.Now());
   sim_.Run();
   auto pkt2 = cp_->GetRings(2)->rx().TryPop();
@@ -423,6 +421,41 @@ TEST_F(SmartNicTest, RemoveFlowFreesDoorbellRegisters) {
   }
   // The live connection's block is untouched.
   EXPECT_EQ(cp_->mmio().Read(DoorbellAddr(100, kRegTxHead)), 42u);
+}
+
+TEST_F(SmartNicTest, RingsStayPutWhileTheFlowTableGrows) {
+  // The flow table's slab moves its entries as it grows several times; the
+  // ring pair an application holds must stay where it was handed out.
+  ASSERT_TRUE(cp_->InstallFlow(MakeFlow(1, 5555)).ok());
+  RingPair* first = cp_->GetRings(1);
+  ASSERT_NE(first, nullptr);
+  for (ConnectionId conn = 2; conn <= 1000; ++conn) {
+    ASSERT_TRUE(
+        cp_->InstallFlow(MakeFlow(conn, static_cast<uint16_t>(10000 + conn)))
+            .ok());
+  }
+  ASSERT_EQ(cp_->GetRings(1), first);
+  nic_.DeliverFromWire(MakeRxPacket(5555), 0);
+  sim_.Run();
+  ASSERT_EQ(first->rx().size(), 1u);
+  EXPECT_EQ((*first->rx().Peek())->meta().connection, 1u);
+}
+
+TEST_F(SmartNicTest, RemovingAFlowReleasesItsQueuedFramesAndSram) {
+  ASSERT_TRUE(cp_->InstallFlow(MakeFlow(1, 5555)).ok());
+  nic_.DeliverFromWire(MakeRxPacket(5555), 0);
+  sim_.Run();
+  const telemetry::Gauge* depth =
+      sim_.metrics().GetGauge("queue.nic.rx_ring.depth");
+  ASSERT_EQ(depth->value(), 1);
+  EXPECT_EQ(cp_->sram().UsedBy("flow_table"), kFlowEntryBytes);
+  EXPECT_EQ(cp_->sram().UsedBy("ring_state"), kRingStateBytes);
+
+  ASSERT_TRUE(cp_->RemoveFlow(1).ok());
+  EXPECT_EQ(depth->value(), 0);
+  EXPECT_EQ(cp_->sram().UsedBy("flow_table"), 0u);
+  EXPECT_EQ(cp_->sram().UsedBy("ring_state"), 0u);
+  EXPECT_EQ(cp_->GetRings(1), nullptr);
 }
 
 }  // namespace

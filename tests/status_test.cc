@@ -29,7 +29,6 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
   EXPECT_EQ(FailedPreconditionError("").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(OutOfRangeError("").code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(UnimplementedError("").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(InternalError("").code(), StatusCode::kInternal);
   EXPECT_EQ(UnavailableError("").code(), StatusCode::kUnavailable);
 }

@@ -59,6 +59,24 @@ TEST_F(ToolsTest, IptablesRejectsGarbage) {
   EXPECT_FALSE(IptablesAppend(&bed_.kernel(), kRootUid,
                               "-A OUTPUT --dport 70000 -j DROP")
                    .ok());
+  // Malformed numbers fail with a Status: no throw, no truncation, no
+  // trailing bytes.
+  for (const char* spec : {
+           "-A OUTPUT --uid-owner x -j DROP",
+           "-A OUTPUT --pid-owner x -j DROP",
+           "-A OUTPUT --cgroup x -j DROP",
+           "-A OUTPUT --uid-owner 4294967297 -j DROP",
+           "-A OUTPUT --uid-owner 1001x -j DROP",
+           "-A OUTPUT --dport 80abc -j DROP",
+           "-A OUTPUT --sport 80: -j DROP",
+           "-A OUTPUT -s 10.0.0.1junk -j DROP",
+           "-A OUTPUT -d 10.0.0.0/33 -j DROP",
+       }) {
+    EXPECT_EQ(IptablesAppend(&bed_.kernel(), kRootUid, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
+  EXPECT_TRUE(bed_.kernel().filter(Chain::kOutput).rules().empty());
 }
 
 TEST_F(ToolsTest, IptablesRequiresRoot) {
@@ -129,6 +147,38 @@ TEST_F(ToolsTest, TcRejectsBadSpecs) {
   EXPECT_FALSE(TcReplace(&bed_.kernel(), kRootUid,
                          "qdisc replace dev nic0 root wfq uid bogus")
                    .ok());
+  // Malformed numbers fail with a Status and leave the qdisc in place.
+  const nic::Scheduler* installed = bed_.kernel().nic_control().scheduler();
+  for (const char* args : {
+           "prio bands x",
+           "prio bands 0",
+           "prio bands 17",
+           "prio bands 4294967299",
+           "drr quantum x",
+           "drr quantum 1k",
+           "drr quantum 0",
+           "wfq uid 1001:nan",
+           "wfq uid 1001:inf",
+           "wfq uid 1001:2x",
+           "wfq uid 4294967297:1",
+           "tbf rate 1e400mbit",
+           "tbf rate nanmbit",
+           "tbf rate 1e30gbit",
+           "tbf rate 0.5bit",
+           "tbf rate 1mbit burst infkb",
+           "fifo junk",
+           "prio bands",
+           "drr quantum",
+           "tbf rate 1mbit burst",
+           "wfq uid 1001:8 uid",
+       }) {
+    EXPECT_EQ(TcReplace(&bed_.kernel(), kRootUid,
+                        std::string("qdisc replace dev nic0 root ") + args)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << args;
+    EXPECT_EQ(bed_.kernel().nic_control().scheduler(), installed) << args;
+  }
   EXPECT_EQ(TcReplace(&bed_.kernel(), 1002,
                       "qdisc replace dev nic0 root fifo")
                 .code(),
@@ -254,6 +304,18 @@ TEST_F(ToolsTest, TcRateLimitSpecParses) {
                   .ok());
   // Errors.
   EXPECT_FALSE(TcRateLimit(&bed_.kernel(), kRootUid, "bogus").ok());
+  const nic::Scheduler* installed = bed_.kernel().nic_control().scheduler();
+  const std::string conn = "conn " + std::to_string(sock->conn_id());
+  for (const std::string& bad :
+       {std::string("conn x rate 1mbit"),
+        std::string("conn 4294967297 rate 1mbit"), conn + " rate 1e400mbit",
+        conn + " rate 1mbit burst nankb", conn + " rate 1mbit burst",
+        conn + " rate 1mbit junk 2kb"}) {
+    EXPECT_EQ(TcRateLimit(&bed_.kernel(), kRootUid, bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(bed_.kernel().nic_control().scheduler(), installed) << bad;
+  }
   EXPECT_FALSE(
       TcRateLimit(&bed_.kernel(), kRootUid, "conn 9999 rate 1mbit").ok());
   EXPECT_EQ(TcRateLimit(&bed_.kernel(), 1001,

@@ -202,7 +202,9 @@ TEST(TracepointTest, DisarmRestoresTheZeroMask) {
   for (size_t i = 0; i < telemetry::kNumProbes; ++i) {
     EXPECT_TRUE(tp.armed(static_cast<Probe>(i)));
   }
-  tp.DisarmAll();
+  for (size_t i = 0; i < telemetry::kNumProbes; ++i) {
+    tp.Disarm(static_cast<Probe>(i));
+  }
   for (size_t i = 0; i < telemetry::kNumProbes; ++i) {
     EXPECT_FALSE(tp.armed(static_cast<Probe>(i)));
   }
